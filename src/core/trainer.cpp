@@ -5,7 +5,6 @@
 #include <limits>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "geom/hashing.hpp"
@@ -453,6 +452,28 @@ FeatureParams loadFeatureParams(std::istream& is) {
   return f;
 }
 
+// fingerprint() helpers: each folds one saveCore() section into `h`.
+std::uint64_t hashFeatureParams(std::uint64_t h, const FeatureParams& f) {
+  for (const std::size_t v : {f.maxInternal, f.maxExternal, f.maxDiagonal,
+                              f.maxSegment, f.densityGridN})
+    h = hashCombine(h, v);
+  return hashCombine(h, f.canonicalize);
+}
+
+std::uint64_t hashScaler(std::uint64_t h, const svm::Scaler& s) {
+  h = hashCombine(h, hashDoubles(s.mins()));
+  return hashCombine(h, hashDoubles(s.maxs()));
+}
+
+std::uint64_t hashModel(std::uint64_t h, const svm::SvmModel& m) {
+  h = hashCombine(h, hashDouble(m.gamma()));
+  h = hashCombine(h, hashDouble(m.rho()));
+  h = hashCombine(h, hashDoubles(m.coefficients()));
+  for (const svm::FeatureVector& sv : m.supportVectors())
+    h = hashCombine(h, hashDoubles(sv));
+  return h;
+}
+
 }  // namespace
 
 void Detector::saveCore(std::ostream& os) const {
@@ -502,14 +523,33 @@ std::vector<std::string> Detector::clusterNames() const {
 }
 
 std::uint64_t Detector::fingerprint() const {
-  // Hash the serialized core at full double precision: any retrain, load
-  // of a different model, or parameter nudge changes some emitted byte.
-  // Cheap relative to a single window evaluation; callers compute it once
-  // per run, never per window.
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  saveCore(os);
-  return hashString(os.str());
+  // Exactly the fields saveCore() writes, in the same order, each by its
+  // exact bits: any retrain, load of a different model or one-ulp
+  // parameter nudge changes it. Keep the two in step.
+  std::uint64_t h = hashString("hsd_detector 2");
+  h = hashCombine(h, hashCoord(params.clip.coreSide));
+  h = hashCombine(h, hashCoord(params.clip.clipSide));
+  h = hashCombine(h, params.layer);
+  h = hashFeatureParams(h, params.features);
+  h = hashFeatureParams(h, params.feedbackFeatures);
+  h = hashCombine(h, kernels.size());
+  for (const KernelEntry& k : kernels) {
+    h = hashCombine(h, k.hotspotCount);
+    h = hashCombine(h, hashDouble(k.finalC));
+    h = hashCombine(h, hashDouble(k.finalGamma));
+    h = hashCombine(h, k.selfIterations);
+    h = hashCombine(h, k.feedbackApplies);
+    h = hashScaler(h, k.scaler);
+    h = hashModel(h, k.model);
+  }
+  h = hashCombine(h, hasFeedback);
+  if (hasFeedback) {
+    h = hashScaler(h, feedbackScaler);
+    h = hashModel(h, feedbackModel);
+  }
+  h = hashCombine(h, hasPlatt);
+  h = hashCombine(h, hashDouble(platt.a));
+  return hashCombine(h, hashDouble(platt.b));
 }
 
 Detector Detector::load(std::istream& is) {

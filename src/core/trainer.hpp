@@ -133,12 +133,17 @@ class Detector {
   std::vector<std::string> clusterNames() const;
 
   /// Stable 64-bit fingerprint of everything evaluation depends on
-  /// (params, kernels, scalers, feedback and Platt models), computed by
-  /// hashing the high-precision serialized form. Used as the detector
-  /// component of stage-cache config keys: retraining or loading a
-  /// different model invalidates every cached verdict. The drift baseline
-  /// is excluded (it cannot change a verdict), so attaching or dropping
-  /// one preserves every cached verdict key.
+  /// (params, kernels, scalers, feedback and Platt models): a direct
+  /// content hash of exactly the fields save() writes for the core, each
+  /// value by its exact bits, in serialization order. Pure function of
+  /// those values (never of addresses or allocation order), so a copy or
+  /// a save/load round trip keeps it. Used as the detector component of
+  /// stage-cache config keys: retraining or loading a different model
+  /// invalidates every cached verdict. The drift baseline, topoKey and
+  /// stats are excluded (they cannot change a verdict), so attaching or
+  /// dropping a baseline preserves every cached verdict key. Not cached:
+  /// the fields are public and mutable, and one call is cheap (a single
+  /// pass over the model's numbers).
   std::uint64_t fingerprint() const;
 
  private:

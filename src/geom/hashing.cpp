@@ -19,6 +19,13 @@ std::uint64_t hashRectsUnordered(const std::vector<Rect>& rects) {
   return out;
 }
 
+std::uint64_t hashDoubles(std::span<const double> xs) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    sum += hashMix(std::bit_cast<std::uint64_t>(xs[i]) ^ hashMix(i));
+  return hashCombine(hashMix(xs.size()), sum);
+}
+
 std::uint64_t hashWindowContent(const Rect& window,
                                 const std::vector<Rect>& rects) {
   const Point origin = window.lo;

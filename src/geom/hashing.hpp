@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -51,6 +52,13 @@ constexpr std::uint64_t hashCoord(Coord c) {
 constexpr std::uint64_t hashDouble(double d) {
   return hashMix(std::bit_cast<std::uint64_t>(d));
 }
+
+/// Exact-bit, order-dependent hash of a double array. Each element is
+/// mixed with its index and the mixes are summed, so there is no serial
+/// chain through the loop (it runs at multiply throughput) yet moving a
+/// value to another index still changes the hash. The length is folded
+/// in, so a trailing zero is not absorbed.
+std::uint64_t hashDoubles(std::span<const double> xs);
 
 constexpr std::uint64_t hashPoint(const Point& p) {
   return hashCombine(hashCoord(p.x), hashCoord(p.y));

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <locale>
@@ -73,9 +74,11 @@ bool wantsProfile(const net::HttpRequest& req) {
 
 /// One-line profile JSON for the X-Profile response header and the
 /// recent-profile ring: wire/queue/run wall split, arena growth, cache
-/// deltas, and the per-stage EngineStats table the pooled context
-/// already collected — no extra locking on the request path.
-std::string buildProfileJson(const ServeResult& sr, std::uint64_t wireId) {
+/// deltas, the per-stage EngineStats table the pooled context already
+/// collected — no extra locking on the request path — and, last, the
+/// serving model's fingerprint.
+std::string buildProfileJson(const ServeResult& sr, std::uint64_t wireId,
+                             const std::string& modelId) {
   std::uint64_t hits = 0, misses = 0;
   for (const auto& [stage, c] : sr.cacheStats) {
     hits += c.hits;
@@ -94,7 +97,8 @@ std::string buildProfileJson(const ServeResult& sr, std::uint64_t wireId) {
      << ", \"arenaReservedBytes\": " << sr.arenaReservedBytes
      << ", \"cache\": {\"hits\": " << hits << ", \"misses\": " << misses
      << "}, \"stages\": "
-     << (sr.statsJson.empty() ? std::string("{}") : sr.statsJson) << '}';
+     << (sr.statsJson.empty() ? std::string("{}") : sr.statsJson)
+     << ", \"model\": \"" << modelId << "\"}";
   return os.str();
 }
 
@@ -104,6 +108,10 @@ DetectionEndpoint::DetectionEndpoint(DetectionServer& server,
                                      const core::Detector& detector,
                                      DetectEndpointConfig cfg)
     : server_(server), detector_(detector), cfg_(cfg) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(detector_.fingerprint()));
+  modelId_ = hex;
   metrics_ = std::make_shared<obs::MetricsRegistry>();
   // Registration order is exposition order — keep it stable.
   const auto statusCounter = [this](const char* code) {
@@ -352,7 +360,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
       .withHeader("X-Cache-Hits", std::to_string(hits))
       .withHeader("X-Cache-Misses", std::to_string(misses));
   if (wantsProfile(req)) {
-    std::string profile = buildProfileJson(sr, wireId);
+    std::string profile = buildProfileJson(sr, wireId, modelId_);
     res.withHeader("X-Profile", profile);
     rememberProfile(std::move(profile));
   }

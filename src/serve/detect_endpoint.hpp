@@ -27,8 +27,9 @@
 //    X-Cache-Misses (this request's shared-cache traffic).
 //  - profiles: a request carrying `X-Profile: 1` gets an `X-Profile`
 //    response header on 200 — one-line JSON with the queue/run split,
-//    arena growth, cache deltas and the per-stage EngineStats table —
-//    and the same object lands in the statsJson() recent-profile ring.
+//    arena growth, cache deltas, the per-stage EngineStats table and
+//    the serving model's fingerprint ("model", 16 hex digits) — and the
+//    same object lands in the statsJson() recent-profile ring.
 //
 // Admission control: before parsing the body, the endpoint consults the
 // server's live queue depth; at or beyond maxQueueDepth it answers 429
@@ -117,6 +118,9 @@ class DetectionEndpoint {
 
   DetectionServer& server_;
   const core::Detector& detector_;
+  /// detector_.fingerprint() as 16 hex digits, computed once here: the
+  /// X-Profile "model" field.
+  std::string modelId_;
   DetectEndpointConfig cfg_;
   net::HttpServer* http_ = nullptr;  ///< set by mount(); drain detection
 

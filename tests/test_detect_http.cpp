@@ -24,9 +24,10 @@
 //    freshly minted one) echoes back as X-Trace-Id and correlates the
 //    request's spans (/tracez?trace=) and log records (/logz?trace=),
 //    including across the tiled fan-out's borrowed helper contexts; the
-//    X-Profile opt-in returns a per-request breakdown header; and a fully
-//    observed plane (tracer + log + propagation) keeps reports
-//    byte-identical across threads {1,8} x {monolithic, tiled}.
+//    X-Profile opt-in returns a per-request breakdown header ending in
+//    the serving model's fingerprint; and a fully observed plane
+//    (tracer + log + propagation) keeps reports byte-identical across
+//    threads {1,8} x {monolithic, tiled}.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -35,6 +36,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -606,6 +608,17 @@ TEST(DetectHttp, ProfileHeaderOptInReturnsPerRequestBreakdown) {
        {"\"wireId\"", "\"status\"", "\"queueSeconds\"", "\"runSeconds\"",
         "\"arenaReservedBytes\"", "\"cache\"", "\"stages\""})
     EXPECT_NE(profile.find(field), std::string::npos) << profile;
+  // The serving model's identity closes the object: 16 hex digits of
+  // Detector::fingerprint().
+  const std::string modelKey = ", \"model\": \"";
+  const std::size_t at = profile.rfind(modelKey);
+  ASSERT_NE(at, std::string::npos) << profile;
+  const std::string hex = profile.substr(at + modelKey.size());
+  ASSERT_EQ(hex.size(), 16u + 2u) << profile;  // digits + closing "}
+  EXPECT_EQ(hex.substr(16), "\"}") << profile;
+  EXPECT_EQ(std::strtoull(hex.substr(0, 16).c_str(), nullptr, 16),
+            tests::detectorFixture(wireSpec()).detector.fingerprint())
+      << profile;
   // The profile is also kept in the endpoint's recent-profiles ring.
   const std::string stats = w.endpoint->statsJson();
   EXPECT_TRUE(hsd::tests::parsesAsJson(stats)) << stats;

@@ -16,6 +16,10 @@
 //    through Detector::save/load (including cluster-name recovery, since
 //    topoKey is not serialized), never perturbs fingerprint(), and a
 //    garbage trailer is rejected;
+//  - fingerprint() content sensitivity: every field saveCore() writes
+//    (one-ulp nudge, flipped bool, +-1 count, reordering) changes it;
+//    topoKey, stats and the baseline do not; copies and save/load round
+//    trips keep it; a hand-built detector's value is pinned;
 //  - DriftScorer: steady traffic scores ~0 PSI, a shifted distribution
 //    flips past the threshold, the rolling window selects the newest
 //    sample at least windowSeconds old (boundary inclusive), the sample
@@ -33,9 +37,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -545,6 +551,209 @@ TEST(DetectorBaseline, LoadRejectsAGarbageTrailer) {
   stripped.save(ss);
   ss << "garbage 1 2\n";
   EXPECT_THROW(core::Detector::load(ss), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint: a content hash over exactly the fields saveCore() writes
+
+/// A small hand-built detector that sets every fingerprinted field: two
+/// kernels, a feedback model and a Platt pair. Every value prints
+/// exactly, so a save/load round trip reproduces it bit for bit.
+core::Detector handBuiltDetector() {
+  const auto kernel = [](double shift) {
+    core::KernelEntry k;
+    k.scaler = svm::Scaler({0.0, -1.0, 0.5}, {1.0, 2.0, 4.5});
+    k.model = svm::SvmModel({{0.25 + shift, 0.5, 0.75}, {-0.5, 0.125, 1.0}},
+                            {1.5, -0.75}, 0.375 + shift, 0.5);
+    k.topoKey = "cluster";
+    k.hotspotCount = 3;
+    k.finalC = 2000.0;
+    k.finalGamma = 0.02;
+    k.selfIterations = 2;
+    k.feedbackApplies = true;
+    return k;
+  };
+  core::Detector d;
+  d.kernels = {kernel(0.0), kernel(1.0)};
+  d.hasFeedback = true;
+  d.feedbackScaler = svm::Scaler({0.0, 0.0}, {8.0, 8.0});
+  d.feedbackModel = svm::SvmModel({{0.5, 0.25}}, {-1.25}, 0.0625, 0.05);
+  d.hasPlatt = true;
+  d.platt = {-1.5, 0.25};
+  return d;
+}
+
+/// `m` rebuilt after `edit` rewrote copies of its parts (sv, coef, rho,
+/// gamma) — SvmModel keeps them private.
+template <class Edit>
+svm::SvmModel editedModel(const svm::SvmModel& m, Edit edit) {
+  std::vector<svm::FeatureVector> sv = m.supportVectors();
+  std::vector<double> coef = m.coefficients();
+  double rho = m.rho();
+  double gamma = m.gamma();
+  edit(sv, coef, rho, gamma);
+  return svm::SvmModel(std::move(sv), std::move(coef), rho, gamma);
+}
+
+double ulpUp(double x) {
+  return std::nextafter(x, std::numeric_limits<double>::infinity());
+}
+
+struct DetectorEdit {
+  const char* name;
+  std::function<void(core::Detector&)> apply;
+};
+
+TEST(DetectorFingerprint, EverySerializedFieldChangesItAndNothingElseDoes) {
+  using SVs = std::vector<svm::FeatureVector>;
+  using Coefs = std::vector<double>;
+  const core::Detector base = handBuiltDetector();
+  const std::uint64_t fp = base.fingerprint();
+
+  // One-ulp nudges, flipped bools and +-1 counts, one per field (and a
+  // few reorderings: the hash is order-dependent like the file).
+  const std::vector<DetectorEdit> changes = {
+      {"clip.coreSide", [](auto& d) { d.params.clip.coreSide += 1; }},
+      {"clip.clipSide", [](auto& d) { d.params.clip.clipSide -= 1; }},
+      {"layer", [](auto& d) { d.params.layer += 1; }},
+      {"features.maxInternal",
+       [](auto& d) { d.params.features.maxInternal += 1; }},
+      {"features.maxExternal",
+       [](auto& d) { d.params.features.maxExternal += 1; }},
+      {"features.maxDiagonal",
+       [](auto& d) { d.params.features.maxDiagonal -= 1; }},
+      {"features.maxSegment",
+       [](auto& d) { d.params.features.maxSegment += 1; }},
+      {"features.densityGridN",
+       [](auto& d) { d.params.features.densityGridN += 1; }},
+      {"features.canonicalize",
+       [](auto& d) { d.params.features.canonicalize = false; }},
+      {"feedbackFeatures.densityGridN",
+       [](auto& d) { d.params.feedbackFeatures.densityGridN -= 1; }},
+      {"kernel count", [](auto& d) { d.kernels.pop_back(); }},
+      {"kernel order",
+       [](auto& d) { std::swap(d.kernels[0], d.kernels[1]); }},
+      {"hotspotCount", [](auto& d) { d.kernels[1].hotspotCount += 1; }},
+      {"finalC", [](auto& d) { d.kernels[0].finalC = ulpUp(2000.0); }},
+      {"finalGamma", [](auto& d) { d.kernels[1].finalGamma = ulpUp(0.02); }},
+      {"selfIterations", [](auto& d) { d.kernels[0].selfIterations -= 1; }},
+      {"feedbackApplies",
+       [](auto& d) { d.kernels[1].feedbackApplies = false; }},
+      {"scaler min",
+       [](auto& d) {
+         d.kernels[0].scaler = svm::Scaler({0.0, ulpUp(-1.0), 0.5},
+                                           d.kernels[0].scaler.maxs());
+       }},
+      {"scaler max",
+       [](auto& d) {
+         d.kernels[1].scaler = svm::Scaler(d.kernels[1].scaler.mins(),
+                                           {1.0, 2.0, ulpUp(4.5)});
+       }},
+      {"svm gamma",
+       [](auto& d) {
+         d.kernels[0].model = editedModel(
+             d.kernels[0].model,
+             [](SVs&, Coefs&, double&, double& g) { g = ulpUp(g); });
+       }},
+      {"svm rho",
+       [](auto& d) {
+         d.kernels[1].model = editedModel(
+             d.kernels[1].model,
+             [](SVs&, Coefs&, double& r, double&) { r = ulpUp(r); });
+       }},
+      {"coefficient",
+       [](auto& d) {
+         d.kernels[0].model = editedModel(
+             d.kernels[0].model,
+             [](SVs&, Coefs& c, double&, double&) { c[1] = ulpUp(c[1]); });
+       }},
+      {"support vector element",
+       [](auto& d) {
+         d.kernels[1].model = editedModel(
+             d.kernels[1].model, [](SVs& sv, Coefs&, double&, double&) {
+               sv[1][2] = ulpUp(sv[1][2]);
+             });
+       }},
+      {"support vector order",
+       [](auto& d) {
+         d.kernels[0].model = editedModel(
+             d.kernels[0].model, [](SVs& sv, Coefs&, double&, double&) {
+               std::swap(sv[0], sv[1]);
+             });
+       }},
+      {"support vector element order",
+       [](auto& d) {
+         d.kernels[0].model = editedModel(
+             d.kernels[0].model, [](SVs& sv, Coefs&, double&, double&) {
+               std::swap(sv[0][0], sv[0][2]);
+             });
+       }},
+      {"hasFeedback", [](auto& d) { d.hasFeedback = false; }},
+      {"feedback scaler",
+       [](auto& d) {
+         d.feedbackScaler = svm::Scaler({0.0, 0.0}, {8.0, ulpUp(8.0)});
+       }},
+      {"feedback model",
+       [](auto& d) {
+         d.feedbackModel = editedModel(
+             d.feedbackModel, [](SVs& sv, Coefs&, double&, double&) {
+               sv[0][1] = ulpUp(sv[0][1]);
+             });
+       }},
+      {"hasPlatt", [](auto& d) { d.hasPlatt = false; }},
+      {"platt.a", [](auto& d) { d.platt.a = ulpUp(d.platt.a); }},
+      {"platt.b", [](auto& d) { d.platt.b = ulpUp(d.platt.b); }},
+  };
+  std::set<std::uint64_t> seen{fp};
+  for (const DetectorEdit& e : changes) {
+    core::Detector d = base;
+    e.apply(d);
+    const std::uint64_t changed = d.fingerprint();
+    EXPECT_NE(changed, fp) << e.name;
+    EXPECT_TRUE(seen.insert(changed).second) << e.name << " collided";
+  }
+
+  // Fields save() does not write into the core leave it alone.
+  const std::vector<DetectorEdit> invariant = {
+      {"topoKey", [](auto& d) { d.kernels[0].topoKey = "other"; }},
+      {"stats",
+       [](auto& d) {
+         d.stats.rawHotspots = 7;
+         d.stats.trainSeconds = 1.5;
+       }},
+      {"baseline",
+       [](auto& d) {
+         d.hasBaseline = true;
+         d.baseline.clusters.resize(2);
+         d.baseline.clusters[0].hot = 4;
+       }},
+      {"feedback model while hasFeedback is off",
+       [](auto& d) {
+         d.hasFeedback = false;
+         d.feedbackModel = svm::SvmModel();
+       }},
+  };
+  core::Detector noFeedback = base;
+  noFeedback.hasFeedback = false;
+  for (const DetectorEdit& e : invariant) {
+    core::Detector d = base;
+    e.apply(d);
+    EXPECT_EQ(d.fingerprint(),
+              d.hasFeedback ? fp : noFeedback.fingerprint())
+        << e.name;
+  }
+
+  // A copy and a save/load round trip keep it.
+  const core::Detector copy = base;
+  EXPECT_EQ(copy.fingerprint(), fp);
+  std::stringstream ss;
+  base.save(ss);
+  EXPECT_EQ(core::Detector::load(ss).fingerprint(), fp);
+
+  // Pinned: the hash is a pure function of the values, never of
+  // addresses or allocation order. A change here means every stored
+  // cache key changes; update it only on purpose.
+  EXPECT_EQ(fp, 0x8388fd8e4595c58eULL);
 }
 
 // ---------------------------------------------------------------------------
