@@ -5,9 +5,10 @@
 // pairs (scalar oracle vs dispatched SIMD path).
 //
 // `--json-out BENCH_hotpath.json` switches to a hand-timed mode that
-// measures each scalar/dispatched kernel pair and emits one
-// machine-readable trajectory file (speedups stamped with git describe)
-// — the artifact bench/run_benches.sh collects.
+// measures each scalar/dispatched kernel pair, plus per-clip vs
+// kernel-major scoring on a 160-kernel detector (`svm_batch`), and emits
+// one machine-readable trajectory file (speedups stamped with git
+// describe) — the artifact bench/run_benches.sh collects.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,8 +23,10 @@
 #include "core/extract.hpp"
 #include "core/features.hpp"
 #include "core/mtcg.hpp"
+#include "core/scorer.hpp"
 #include "core/topo_string.hpp"
 #include "data/generator.hpp"
+#include "engine/arena.hpp"
 #include "engine/stats.hpp"
 #include "geom/density_grid.hpp"
 #include "geom/simd.hpp"
@@ -307,10 +310,34 @@ struct KernelTiming {
   const char* name;
   double scalarNs;
   double dispatchedNs;
+  /// JSON keys of the two sides (svm_batch compares two loop orders of
+  /// the dispatched kernels, not scalar vs dispatched).
+  const char* scalarKey = "scalar_ns";
+  const char* dispatchedKey = "dispatched_ns";
   double speedup() const {
     return dispatchedNs > 0 ? scalarNs / dispatchedNs : 0.0;
   }
 };
+
+/// A detector-shaped kernel set: 160 kernels over 125-dim features with
+/// 3..21 SVs each (mean ~9, the benchmark3 model's shape). Coefficients
+/// are negative, so no clip ever flags and every clip walks every kernel
+/// — the unflagged majority's cost.
+std::vector<core::KernelEntry> syntheticKernels() {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<core::KernelEntry> kernels(160);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    const std::size_t nsv = 3 + (k * 7) % 19;
+    std::vector<svm::FeatureVector> sv(nsv, svm::FeatureVector(125));
+    for (auto& v : sv)
+      for (double& e : v) e = u(rng);
+    kernels[k].scaler.fit(sv);
+    kernels[k].model = svm::SvmModel(std::move(sv),
+                                     std::vector<double>(nsv, -0.5), 0.1, 0.02);
+  }
+  return kernels;
+}
 
 int runJsonMode(const char* path) {
   std::vector<KernelTiming> timings;
@@ -376,18 +403,60 @@ int runJsonMode(const char* path) {
     timings.push_back({"svm_decision", ref, opt});
   }
 
+  {
+    // Scoring order: 256 clips x 160 kernels, per-clip (scale + decide
+    // one pair at a time, the pre-batching evaluator loop) vs kernel-major
+    // (core::scoreKernels over 32-clip chunks). ns per clip, one thread.
+    const std::vector<core::KernelEntry> kernels = syntheticKernels();
+    std::mt19937 rng(12);
+    std::uniform_real_distribution<double> u(-0.1, 1.1);
+    std::vector<svm::FeatureVector> feats(256, svm::FeatureVector(125));
+    for (auto& f : feats)
+      for (double& e : f) e = u(rng);
+    std::vector<const svm::FeatureVector*> rows;
+    for (const auto& f : feats) rows.push_back(&f);
+    std::vector<core::KernelScore> scores(rows.size());
+    const double perClip = bestNsPerCall(
+        [&] {
+          for (const svm::FeatureVector& f : feats) {
+            engine::ArenaScope scope(engine::threadScratch());
+            const std::span<double> x = scope.arena().allocSpan<double>(125);
+            for (const core::KernelEntry& k : kernels) {
+              k.scaler.transformInto(f, x.data());
+              if (k.model.decisionFrom(x) > 0.0) break;
+            }
+          }
+        },
+        5, 3);
+    const double batched = bestNsPerCall(
+        [&] {
+          for (std::size_t c = 0; c < rows.size(); c += core::kScoreChunk)
+            core::scoreKernels(
+                kernels, std::span(rows).subspan(c, core::kScoreChunk),
+                core::ScoreMode::kFirstFlag, 0.0,
+                std::span(scores).subspan(c, core::kScoreChunk));
+          benchmark::DoNotOptimize(scores.data());
+        },
+        5, 3);
+    timings.push_back({"svm_batch", perClip / double(feats.size()),
+                       batched / double(feats.size()), "per_clip_ns",
+                       "batch_ns"});
+  }
+
   std::ostringstream json;
   json << "{\n  \"bench\": \"hotpath\",\n  \"git\": \""
        << bench::gitDescribe() << "\",\n  \"simd\": \""
        << simd::toString(simd::activeLevel()) << "\",\n  \"kernels\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const KernelTiming& t = timings[i];
-    json << "    {\"name\": \"" << t.name << "\", \"scalar_ns\": "
-         << t.scalarNs << ", \"dispatched_ns\": " << t.dispatchedNs
-         << ", \"speedup\": " << t.speedup() << "}"
+    json << "    {\"name\": \"" << t.name << "\", \"" << t.scalarKey
+         << "\": " << t.scalarNs << ", \"" << t.dispatchedKey
+         << "\": " << t.dispatchedNs << ", \"speedup\": " << t.speedup()
+         << "}"
          << (i + 1 < timings.size() ? "," : "") << "\n";
-    std::printf("%-16s scalar %9.1f ns  dispatched %9.1f ns  speedup %.2fx\n",
-                t.name, t.scalarNs, t.dispatchedNs, t.speedup());
+    std::printf("%-16s %s %9.1f  %s %9.1f  speedup %.2fx\n", t.name,
+                t.scalarKey, t.scalarNs, t.dispatchedKey, t.dispatchedNs,
+                t.speedup());
   }
   json << "  ]\n}\n";
   return bench::writeJsonFile(path, json.str()) ? 0 : 1;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/scorer.hpp"
 #include "engine/arena.hpp"
 #include "engine/cache.hpp"
 #include "engine/pipeline.hpp"
@@ -65,13 +65,12 @@ struct EvalItem {
 };
 
 /// The Fig. 3 right-half scoring stages, decomposed so each step is
-/// separately timed and batched. Together they compute exactly
-/// Detector::evaluateClip (same feature builds, same kernel order, same
-/// thresholds), so reports are identical to the monolithic path. With a
-/// StageCache attached to the context, the clip stage looks up the cached
-/// verdict per window and the downstream stages skip all computation for
-/// hits — warm runs stay byte-identical to cold runs because a verdict is
-/// a pure function of its key.
+/// separately timed and batched; eval/svm scores through the one
+/// kernel-major scorer (core/scorer.hpp) that Detector::evaluateClip also
+/// uses. With a StageCache attached to the context, the clip stage looks
+/// up the cached verdict per window and the downstream stages skip all
+/// computation for hits — warm runs stay byte-identical to cold runs
+/// because a verdict is a pure function of its key.
 struct EvalStages {
   engine::Stage<ClipWindow, EvalItem> clip;
   engine::Stage<EvalItem, EvalItem> features;
@@ -135,58 +134,37 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
         obs::ModelStatsRecorder* const ms = ctx.modelStats();
         const Coord half = det.params.clip.coreSide / 2;
         std::vector<char> keep(in.size(), 0);
+        std::vector<std::size_t> pending;
+        std::vector<const svm::FeatureVector*> feats;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          if (in[i].verdict >= 0) {
+            keep[i] = in[i].verdict == 1;
+          } else {
+            pending.push_back(i);
+            feats.push_back(&in[i].coreFeat);
+          }
+        }
+        // A flagged clip belongs to its first flagging kernel; an
+        // unflagged one to the kernel that came closest (ScoreMode).
+        const std::vector<KernelScore> scores =
+            scoreKernels(ctx, det.kernels, feats, ScoreMode::kFirstFlag, bias);
         std::atomic<std::size_t> evictions{0};
-        ctx.parallelFor(in.size(), [&](std::size_t i) {
-          EvalItem& it = in[i];
-          if (it.verdict >= 0) {
-            keep[i] = it.verdict == 1;
-            return;
+        ctx.parallelFor(pending.size(), [&](std::size_t j) {
+          const EvalItem& it = in[pending[j]];
+          const KernelScore& sc = scores[j];
+          if (ms != nullptr && !det.kernels.empty()) {
+            ms->record(sc.kernel, sc.decision, sc.flagged);
+            if (ms->shouldCapture(sc.decision - bias))
+              ms->capture(sc.kernel, sc.decision, it.win.core.lo.x + half,
+                          it.win.core.lo.y + half, clipContentHash(it.clip));
           }
-          bool flagged = false;
-          {
-            // Scale + score through arena scratch: no per-clip heap
-            // traffic in the steady state (the span hands the scaled
-            // vector straight to the packed decision kernel).
-            engine::ArenaScope scope(engine::threadScratch());
-            // Margin attribution: a flagged clip belongs to its first
-            // flagging kernel (the loop stops there regardless of the
-            // recorder, so reports stay byte-identical); an unflagged
-            // clip to the kernel with the largest decision value — the
-            // one that came closest to flagging it.
-            std::size_t bestK = 0;
-            double bestD = -std::numeric_limits<double>::infinity();
-            std::size_t ki = 0;
-            for (const KernelEntry& k : det.kernels) {
-              const std::span<double> x =
-                  scope.arena().allocSpan<double>(k.scaler.dim());
-              k.scaler.transformInto(it.coreFeat, x.data());
-              const double d = k.model.decisionFrom(x);
-              if (d > bias) {
-                flagged = true;
-                bestK = ki;
-                bestD = d;
-                break;
-              }
-              if (ms != nullptr && (ki == 0 || d > bestD)) {
-                bestK = ki;
-                bestD = d;
-              }
-              ++ki;
-            }
-            if (ms != nullptr && !det.kernels.empty()) {
-              ms->record(bestK, bestD, flagged);
-              if (ms->shouldCapture(bestD - bias))
-                ms->capture(bestK, bestD, it.win.core.lo.x + half,
-                            it.win.core.lo.y + half, clipContentHash(it.clip));
-            }
-          }
-          if (!flagged && cache != nullptr) {
+          if (!sc.flagged && cache != nullptr) {
             // The final verdict is already known: the feedback kernel can
             // only reclaim *flagged* clips, never promote unflagged ones.
             evictions.fetch_add(cache->insert(it.key, false),
                                 std::memory_order_relaxed);
           }
-          keep[i] = flagged;  // verdict stays -1: feedback decides
+          keep[pending[j]] = sc.flagged;  // verdict stays -1: feedback decides
         });
         if (cache != nullptr)
           ctx.stats().recordCache(cacheName, 0, 0, evictions);
@@ -505,13 +483,25 @@ std::vector<RankedReport> rankReports(const Detector& det,
                                       engine::RunContext& ctx) {
   ctx.throwIfCancelled();
   const LayerIndex layers{{det.params.layer, &index}};
-  auto rank = engine::mapStage<ClipWindow>(
-      "eval/rank", [&det, &layers](const ClipWindow& w) {
-        const Clip clip = extractClip(layers, w);
-        return RankedReport{
-            w, det.hotspotProbability(
-                   CorePattern::fromCore(clip, det.params.layer))};
-      });
+  engine::Stage<ClipWindow, RankedReport> rank{
+      "eval/rank", [&det, &layers](engine::RunContext& c,
+                                   std::vector<ClipWindow>&& in) {
+        std::vector<svm::FeatureVector> feats(in.size());
+        c.parallelFor(in.size(), [&](std::size_t i) {
+          feats[i] = buildFeatureVector(
+              CorePattern::fromCore(extractClip(layers, in[i]),
+                                    det.params.layer),
+              det.params.features);
+        });
+        std::vector<const svm::FeatureVector*> rows(in.size());
+        for (std::size_t i = 0; i < in.size(); ++i) rows[i] = &feats[i];
+        const std::vector<KernelScore> scores =
+            scoreKernels(c, det.kernels, rows, ScoreMode::kMax);
+        std::vector<RankedReport> out(in.size());
+        for (std::size_t i = 0; i < in.size(); ++i)
+          out[i] = {in[i], det.probabilityOf(scores[i].decision)};
+        return out;
+      }};
   std::vector<RankedReport> out = engine::runPipeline(ctx, reports, rank);
   std::sort(out.begin(), out.end(),
             [](const RankedReport& a, const RankedReport& b) {

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/scorer.hpp"
+
 namespace hsd::core {
 
 std::vector<Rect> overlapGeometry(const std::vector<Rect>& a,
@@ -143,10 +145,9 @@ MultiLayerDetector MultiLayerDetector::train(const std::vector<Clip>& training,
 }
 
 bool MultiLayerDetector::evaluateClip(const Clip& clip, double bias) const {
-  const svm::FeatureVector feat = buildMultiLayerFeatureVector(clip, params);
-  for (const Kernel& k : kernels)
-    if (k.model.decision(k.scaler.transform(feat)) > bias) return true;
-  return false;
+  return scoreKernels(kernels, buildMultiLayerFeatureVector(clip, params),
+                      ScoreMode::kFirstFlag, bias)
+      .flagged;
 }
 
 }  // namespace hsd::core

@@ -47,11 +47,9 @@ std::size_t multiLayerFeatureDim(const MultiLayerParams& p);
 /// kernels, as in the single-layer flow.
 class MultiLayerDetector {
  public:
-  struct Kernel {
-    svm::Scaler scaler;
-    svm::SvmModel model;
-    std::size_t hotspotCount = 0;
-  };
+  /// Per-cluster kernel (scaler, model, hotspotCount; the single-layer
+  /// entry type, so both detectors share core/scorer.hpp).
+  using Kernel = KernelEntry;
 
   MultiLayerParams params;
   std::vector<Kernel> kernels;

@@ -1,12 +1,11 @@
 #include "core/trainer.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
-#include <mutex>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
+#include "core/scorer.hpp"
 #include "geom/hashing.hpp"
 
 #include "engine/stats.hpp"
@@ -24,6 +23,15 @@ Clip windowShifted(const Clip& clip, const Point& d) {
     out.setRects(id, std::move(rs));
   }
   return out;
+}
+
+// Row pointers into `vs`: the scorer's input view.
+std::vector<const svm::FeatureVector*> rowPointers(
+    const std::vector<svm::FeatureVector>& vs) {
+  std::vector<const svm::FeatureVector*> rows;
+  rows.reserve(vs.size());
+  for (const svm::FeatureVector& v : vs) rows.push_back(&v);
+  return rows;
 }
 
 // Iterative learning (Sec. III-D2): double C and gamma until the training
@@ -223,20 +231,13 @@ Detector trainDetector(const std::vector<Clip>& training,
                                      nhs.size(), ctx.tracer());
     std::vector<std::size_t> extraClipIdx;   // indices into nhs
     std::set<std::size_t> implicatedKernels;
-    std::mutex mu;
-    ctx.parallelFor(nhs.size(), [&](std::size_t i) {
-      for (std::size_t k = 0; k < det.kernels.size(); ++k) {
-        const svm::FeatureVector scaled =
-            det.kernels[k].scaler.transform(allNhsFeat[i]);
-        if (det.kernels[k].model.predict(scaled) > 0) {
-          const std::lock_guard<std::mutex> lock(mu);
-          extraClipIdx.push_back(i);
-          implicatedKernels.insert(k);
-          break;
-        }
-      }
-    });
-    std::sort(extraClipIdx.begin(), extraClipIdx.end());
+    const std::vector<KernelScore> scores = scoreKernels(
+        ctx, det.kernels, rowPointers(allNhsFeat), ScoreMode::kFirstFlag);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (!scores[i].flagged) continue;
+      extraClipIdx.push_back(i);
+      implicatedKernels.insert(scores[i].kernel);
+    }
     for (const std::size_t k : implicatedKernels)
       det.kernels[k].feedbackApplies = true;
     det.stats.feedbackExtras = extraClipIdx.size();
@@ -278,28 +279,25 @@ Detector trainDetector(const std::vector<Clip>& training,
     }
   }
 
+  // Every training core, hotspots first: the Platt and baseline passes
+  // score these rows.
+  std::vector<const svm::FeatureVector*> trainingRows = rowPointers(hsFeat);
+  for (const svm::FeatureVector& f : allNhsFeat) trainingRows.push_back(&f);
+
   // Platt calibration on the training cores: max-kernel decision value vs
   // label, so reports can be ranked by P(hotspot).
   {
     const engine::StageTimer plattTimer(ctx.stats(), "train/platt",
                                         hs.size() + allNhsFeat.size(),
                                         ctx.tracer());
-    std::vector<double> f(hsFeat.size() + allNhsFeat.size());
+    const std::vector<KernelScore> scores = scoreKernels(
+        ctx, det.kernels, trainingRows, ScoreMode::kMax);
+    std::vector<double> f(scores.size());
     std::vector<int> y(f.size());
-    const auto maxDecision = [&det](const svm::FeatureVector& feat) {
-      double best = -std::numeric_limits<double>::infinity();
-      for (const KernelEntry& k : det.kernels)
-        best = std::max(best, k.model.decision(k.scaler.transform(feat)));
-      return best;
-    };
-    ctx.parallelFor(hsFeat.size(), [&](std::size_t i) {
-      f[i] = maxDecision(hsFeat[i]);
-      y[i] = +1;
-    });
-    ctx.parallelFor(allNhsFeat.size(), [&](std::size_t i) {
-      f[hsFeat.size() + i] = maxDecision(allNhsFeat[i]);
-      y[hsFeat.size() + i] = -1;
-    });
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      f[i] = scores[i].decision;
+      y[i] = i < hsFeat.size() ? +1 : -1;
+    }
     try {
       det.platt = svm::fitPlatt(f, y);
       det.hasPlatt = true;
@@ -317,49 +315,16 @@ Detector trainDetector(const std::vector<Clip>& training,
     const engine::StageTimer baselineTimer(ctx.stats(), "train/baseline",
                                            hsFeat.size() + allNhsFeat.size(),
                                            ctx.tracer());
-    const std::size_t n = hsFeat.size() + allNhsFeat.size();
-    std::vector<std::uint32_t> slotOf(n);
-    std::vector<std::uint32_t> bucketOf(n);
-    std::vector<char> hotOf(n);
-    const auto attribute = [&det](const svm::FeatureVector& feat,
-                                  std::size_t i, std::vector<std::uint32_t>& s,
-                                  std::vector<std::uint32_t>& b,
-                                  std::vector<char>& h) {
-      std::size_t bestK = 0;
-      double bestD = -std::numeric_limits<double>::infinity();
-      bool flagged = false;
-      for (std::size_t k = 0; k < det.kernels.size(); ++k) {
-        const double d = det.kernels[k].model.decision(
-            det.kernels[k].scaler.transform(feat));
-        if (d > 0) {
-          bestK = k;
-          bestD = d;
-          flagged = true;
-          break;
-        }
-        if (k == 0 || d > bestD) {
-          bestK = k;
-          bestD = d;
-        }
-      }
-      s[i] = std::uint32_t(bestK);
-      b[i] = std::uint32_t(obs::MarginSketch::bucketOf(bestD));
-      h[i] = flagged;
-    };
-    ctx.parallelFor(hsFeat.size(), [&](std::size_t i) {
-      attribute(hsFeat[i], i, slotOf, bucketOf, hotOf);
-    });
-    ctx.parallelFor(allNhsFeat.size(), [&](std::size_t i) {
-      attribute(allNhsFeat[i], hsFeat.size() + i, slotOf, bucketOf, hotOf);
-    });
+    const std::vector<KernelScore> scores = scoreKernels(
+        ctx, det.kernels, trainingRows, ScoreMode::kFirstFlag);
     det.baseline.clusters.resize(det.kernels.size());
     const std::vector<std::string> names = det.clusterNames();
     for (std::size_t k = 0; k < det.kernels.size(); ++k)
       det.baseline.clusters[k].name = names[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::ModelBaseline::Cluster& c = det.baseline.clusters[slotOf[i]];
-      ++c.buckets[bucketOf[i]];
-      ++(hotOf[i] ? c.hot : c.cold);
+    for (const KernelScore& sc : scores) {
+      obs::ModelBaseline::Cluster& c = det.baseline.clusters[sc.kernel];
+      ++c.buckets[obs::MarginSketch::bucketOf(sc.decision)];
+      ++(sc.flagged ? c.hot : c.cold);
     }
     det.hasBaseline = true;
   }
@@ -377,37 +342,29 @@ Detector trainDetector(const std::vector<Clip>& training,
 }
 
 double Detector::hotspotProbability(const CorePattern& core) const {
-  const double f = decisionValue(core);
+  return probabilityOf(decisionValue(core));
+}
+
+double Detector::probabilityOf(double f) const {
   return hasPlatt ? platt.probability(f) : (f > 0 ? 1.0 : 0.0);
 }
 
 bool Detector::evaluateCore(const CorePattern& core, double bias) const {
-  const svm::FeatureVector feat = buildFeatureVector(core, params.features);
-  for (const KernelEntry& k : kernels)
-    if (k.model.decision(k.scaler.transform(feat)) > bias) return true;
-  return false;
+  return scoreKernels(kernels, buildFeatureVector(core, params.features),
+                      ScoreMode::kFirstFlag, bias)
+      .flagged;
 }
 
 double Detector::decisionValue(const CorePattern& core) const {
-  const svm::FeatureVector feat = buildFeatureVector(core, params.features);
-  double best = -std::numeric_limits<double>::infinity();
-  for (const KernelEntry& k : kernels)
-    best = std::max(best, k.model.decision(k.scaler.transform(feat)));
-  return best;
+  return scoreKernels(kernels, buildFeatureVector(core, params.features),
+                      ScoreMode::kMax)
+      .decision;
 }
 
 bool Detector::evaluateClip(const Clip& clip, double bias,
                             bool useFeedback) const {
-  const svm::FeatureVector feat = buildFeatureVector(
-      CorePattern::fromCore(clip, params.layer), params.features);
-  bool flagged = false;
-  for (const KernelEntry& k : kernels) {
-    if (k.model.decision(k.scaler.transform(feat)) > bias) {
-      flagged = true;
-      break;
-    }
-  }
-  if (!flagged) return false;
+  if (!evaluateCore(CorePattern::fromCore(clip, params.layer), bias))
+    return false;
   if (useFeedback && hasFeedback) {
     const svm::FeatureVector fb = buildFeatureVector(
         CorePattern::fromClip(clip, params.layer), params.feedbackFeatures);
@@ -477,6 +434,10 @@ std::uint64_t hashModel(std::uint64_t h, const svm::SvmModel& m) {
 }  // namespace
 
 void Detector::saveCore(std::ostream& os) const {
+  // Round-trip precision for every double, the first kernel's
+  // finalC/finalGamma included (older files wrote those two at the
+  // stream's default 6 digits; they still load).
+  os.precision(17);
   os << "hsd_detector 2\n";
   os << params.clip.coreSide << ' ' << params.clip.clipSide << ' '
      << params.layer << '\n';

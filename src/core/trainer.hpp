@@ -110,6 +110,7 @@ class Detector {
 
   /// Multiple-kernel OR vote on a core pattern. `bias` shifts every
   /// kernel's decision threshold (positive = stricter, fewer hotspots).
+  /// Like every kernel loop, a batch of one through core/scorer.hpp.
   bool evaluateCore(const CorePattern& core, double bias = 0.0) const;
 
   /// Full clip evaluation: kernels on the core, then the feedback kernel
@@ -123,6 +124,8 @@ class Detector {
   /// Calibrated hotspot probability of a core (0.5 at the decision
   /// boundary when no Platt model was fitted).
   double hotspotProbability(const CorePattern& core) const;
+  /// The same calibration applied to a decisionValue() already in hand.
+  double probabilityOf(double decisionValue) const;
 
   void save(std::ostream& os) const;
   static Detector load(std::istream& is);

@@ -35,4 +35,11 @@ std::string jsonEscape(std::string_view s) {
   return out;
 }
 
+std::string hex64(std::uint64_t v) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(v));
+  return hex;
+}
+
 }  // namespace hsd::obs

@@ -6,6 +6,7 @@
 // else — including multi-byte UTF-8 sequences — passes through untouched.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -14,5 +15,9 @@ namespace hsd::obs {
 /// `s` escaped for inclusion inside a double-quoted JSON string literal
 /// (the quotes themselves are the caller's business).
 std::string jsonEscape(std::string_view s);
+
+/// `v` as 16 lowercase, zero-padded hex digits: how a model fingerprint
+/// renders wherever it is stamped (X-Profile, /modelz, stats lines).
+std::string hex64(std::uint64_t v);
 
 }  // namespace hsd::obs

@@ -253,7 +253,10 @@ std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
   std::ostringstream os;
   os.imbue(std::locale::classic());
   os.precision(6);
-  os << "{\"clusters\": [";
+  os << '{';
+  if (opts_.modelFingerprint != 0)
+    os << "\"fingerprint\": \"" << hex64(opts_.modelFingerprint) << "\", ";
+  os << "\"clusters\": [";
   bool first = true;
   for (const ClusterCounts& cc : snap.clusters) {
     if (!first) os << ", ";

@@ -92,6 +92,10 @@ class ModelStatsRecorder {
     double captureWidth = 0.25;
     /// Capture-ring capacity per recording thread.
     std::size_t captureCapacity = 256;
+    /// Fingerprint of the model whose kernels the slots mirror
+    /// (core::Detector::fingerprint()); toJson() leads with it as
+    /// "fingerprint" when nonzero.
+    std::uint64_t modelFingerprint = 0;
   };
 
   /// Name of the reserved pseudo-cluster recording the feedback kernel's

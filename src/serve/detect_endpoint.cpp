@@ -18,6 +18,7 @@
 #include "engine/tiler.hpp"
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
+#include "obs/json.hpp"
 
 namespace hsd::serve {
 
@@ -108,10 +109,7 @@ DetectionEndpoint::DetectionEndpoint(DetectionServer& server,
                                      const core::Detector& detector,
                                      DetectEndpointConfig cfg)
     : server_(server), detector_(detector), cfg_(cfg) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(detector_.fingerprint()));
-  modelId_ = hex;
+  modelId_ = obs::hex64(detector_.fingerprint());
   metrics_ = std::make_shared<obs::MetricsRegistry>();
   // Registration order is exposition order — keep it stable.
   const auto statusCounter = [this](const char* code) {

@@ -1,7 +1,7 @@
 // Hot kernel primitives of the SVM layer: batched dot products and
-// squared distances of one query vector against a packed set of stored
+// squared distances of query vectors against a packed set of stored
 // vectors — the inner loops of QMatrix row computation (SMO training) and
-// SvmModel::decision (serving).
+// SvmModel::decisionBatch (serving).
 //
 // Vectorization strategy (see geom/simd.hpp for the dispatch): lanes run
 // *across stored vectors*, never across dimensions — each output's
@@ -59,8 +59,21 @@ void dotProducts(const PackedVectors& vs, const double* x, double* out);
 void dotProductsScalar(const PackedVectors& vs, const double* x, double* out);
 
 /// out[j] = sum_k d*d with d = vs[j][k] - x[k], accumulated in scalar
-/// order — the ||sv - x||^2 term of the RBF kernel. Dispatched.
+/// order — the ||sv - x||^2 term of the RBF kernel. Dispatched; the same
+/// kernel as squaredDistancesBatch with one query.
 void squaredDistances(const PackedVectors& vs, const double* x, double* out);
+/// squaredDistances() of `nq` queries at once: `xs` holds the queries
+/// row-major (nq * dim() doubles), and row q of `out` (count() doubles,
+/// row-major) receives query q's distances. Every (query, vector) sum
+/// accumulates over k in scalar order, so each row equals
+/// squaredDistancesScalar() of that query bit for bit. The AVX2 path
+/// scores each block against four queries at a time with four
+/// independent accumulators — the serial add chain of one query is
+/// latency-bound, four chains fill the pipeline — and walks the blocks
+/// outermost so a block's components stay in L1 while the queries
+/// stream past. Dispatched.
+void squaredDistancesBatch(const PackedVectors& vs, const double* xs,
+                           std::size_t nq, double* out);
 /// The scalar oracle (matches rbfKernel's loop bit-for-bit).
 void squaredDistancesScalar(const PackedVectors& vs, const double* x,
                             double* out);

@@ -3,6 +3,7 @@
 // map to 0.5 so they carry no information but stay bounded.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "svm/dataset.hpp"
@@ -27,6 +28,15 @@ class Scaler {
   /// allocation-free hot path; `out` may be arena scratch). Same values
   /// and same dimension-mismatch contract as transform().
   void transformInto(const FeatureVector& v, double* out) const;
+  /// transformInto() of `n` vectors at once: row q of `out` (dim()
+  /// doubles, row-major) receives the scaled *vs[q]. Elementwise, so the
+  /// AVX2 path (IEEE div, then compare/blend standing in for std::clamp:
+  /// NaN and -0.0 pass through, range <= 0 or NaN gives 0.5) is
+  /// byte-identical to transformInto(), the scalar oracle, per row.
+  /// Dispatched (geom/simd.hpp); throws like transformInto() when any
+  /// row's dimension mismatches.
+  void transformBatch(const FeatureVector* const* vs, std::size_t n,
+                      double* out) const;
   void transformInPlace(std::vector<FeatureVector>& data) const;
 
   const std::vector<double>& mins() const { return lo_; }

@@ -219,20 +219,32 @@ double SvmModel::decision(const FeatureVector& x) const {
 }
 
 double SvmModel::decisionFrom(std::span<const double> x) const {
-  if (sv_.empty()) return -rho_;
-  if (x.size() != packed_.dim())
+  double d = 0;
+  decisionBatch(x, {&d, 1});
+  return d;
+}
+
+void SvmModel::decisionBatch(std::span<const double> xs,
+                             std::span<double> out) const {
+  if (sv_.empty()) {
+    std::fill(out.begin(), out.end(), -rho_);
+    return;
+  }
+  const std::size_t nsv = sv_.size();
+  if (xs.size() != out.size() * packed_.dim())
     throw std::invalid_argument("SvmModel::decision: dimension mismatch");
-  // ||sv_i - x||^2 for all SVs, four lanes per step; each lane's
-  // accumulation order matches rbfKernel's loop, and the kernel sum below
-  // walks i sequentially — the whole path is byte-identical to the naive
-  // per-SV rbfKernel loop it replaced.
+  // ||sv_i - x_q||^2 for every pair; each accumulates in rbfKernel's
+  // order, and the kernel sum below walks i sequentially per query.
   thread_local std::vector<double> d2;
-  d2.resize(sv_.size());
-  ops::squaredDistances(packed_, x.data(), d2.data());
-  double s = 0;
-  for (std::size_t i = 0; i < sv_.size(); ++i)
-    s += coef_[i] * std::exp(-gamma_ * d2[i]);
-  return s - rho_;
+  d2.resize(out.size() * nsv);
+  ops::squaredDistancesBatch(packed_, xs.data(), out.size(), d2.data());
+  for (std::size_t q = 0; q < out.size(); ++q) {
+    const double* const row = d2.data() + q * nsv;
+    double s = 0;
+    for (std::size_t i = 0; i < nsv; ++i)
+      s += coef_[i] * std::exp(-gamma_ * row[i]);
+    out[q] = s - rho_;
+  }
 }
 
 int SvmModel::predict(const FeatureVector& x, double bias) const {

@@ -50,11 +50,18 @@ class SvmModel {
   /// Signed decision value; positive means class +1 (hotspot).
   double decision(const FeatureVector& x) const;
   /// decision() over a borrowed contiguous span (the allocation-free hot
-  /// path: the evaluator hands arena-backed scratch straight in). The
-  /// kernel sum runs over the packed support-vector layout, four SVs per
-  /// step, byte-identical to the scalar per-SV loop. Throws
-  /// std::invalid_argument on a dimension mismatch.
+  /// path: the evaluator hands arena-backed scratch straight in). A
+  /// decisionBatch() of one. Throws std::invalid_argument on a dimension
+  /// mismatch.
   double decisionFrom(std::span<const double> x) const;
+  /// Decision values of out.size() queries stored row-major in `xs`
+  /// (out.size() * dim doubles): out[q] = decisionFrom(row q). The
+  /// squared distances of every (query, SV) pair come from one
+  /// ops::squaredDistancesBatch call over the packed SVs; then each
+  /// query's kernel sum runs over the SVs in order, then `- rho` —
+  /// byte-identical to the naive per-SV rbfKernel loop. Throws
+  /// std::invalid_argument when xs.size() != out.size() * dim.
+  void decisionBatch(std::span<const double> xs, std::span<double> out) const;
   /// Predicted label with an optional decision-threshold shift `bias`
   /// (predict +1 iff decision(x) > bias); bias sweeps trace the
   /// accuracy / false-alarm trade-off curve of Fig. 15.

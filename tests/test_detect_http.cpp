@@ -374,6 +374,11 @@ TEST(DetectHttp, ClientDisconnectCancelsQueuedRun) {
   ServerConfig scfg;
   scfg.workers = 1;
   scfg.threadsPerContext = 1;
+  // No stage cache: every blocker runs a full evaluation. With the cache
+  // on, blockers 2 and 3 were cache hits, so the worker was busy for one
+  // cold run only — shorter than the handler's first 25 ms disconnect
+  // probe once scoring got fast enough.
+  scfg.enableCache = false;
   WirePlane w({}, {}, scfg);
   const tests::DetectorFixture& f = tests::detectorFixture(wireSpec());
   core::EvalParams ep;

@@ -4,10 +4,16 @@
 // extras, bias trades accuracy for extras).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <memory>
+
 #include "common.hpp"
 #include "core/evaluator.hpp"
 #include "core/metrics.hpp"
+#include "core/scorer.hpp"
 #include "data/generator.hpp"
+#include "obs/model_stats.hpp"
 
 namespace hsd::core {
 namespace {
@@ -131,6 +137,191 @@ TEST(Evaluator, DetectorPersistenceKeepsResults) {
   const EvalResult a = evaluateLayout(f.detector, f.test.layout, ep);
   const EvalResult b = evaluateLayout(re, f.test.layout, ep);
   EXPECT_EQ(a.reported, b.reported);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-major scorer == the plain per-kernel decision loop it replaced.
+
+/// One (clip, kernel) decision the pre-batching way: allocating scale,
+/// then the naive per-SV rbfKernel sum minus rho.
+double plainDecision(const KernelEntry& k, const svm::FeatureVector& feat) {
+  const svm::FeatureVector x = k.scaler.transform(feat);
+  const svm::SvmModel& m = k.model;
+  double s = 0;
+  for (std::size_t i = 0; i < m.supportVectorCount(); ++i)
+    s += m.coefficients()[i] *
+         svm::rbfKernel(m.supportVectors()[i], x, m.gamma());
+  return s - m.rho();
+}
+
+/// The eval/svm loop as it was: first flagging kernel wins; an unflagged
+/// clip is attributed to kernel 0, then to any strictly larger value.
+KernelScore plainFirstFlag(const Detector& det,
+                           const svm::FeatureVector& feat, double bias) {
+  KernelScore r;
+  for (std::size_t k = 0; k < det.kernels.size(); ++k) {
+    const double d = plainDecision(det.kernels[k], feat);
+    if (d > bias) return {true, k, d};
+    if (k == 0 || d > r.decision) {
+      r.kernel = k;
+      r.decision = d;
+    }
+  }
+  return r;
+}
+
+/// decisionValue() as it was: std::max over every kernel.
+double plainMax(const Detector& det, const svm::FeatureVector& feat) {
+  double best = -std::numeric_limits<double>::infinity();
+  for (const KernelEntry& k : det.kernels)
+    best = std::max(best, plainDecision(k, feat));
+  return best;
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+struct ScoredCandidates {
+  GridIndex index;
+  std::vector<ClipWindow> windows;
+  std::vector<svm::FeatureVector> feats;
+};
+
+const ScoredCandidates& candidates() {
+  static const ScoredCandidates c = [] {
+    const Fixture& f = fixture();
+    const EvalParams ep;
+    ScoredCandidates out{
+        GridIndex(f.test.layout.findLayer(1)->rects(),
+                  ep.extract.clip.clipSide),
+        {},
+        {}};
+    out.windows = extractCandidateClips(out.index, ep.extract);
+    const std::vector<std::pair<LayerId, const GridIndex*>> layers{
+        {f.detector.params.layer, &out.index}};
+    for (const ClipWindow& w : out.windows)
+      out.feats.push_back(buildFeatureVector(
+          CorePattern::fromCore(extractClip(layers, w),
+                                f.detector.params.layer),
+          f.detector.params.features));
+    return out;
+  }();
+  return c;
+}
+
+TEST(Scorer, MatchesThePlainPerKernelLoopAtEveryChunking) {
+  const Detector& det = fixture().detector;
+  const ScoredCandidates& c = candidates();
+  ASSERT_GT(c.feats.size(), 100u);
+  ASSERT_GT(det.kernels.size(), 1u);
+  std::vector<const svm::FeatureVector*> rows;
+  for (const svm::FeatureVector& f : c.feats) rows.push_back(&f);
+  for (const double bias : {0.0, 0.5}) {
+    std::vector<KernelScore> want(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      want[i] = plainFirstFlag(det, c.feats[i], bias);
+    // Serial chunks of 1, 7 and 512 clips, and the pooled scorer at 1
+    // and 4 threads: chunking must never change a bit.
+    for (const std::size_t chunk : {1u, 7u, 512u}) {
+      std::vector<KernelScore> got(rows.size());
+      for (std::size_t first = 0; first < rows.size(); first += chunk) {
+        const std::size_t len = std::min(chunk, rows.size() - first);
+        scoreKernels(det.kernels, std::span(rows).subspan(first, len),
+                     ScoreMode::kFirstFlag, bias,
+                     std::span(got).subspan(first, len));
+      }
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(got[i].flagged, want[i].flagged) << "chunk " << chunk << " clip " << i;
+        ASSERT_EQ(got[i].kernel, want[i].kernel) << "chunk " << chunk << " clip " << i;
+        ASSERT_TRUE(sameBits(got[i].decision, want[i].decision))
+            << "chunk " << chunk << " clip " << i;
+      }
+    }
+    for (const std::size_t threads : {1u, 4u}) {
+      engine::RunContext ctx(threads);
+      const std::vector<KernelScore> got =
+          scoreKernels(ctx, det.kernels, rows, ScoreMode::kFirstFlag, bias);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(got[i].flagged, want[i].flagged) << "threads " << threads;
+        ASSERT_EQ(got[i].kernel, want[i].kernel) << "threads " << threads;
+        ASSERT_TRUE(sameBits(got[i].decision, want[i].decision))
+            << "threads " << threads << " clip " << i;
+      }
+    }
+  }
+  // kMax: the std::max fold of every kernel, as decisionValue() was.
+  engine::RunContext ctx(4);
+  const std::vector<KernelScore> got =
+      scoreKernels(ctx, det.kernels, rows, ScoreMode::kMax);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double want = plainMax(det, c.feats[i]);
+    ASSERT_TRUE(sameBits(got[i].decision, want)) << "clip " << i;
+    ASSERT_TRUE(sameBits(det.decisionValue(CorePattern::fromCore(
+                             extractClip({{1, &c.index}}, c.windows[i]), 1)),
+                         want))
+        << "clip " << i;
+  }
+}
+
+TEST(Scorer, EvalSvmStageMatchesThePlainLoopWithRecorderAttached) {
+  // Feedback and removal off: eval/svm's verdicts are then the report,
+  // and the recorder sees only eval/svm's (kernel, margin, verdict).
+  const Fixture& f = fixture();
+  const Detector& det = f.detector;
+  const ScoredCandidates& c = candidates();
+  // Capture off: the comparison is over the margin sketches and verdict
+  // counts (per-thread capture rings would drop differently).
+  obs::ModelStatsRecorder::Options opts;
+  opts.captureWidth = 0;
+  obs::ModelStatsRecorder ref(det.clusterNames(), opts);
+  std::vector<ClipWindow> wantReport;
+  for (std::size_t i = 0; i < c.feats.size(); ++i) {
+    const KernelScore s = plainFirstFlag(det, c.feats[i], 0.0);
+    ref.record(s.kernel, s.decision, s.flagged);
+    if (s.flagged) wantReport.push_back(c.windows[i]);
+  }
+  EvalParams ep;
+  ep.useFeedback = false;
+  ep.useRemoval = false;
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t batch : {1u, 7u, 512u}) {
+      engine::RunContext ctx(threads);
+      ctx.setBatchSize(batch);
+      auto rec =
+          std::make_shared<obs::ModelStatsRecorder>(det.clusterNames(), opts);
+      ctx.attachModelStats(rec);
+      const EvalResult res = evaluateLayout(det, f.test.layout, ep, ctx);
+      EXPECT_EQ(res.reported, wantReport)
+          << "threads " << threads << " batch " << batch;
+      EXPECT_EQ(rec->toJson(0), ref.toJson(0))
+          << "threads " << threads << " batch " << batch;
+    }
+  }
+}
+
+TEST(Scorer, RankProbabilitiesMatchHotspotProbabilityBitForBit) {
+  const Fixture& f = fixture();
+  const Detector& det = f.detector;
+  const ScoredCandidates& c = candidates();
+  const EvalResult res = evaluateLayout(det, f.test.layout, {});
+  ASSERT_FALSE(res.reported.empty());
+  const std::vector<std::pair<LayerId, const GridIndex*>> layers{
+      {det.params.layer, &c.index}};
+  for (const std::size_t threads : {1u, 4u}) {
+    engine::RunContext ctx(threads);
+    const std::vector<RankedReport> ranked =
+        rankReports(det, c.index, res.reported, ctx);
+    ASSERT_EQ(ranked.size(), res.reported.size());
+    for (const RankedReport& r : ranked) {
+      const CorePattern core =
+          CorePattern::fromCore(extractClip(layers, r.window), det.params.layer);
+      const double want = det.probabilityOf(
+          plainMax(det, buildFeatureVector(core, det.params.features)));
+      EXPECT_TRUE(sameBits(r.probability, want));
+      EXPECT_TRUE(sameBits(r.probability, det.hotspotProbability(core)));
+    }
+  }
 }
 
 }  // namespace

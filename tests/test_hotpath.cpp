@@ -8,6 +8,10 @@
 //  - SvmModel::decisionFrom equals the naive per-SV rbfKernel loop it
 //    replaced, exactly, and rbfKernel/Scaler reject dimension mismatches
 //    with the same error contract;
+//  - the kernel-major batch primitives (squaredDistancesBatch,
+//    Scaler::transformBatch, SvmModel::decisionBatch) equal their
+//    one-query oracles per row, bit for bit, on ragged sizes and on
+//    NaN/±0/out-of-range/constant-feature scaler inputs;
 //  - the per-clip Arena: alignment, scope rewind, reset-keeps-capacity,
 //    and zero steady-state heap allocations through the arena-backed
 //    scale→decide and rasterize paths (global operator-new counter, the
@@ -23,11 +27,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "core/scorer.hpp"
 #include "engine/arena.hpp"
 #include "engine/cache.hpp"
 #include "geom/density_grid.hpp"
@@ -252,6 +258,172 @@ TEST(SvmDecision, DimensionMismatchErrorContract) {
   sc.transformInto({0.5, 1.0}, out);
   EXPECT_EQ(out[0], 0.5);
   EXPECT_EQ(out[1], 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-major batch primitives: every query row equals the one-query
+// scalar oracle bit for bit. The hotpath_scalar_oracles ctest entry
+// reruns these under HSD_SIMD=scalar, so both dispatch levels are pinned.
+
+bool sameBits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(KernelOpsBatch, EveryQueryRowMatchesTheScalarOracle) {
+  if (const char* env = std::getenv("HSD_SIMD"); env && env[0] == 's') {
+    EXPECT_EQ(simd::activeLevel(), simd::Level::kScalar);
+  }
+  std::mt19937 rng(2026u);
+  std::uniform_real_distribution<double> u(-2.0, 2.0);
+  for (const std::size_t count : {1u, 3u, 4u, 5u, 21u}) {
+    for (const std::size_t dim : {1u, 3u, 125u}) {
+      std::vector<svm::FeatureVector> vs(count, svm::FeatureVector(dim));
+      for (auto& v : vs)
+        for (double& e : v) e = u(rng);
+      const svm::ops::PackedVectors packed(vs);
+      for (std::size_t nq = 1; nq <= 9; ++nq) {
+        std::vector<double> xs(nq * dim);
+        for (double& e : xs) e = u(rng);
+        // Pre-fill with a sentinel: the kernel must write every cell of
+        // each row (ragged final blocks included), nothing beyond.
+        std::vector<double> got(nq * count + 1, 42.0);
+        svm::ops::squaredDistancesBatch(packed, xs.data(), nq, got.data());
+        EXPECT_EQ(got.back(), 42.0) << "wrote past the last row";
+        std::vector<double> want(count);
+        for (std::size_t q = 0; q < nq; ++q) {
+          svm::ops::squaredDistancesScalar(packed, xs.data() + q * dim,
+                                           want.data());
+          EXPECT_TRUE(sameBits(got.data() + q * count, want.data(), count))
+              << "count=" << count << " dim=" << dim << " nq=" << nq
+              << " q=" << q
+              << " simd=" << simd::toString(simd::activeLevel());
+          // The one-query entry point is the same kernel.
+          std::vector<double> one(count);
+          svm::ops::squaredDistances(packed, xs.data() + q * dim, one.data());
+          EXPECT_TRUE(sameBits(one.data(), want.data(), count));
+        }
+      }
+    }
+  }
+}
+
+TEST(ScalerBatch, MatchesTransformIntoOnEdgeCases) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937 rng(7u);
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  const double specials[] = {nan, 0.0, -0.0, inf, -inf, -5.0, 5.0, 1e300};
+  for (const std::size_t dim : {1u, 3u, 4u, 5u, 125u}) {
+    // Ranges cycle through normal, constant (range 0), inverted, NaN and
+    // signed-zero bounds.
+    std::vector<double> lo(dim), hi(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      switch (i % 6) {
+        case 0: lo[i] = -1.0; hi[i] = 2.0; break;
+        case 1: lo[i] = 0.5; hi[i] = 0.5; break;
+        case 2: lo[i] = 3.0; hi[i] = 1.0; break;
+        case 3: lo[i] = nan; hi[i] = 1.0; break;
+        case 4: lo[i] = -0.0; hi[i] = 0.0; break;
+        default: lo[i] = 0.0; hi[i] = 1.0; break;
+      }
+    }
+    const svm::Scaler sc(lo, hi);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<svm::FeatureVector> vs(n, svm::FeatureVector(dim));
+      for (std::size_t q = 0; q < n; ++q)
+        for (std::size_t i = 0; i < dim; ++i)
+          vs[q][i] = (q + i) % 3 == 0 ? specials[(q * 7 + i) % 8] : u(rng);
+      std::vector<const svm::FeatureVector*> rows;
+      for (const auto& v : vs) rows.push_back(&v);
+      std::vector<double> got(n * dim), want(dim);
+      sc.transformBatch(rows.data(), n, got.data());
+      for (std::size_t q = 0; q < n; ++q) {
+        sc.transformInto(vs[q], want.data());
+        EXPECT_TRUE(sameBits(got.data() + q * dim, want.data(), dim))
+            << "dim=" << dim << " n=" << n << " q=" << q
+            << " simd=" << simd::toString(simd::activeLevel());
+      }
+    }
+  }
+  // std::clamp semantics, spelled out: NaN passes through, -0.0 stays
+  // -0.0, out-of-range clamps, a constant feature maps to 0.5.
+  const svm::Scaler unit({0.0, 0.0, 0.0, 0.0, 2.0}, {1.0, 1.0, 1.0, 1.0, 2.0});
+  const svm::FeatureVector x = {nan, -0.0, -4.0, 9.0, 7.0};
+  const svm::FeatureVector* const row = &x;
+  double out[5];
+  unit.transformBatch(&row, 1, out);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_TRUE(out[1] == 0.0 && std::signbit(out[1]));
+  EXPECT_EQ(out[2], 0.0);
+  EXPECT_FALSE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], 1.0);
+  EXPECT_EQ(out[4], 0.5);
+  const svm::FeatureVector shortRow = {1.0};
+  const svm::FeatureVector* const bad[] = {&x, &shortRow};
+  EXPECT_THROW(unit.transformBatch(bad, 2, out), std::invalid_argument);
+}
+
+TEST(SvmDecision, BatchMatchesDecisionFromPerQuery) {
+  std::mt19937 rng(77u);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  for (const std::size_t nsv : {1u, 4u, 9u, 21u}) {
+    const std::size_t dim = 13;
+    std::vector<svm::FeatureVector> sv(nsv, svm::FeatureVector(dim));
+    std::vector<double> coef(nsv);
+    for (auto& v : sv)
+      for (double& e : v) e = u(rng);
+    for (double& c : coef) c = u(rng);
+    const svm::SvmModel model(sv, coef, 0.21, 0.6);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<double> xs(n * dim);
+      for (double& e : xs) e = u(rng);
+      std::vector<double> got(n);
+      model.decisionBatch(xs, got);
+      for (std::size_t q = 0; q < n; ++q) {
+        const svm::FeatureVector x(xs.begin() + q * dim,
+                                   xs.begin() + (q + 1) * dim);
+        double s = 0;  // the naive per-SV rbfKernel sum
+        for (std::size_t i = 0; i < nsv; ++i)
+          s += coef[i] * svm::rbfKernel(sv[i], x, 0.6);
+        EXPECT_EQ(got[q], s - 0.21) << "nsv=" << nsv << " n=" << n;
+        EXPECT_EQ(got[q], model.decisionFrom({x.data(), dim}));
+      }
+    }
+    std::vector<double> out(2);
+    EXPECT_THROW(model.decisionBatch(std::vector<double>(dim), out),
+                 std::invalid_argument);
+  }
+  std::vector<double> out(3);
+  svm::SvmModel().decisionBatch({}, out);  // no SVs: -rho for every query
+  for (const double d : out) EXPECT_EQ(d, 0.0);
+}
+
+TEST(Scorer, SteadyStateChunkScoringAllocatesNothing) {
+  std::mt19937 rng(8u);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const std::size_t dim = 12;
+  std::vector<core::KernelEntry> kernels(5);
+  for (core::KernelEntry& k : kernels) {
+    std::vector<svm::FeatureVector> sv(7, svm::FeatureVector(dim));
+    for (auto& v : sv)
+      for (double& e : v) e = u(rng);
+    k.scaler.fit(sv);
+    k.model = svm::SvmModel(sv, std::vector<double>(7, -0.3), 0.1, 0.5);
+  }
+  std::vector<svm::FeatureVector> feats(core::kScoreChunk,
+                                        svm::FeatureVector(dim));
+  for (auto& f : feats)
+    for (double& e : f) e = u(rng);
+  std::vector<const svm::FeatureVector*> rows;
+  for (const auto& f : feats) rows.push_back(&f);
+  std::vector<core::KernelScore> out(rows.size());
+  const auto scoreOnce = [&] {
+    core::scoreKernels(kernels, rows, core::ScoreMode::kMax, 0.0, out);
+  };
+  scoreOnce();  // warm-up: arena block, distance scratch
+  const std::uint64_t before = g_allocCount.load();
+  for (int i = 0; i < 100; ++i) scoreOnce();
+  EXPECT_EQ(g_allocCount.load(), before) << "scorer touched the heap";
 }
 
 // ---------------------------------------------------------------------------

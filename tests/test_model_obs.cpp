@@ -756,6 +756,47 @@ TEST(DetectorFingerprint, EverySerializedFieldChangesItAndNothingElseDoes) {
   EXPECT_EQ(fp, 0x8388fd8e4595c58eULL);
 }
 
+TEST(DetectorFingerprint, SurvivesSaveLoadWithNonRoundTrainingParameters) {
+  // saveCore() once wrote the first kernel's finalC/finalGamma at the
+  // stream's default 6 digits, so these parameters loaded rounded and
+  // the fingerprint changed across a save/load round trip.
+  core::TrainParams tp;
+  tp.initC = 1000.0 / 3.0;
+  tp.initGamma = 0.1 / 7.0;
+  const core::Detector det = core::trainDetector(tests::lineTrainingSet(), tp);
+  ASSERT_FALSE(det.kernels.empty());
+  std::stringstream ss;
+  det.save(ss);
+  const std::string text = ss.str();
+  const core::Detector back = core::Detector::load(ss);
+  EXPECT_EQ(back.kernels.front().finalC, det.kernels.front().finalC);
+  EXPECT_EQ(back.kernels.front().finalGamma, det.kernels.front().finalGamma);
+  EXPECT_EQ(back.fingerprint(), det.fingerprint());
+
+  // A file in the old layout — first kernel's finalC/finalGamma at the
+  // default 6 digits — still loads, with those two values as written.
+  const std::size_t line = text.find("kernel ");
+  ASSERT_NE(line, std::string::npos);
+  const std::size_t eol = text.find('\n', line);
+  std::istringstream fields(text.substr(line, eol - line));
+  std::string kw, count, c, gamma, rest;
+  fields >> kw >> count >> c >> gamma;
+  std::getline(fields, rest);
+  std::ostringstream sixC, sixGamma;
+  sixC << det.kernels.front().finalC;
+  sixGamma << det.kernels.front().finalGamma;
+  const std::string old = text.substr(0, line) + kw + ' ' + count + ' ' +
+                          sixC.str() + ' ' + sixGamma.str() + rest +
+                          text.substr(eol);
+  ASSERT_NE(old, text);  // the values really are not 6-digit round
+  std::istringstream oldIn(old);
+  const core::Detector legacy = core::Detector::load(oldIn);
+  EXPECT_EQ(legacy.kernels.front().finalC, std::stod(sixC.str()));
+  EXPECT_EQ(legacy.kernels.front().finalGamma, std::stod(sixGamma.str()));
+  EXPECT_EQ(legacy.kernels.size(), det.kernels.size());
+  EXPECT_EQ(legacy.hasPlatt, det.hasPlatt);
+}
+
 // ---------------------------------------------------------------------------
 // DriftScorer
 
@@ -949,8 +990,10 @@ TEST(ModelPlane, ServedTrafficShiftFlipsDriftWhileSteadyReplayDoesNot) {
 // Admin surfacing: /modelz, /statsz model section, /readyz?degraded
 
 TEST(ModelPlane, AdminModelzServesSketchesDriftAndStrictParams) {
+  ModelStatsRecorder::Options opts;
+  opts.modelFingerprint = 0x0123456789abcdefULL;
   auto rec = std::make_shared<ModelStatsRecorder>(
-      std::vector<std::string>{"alpha", "beta"});
+      std::vector<std::string>{"alpha", "beta"}, opts);
   rec->record(0, 2.0, true);
   rec->record(1, -2.0, false);
   ModelStatsRecorder ref({"alpha", "beta"});
@@ -972,6 +1015,13 @@ TEST(ModelPlane, AdminModelzServesSketchesDriftAndStrictParams) {
   EXPECT_NE(res.body.find("\"enabled\": true"), std::string::npos);
   EXPECT_NE(res.body.find("\"alpha\""), std::string::npos);
   EXPECT_NE(res.body.find("\"psiThreshold\""), std::string::npos);
+  // The model's identity leads the model section (16 hex digits, zero
+  // padded); a recorder without a fingerprint omits the field.
+  EXPECT_NE(res.body.find("\"model\": {\"fingerprint\": \"0123456789abcdef\", "
+                          "\"clusters\""),
+            std::string::npos)
+      << res.body;
+  EXPECT_EQ(ref.toJson().find("fingerprint"), std::string::npos);
 
   // Cluster filter narrows the view; strict parsers reject junk.
   const net::HttpResult beta =

@@ -22,6 +22,12 @@ trap 'rm -rf "$OUT"' EXIT
 python3 -m json.tool < "$OUT/detect_model.json" > /dev/null
 grep -q '"clusters"' "$OUT/detect_model.json"
 grep -q '"drift"' "$OUT/detect_model.json"
+# ENGINE_STATS leads with the model fingerprint (16 hex digits); the
+# model-quality dump, SERVE_STATS and /modelz below stamp the same one.
+MODEL_FP=$(grep '^ENGINE_STATS ' "$OUT/detect.out" | sed 's/^ENGINE_STATS //' \
+  | python3 -c 'import json,sys; print(json.load(sys.stdin)["model"])')
+echo "$MODEL_FP" | grep -Eq '^[0-9a-f]{16}$'
+grep -q "\"fingerprint\": \"$MODEL_FP\"" "$OUT/detect_model.json"
 grep -q '"psi"' "$OUT/detect_model.json"
 # The structured log sink is JSON lines: every line parses, and the
 # evaluator lifecycle records are present.
@@ -65,6 +71,7 @@ grep -q '"cat": "stage"' "$OUT/detect_trace.json"
 grep -q '"reportsIdentical": true' "$OUT/serve.out"
 grep '^SERVE_STATS ' "$OUT/serve.out" | sed 's/^SERVE_STATS //' \
   | python3 -m json.tool > /dev/null
+grep '^SERVE_STATS ' "$OUT/serve.out" | grep -q "\"model\": \"$MODEL_FP\""
 python3 -m json.tool < "$OUT/serve_trace.json" > /dev/null
 # The serve trace must carry named workers and per-request lifecycle spans.
 grep -q 'serve-worker-' "$OUT/serve_trace.json"
@@ -137,6 +144,7 @@ grep -q '"windows"' "$OUT/sloz.json"
 python3 -m json.tool < "$OUT/modelz.json" > /dev/null
 grep -q '"enabled": true' "$OUT/modelz.json"
 grep -q '"psiThreshold"' "$OUT/modelz.json"
+grep -q "\"fingerprint\": \"$MODEL_FP\"" "$OUT/modelz.json"
 "$BIN/tools/hsd_scrape" 127.0.0.1 "$PORT" '/modelz?cluster=feedback&limit=8' \
   | python3 -m json.tool > /dev/null
 if "$BIN/tools/hsd_scrape" 127.0.0.1 "$PORT" '/modelz?limit=abc' \
@@ -160,6 +168,7 @@ grep -q '^# TYPE hsd_serve_run_seconds histogram' "$OUT/admin.prom"
 # counters joined the Prometheus exposition.
 python3 -m json.tool < "$OUT/serve_model.json" > /dev/null
 grep -q '"clusters"' "$OUT/serve_model.json"
+grep -q "\"fingerprint\": \"$MODEL_FP\"" "$OUT/serve_model.json"
 grep -q 'hsd_model_verdicts_total' "$OUT/admin.prom"
 # The --log-out sink flushed on drain: JSON lines, evaluator lifecycle in.
 python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin if l.strip()]' \

@@ -17,7 +17,8 @@
 // --trace-out records the whole run as Chrome trace-event JSON (per-batch
 // stage spans, parallelFor chunk spans) — open it in Perfetto or
 // chrome://tracing. The ENGINE_STATS line is the per-stage timing JSON
-// (per-tile "tile<k>/..." entries plus plain-name roll-ups when tiled).
+// (per-tile "tile<k>/..." entries plus plain-name roll-ups when tiled),
+// led by "model": the model fingerprint as 16 hex digits.
 //
 // --log-out records structured engine logs (eval/tile milestones) as
 // JSON lines; --log-level sets the floor (default info). The run gets a
@@ -26,8 +27,9 @@
 //
 // --model-stats-out records per-cluster SVM margin sketches, verdict
 // counts and low-margin captures (obs/model_stats.hpp) and writes them as
-// JSON at exit; when the model carries a drift baseline the dump includes
-// the per-cluster PSI report against it.
+// JSON at exit (led by the model "fingerprint"); when the model carries a
+// drift baseline the dump includes the per-cluster PSI report against it.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,6 +40,7 @@
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
 #include "obs/drift.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/model_stats.hpp"
 #include "obs/trace.hpp"
@@ -122,12 +125,18 @@ int main(int argc, char** argv) {
       }
       ctx.attachLog(logRec);
     }
+    // The model's identity, stamped on ENGINE_STATS and the
+    // --model-stats-out dump.
+    const std::uint64_t fingerprint = det.fingerprint();
     const char* modelStatsOut =
         argString(argc, argv, "--model-stats-out", nullptr);
     std::shared_ptr<obs::ModelStatsRecorder> modelStats;
     std::unique_ptr<obs::DriftScorer> drift;
     if (modelStatsOut != nullptr) {
-      modelStats = std::make_shared<obs::ModelStatsRecorder>(det.clusterNames());
+      obs::ModelStatsRecorder::Options opts;
+      opts.modelFingerprint = fingerprint;
+      modelStats =
+          std::make_shared<obs::ModelStatsRecorder>(det.clusterNames(), opts);
       ctx.attachModelStats(modelStats);
       if (det.hasBaseline) {
         drift = std::make_unique<obs::DriftScorer>(det.baseline);
@@ -145,7 +154,11 @@ int main(int argc, char** argv) {
                 layout.name().c_str(), res.candidateClips,
                 res.flaggedBeforeRemoval, res.reported.size(),
                 res.evalSeconds, argv[3]);
-    std::printf("ENGINE_STATS %s\n", ctx.stats().toJson().c_str());
+    // {"model": "<fingerprint>", <the stage entries>}
+    const std::string stages = ctx.stats().toJson();
+    std::printf("ENGINE_STATS {\"model\": \"%s\"%s%s\n",
+                obs::hex64(fingerprint).c_str(), stages.size() > 2 ? ", " : "",
+                stages.c_str() + 1);
     if (tracer) {
       std::ofstream ts(traceOut);
       if (!ts) {

@@ -1,7 +1,8 @@
 // CLI: drive the async serving front end — feed N concurrent evaluation
 // requests of a layout through a DetectionServer and print one aggregate
 // SERVE_STATS JSON line (throughput, per-outcome request counts, shared
-// stage-cache hit rate, cross-request report identity).
+// stage-cache hit rate, cross-request report identity, and the model
+// fingerprint as "model").
 //
 //   hsd_serve <model> <layout.gds> [--requests N] [--workers W]
 //             [--contexts C] [--threads T] [--deadline-ms D] [--no-cache]
@@ -82,6 +83,7 @@
 #include "gds/gdsii.hpp"
 #include "net/http.hpp"
 #include "obs/admin.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "serve/detect_endpoint.hpp"
 #include "serve/server.hpp"
@@ -196,8 +198,10 @@ int main(int argc, char** argv) {
         argString(argc, argv, "--model-stats-out", nullptr);
     std::shared_ptr<obs::DriftScorer> drift;
     if (modelStatsOut != nullptr || adminEnabled) {
+      obs::ModelStatsRecorder::Options opts;
+      opts.modelFingerprint = det.fingerprint();
       cfg.modelStats =
-          std::make_shared<obs::ModelStatsRecorder>(det.clusterNames());
+          std::make_shared<obs::ModelStatsRecorder>(det.clusterNames(), opts);
       if (det.hasBaseline) {
         drift = std::make_shared<obs::DriftScorer>(det.baseline);
         drift->setSource(cfg.modelStats);
@@ -337,11 +341,12 @@ int main(int argc, char** argv) {
     std::printf(
         "SERVE_STATS {\"layout\": \"%s\", \"requests\": %zu, "
         "\"wallSeconds\": %.6f, \"throughputRps\": %.3f, "
-        "\"reportsIdentical\": %s, \"interrupted\": %s, \"server\": %s}\n",
+        "\"reportsIdentical\": %s, \"interrupted\": %s, \"server\": %s, "
+        "\"model\": \"%s\"}\n",
         layout.name().c_str(), requests, wall,
         wall > 0.0 ? double(results.size()) / wall : 0.0,
         identical ? "true" : "false", interrupted ? "true" : "false",
-        server.statsJson().c_str());
+        server.statsJson().c_str(), obs::hex64(det.fingerprint()).c_str());
     std::fflush(stdout);
     if (cfg.tracer && traceOut != nullptr) {
       std::ofstream ts(traceOut);
