@@ -3,6 +3,7 @@
 // / Ours / operating points), one-shot run-and-score, and table printing.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -46,6 +47,18 @@ inline bool writeJsonFile(const std::string& path, const std::string& json) {
   os << json;
   std::printf("bench json: -> %s\n", path.c_str());
   return true;
+}
+
+/// The q-quantile (q in [0,1]) of `xs`, interpolating linearly between
+/// the two nearest order statistics; 0 for an empty sample.
+inline double quantile(std::vector<double> xs, double q) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * double(xs.size() - 1);
+  const std::size_t i = std::size_t(pos);
+  if (i + 1 >= xs.size()) return xs.back();
+  const double frac = pos - double(i);
+  return xs[i] * (1.0 - frac) + xs[i + 1] * frac;
 }
 
 /// One detection method: trainer + evaluator configuration.

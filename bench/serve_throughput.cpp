@@ -140,14 +140,6 @@ struct WireResult {
   double p99Seconds = 0.0;
 };
 
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t idx = std::min(
-      sorted.size() - 1, std::size_t(q * double(sorted.size())));
-  return sorted[idx];
-}
-
 WireResult runWireScenario(const char* name, const hsd::core::Detector& det,
                            const std::string& gdsBody, std::size_t posters,
                            std::size_t perPoster,
@@ -210,9 +202,9 @@ WireResult runWireScenario(const char* name, const hsd::core::Detector& det,
       out.wallSeconds > 0.0 ? double(out.requests) / out.wallSeconds : 0.0;
   out.rate429 =
       out.requests == 0 ? 0.0 : double(out.tooBusy) / double(out.requests);
-  out.p50Seconds = percentile(latencies, 0.50);
-  out.p95Seconds = percentile(latencies, 0.95);
-  out.p99Seconds = percentile(latencies, 0.99);
+  out.p50Seconds = bench::quantile(latencies, 0.50);
+  out.p95Seconds = bench::quantile(latencies, 0.95);
+  out.p99Seconds = bench::quantile(latencies, 0.99);
 
   http.stop();
   server.shutdown();

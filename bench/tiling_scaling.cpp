@@ -43,16 +43,6 @@ struct Timing {
   double p99 = 0.0;
 };
 
-double quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * double(xs.size() - 1);
-  const std::size_t i = std::size_t(pos);
-  if (i + 1 >= xs.size()) return xs.back();
-  const double frac = pos - double(i);
-  return xs[i] * (1.0 - frac) + xs[i + 1] * frac;
-}
-
 struct Measured {
   Timing timing;
   core::EvalResult result;  ///< last iteration's result (identity checks)
@@ -72,8 +62,8 @@ Measured measure(const core::Detector& det, const Layout& layout,
                        std::chrono::steady_clock::now() - t0)
                        .count());
   }
-  out.timing = {quantile(secs, 0.50), quantile(secs, 0.95),
-                quantile(secs, 0.99)};
+  out.timing = {bench::quantile(secs, 0.50), bench::quantile(secs, 0.95),
+                bench::quantile(secs, 0.99)};
   return out;
 }
 

@@ -341,7 +341,8 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
     res.body = os.str();
     return res;
   }
-  std::vector<LogRecorder::SnapshotRecord> records = log_->snapshot();
+  std::uint64_t dropped = 0;
+  std::vector<LogRecorder::SnapshotRecord> records = log_->snapshot(&dropped);
   const std::size_t total = records.size();
   records.erase(std::remove_if(records.begin(), records.end(),
                                [&](const LogRecorder::SnapshotRecord& sr) {
@@ -364,7 +365,7 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
   // on its own (JSON lines), and the meta carries the snapshot counters.
   os << "{\"enabled\": true, \"recordCount\": " << total
      << ", \"returnedRecords\": " << records.size()
-     << ", \"droppedRecords\": " << log_->droppedRecords()
+     << ", \"droppedRecords\": " << dropped
      << ", \"minLevel\": \"" << toString(log_->minLevel()) << '"';
   if (hasTrace) os << ", \"trace\": \"" << formatTraceId(traceFilter) << '"';
   os << "}\n";
@@ -393,10 +394,12 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
     os << "{\"enabled\": false, \"spans\": []}\n";
     return net::HttpResponse::json(os.str());
   }
-  // Non-destructive: snapshot() copies the per-thread rings while
-  // recording continues (spans landing mid-copy may be missed — that is
-  // the documented quiescence contract, fine for a live peek).
-  std::vector<TraceRecorder::SnapshotEvent> events = tracer_->snapshot();
+  // Non-destructive and race-free: snapshot() copies the per-thread rings
+  // while recording continues. Every returned span is whole; one
+  // overwritten mid-copy is counted in `dropped`, from the same cut.
+  std::uint64_t dropped = 0;
+  std::vector<TraceRecorder::SnapshotEvent> events =
+      tracer_->snapshot(&dropped);
   const std::vector<std::string> names = tracer_->threadNames();
   const std::size_t total = events.size();
   if (hasTrace)
@@ -417,8 +420,8 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
     events.erase(events.begin(),
                  events.end() - static_cast<std::ptrdiff_t>(limit));
   os << "{\"enabled\": true, \"spanCount\": " << total
-     << ", \"returnedSpans\": " << events.size() << ", \"droppedEvents\": "
-     << tracer_->droppedEvents();
+     << ", \"returnedSpans\": " << events.size()
+     << ", \"droppedEvents\": " << dropped;
   if (hasTrace) os << ", \"trace\": \"" << formatTraceId(traceFilter) << '"';
   os << ", \"threads\": [";
   for (std::size_t tid = 0; tid < names.size(); ++tid) {
@@ -440,17 +443,7 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
     if (e.a0.key != nullptr || e.s0.key != nullptr) {
       os << ", \"args\": {";
       bool firstArg = true;
-      for (const TraceArg* a : {&e.a0, &e.a1}) {
-        if (a->key == nullptr) continue;
-        if (!firstArg) os << ", ";
-        firstArg = false;
-        os << '"' << jsonEscape(a->key) << "\": " << a->value;
-      }
-      if (e.s0.key != nullptr) {
-        if (!firstArg) os << ", ";
-        os << '"' << jsonEscape(e.s0.key) << "\": \"" << jsonEscape(e.s0.value)
-           << '"';
-      }
+      appendArgsJson(os, e.a0, e.a1, e.s0, firstArg);
       os << '}';
     }
     os << '}';

@@ -1,6 +1,9 @@
 #include "obs/json.hpp"
 
 #include <cstdio>
+#include <ostream>
+
+#include "obs/trace.hpp"
 
 namespace hsd::obs {
 
@@ -33,6 +36,22 @@ std::string jsonEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+void appendArgsJson(std::ostream& os, const TraceArg& a0, const TraceArg& a1,
+                    const TraceStrArg& s0, bool& first) {
+  for (const TraceArg* a : {&a0, &a1}) {
+    if (a->key == nullptr) continue;
+    if (!first) os << ", ";
+    first = false;
+    os << '"' << jsonEscape(a->key) << "\": " << a->value;
+  }
+  if (s0.key != nullptr) {
+    if (!first) os << ", ";
+    first = false;
+    os << '"' << jsonEscape(s0.key) << "\": \"" << jsonEscape(s0.value)
+       << '"';
+  }
 }
 
 std::string hex64(std::uint64_t v) {

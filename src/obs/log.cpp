@@ -10,25 +10,6 @@
 
 namespace hsd::obs {
 
-namespace {
-
-std::uint64_t nextRecorderId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Single-slot per-thread cache of the last (recorder, buffer) pair — the
-// same dangling-proof scheme as the trace recorder's: keyed by a
-// process-unique id, so a destroyed recorder's pointer can never be
-// revived by a lookalike.
-struct TlsSlot {
-  std::uint64_t recorderId = 0;
-  void* buffer = nullptr;
-};
-thread_local TlsSlot tlsSlot;
-
-}  // namespace
-
 const char* toString(LogLevel level) {
   switch (level) {
     case LogLevel::kTrace: return "trace";
@@ -61,39 +42,22 @@ bool parseLogLevel(std::string_view name, LogLevel& out) {
 
 LogRecorder::LogRecorder(std::size_t perThreadCapacity)
     : capacity_(perThreadCapacity == 0 ? 1 : perThreadCapacity),
-      id_(nextRecorderId()),
       epoch_(std::chrono::steady_clock::now()),
       wallEpochNs_(std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::system_clock::now().time_since_epoch())
-                       .count()) {}
-
-LogRecorder::~LogRecorder() = default;
-
-LogRecorder::ThreadBuffer& LogRecorder::bufferForThisThread() {
-  if (tlsSlot.recorderId == id_)
-    return *static_cast<ThreadBuffer*>(tlsSlot.buffer);
-  const std::lock_guard<std::mutex> lock(mu_);
-  ThreadBuffer*& slot = byThread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    buffers_.push_back(std::make_unique<ThreadBuffer>(
-        capacity_, static_cast<std::uint32_t>(buffers_.size())));
-    slot = buffers_.back().get();
-  }
-  tlsSlot = {id_, slot};
-  return *slot;
-}
+                       .count()),
+      threads_([this] {
+        return std::make_unique<ThreadRing<Record>>(capacity_);
+      }) {}
 
 void LogRecorder::log(LogLevel level, const char* component,
                       std::string_view message, TraceArg a0, TraceArg a1,
                       TraceStrArg s0, TraceId trace) {
   if (!enabled(level)) return;
   if (!trace.valid()) trace = currentTraceId();
-  ThreadBuffer& buf = bufferForThisThread();
-  const std::uint64_t w = buf.writeIndex.load(std::memory_order_relaxed);
-  Record& r = buf.records[w % capacity_];
+  Record r{};  // zeroed: the NUL terminator and every byte the ring copies
   const std::size_t len = std::min(message.size(), kMessageCapacity - 1);
   std::memcpy(r.message, message.data(), len);
-  r.message[len] = '\0';
   r.msgLen = std::uint8_t(len);
   r.component = component;
   r.tsNs = std::max<std::int64_t>(
@@ -105,39 +69,25 @@ void LogRecorder::log(LogLevel level, const char* component,
   r.a1 = a1;
   r.s0 = s0;
   r.level = level;
-  // Release-publish: a reader that acquires w+1 sees this slot complete.
-  buf.writeIndex.store(w + 1, std::memory_order_release);
+  threads_.local().push(r);
 }
 
 std::uint64_t LogRecorder::droppedRecords() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t dropped = 0;
-  for (const auto& buf : buffers_) {
-    const std::uint64_t w = buf->writeIndex.load(std::memory_order_acquire);
-    if (w > capacity_) dropped += w - capacity_;
-  }
-  return dropped;
+  return threads_.sum([](const ThreadRing<Record>& r) { return r.dropped(); });
 }
 
 std::size_t LogRecorder::recordCount() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& buf : buffers_)
-    n += std::size_t(std::min<std::uint64_t>(
-        buf->writeIndex.load(std::memory_order_acquire), capacity_));
-  return n;
+  return threads_.sum([](const ThreadRing<Record>& r) { return r.size(); });
 }
 
-std::vector<LogRecorder::SnapshotRecord> LogRecorder::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::vector<LogRecorder::SnapshotRecord> LogRecorder::snapshot(
+    std::uint64_t* dropped) const {
   std::vector<SnapshotRecord> out;
-  for (const auto& buf : buffers_) {
-    const std::uint64_t w = buf->writeIndex.load(std::memory_order_acquire);
-    const std::uint64_t resident = std::min<std::uint64_t>(w, capacity_);
-    out.reserve(out.size() + resident);
-    for (std::uint64_t k = w - resident; k < w; ++k)
-      out.push_back({buf->records[k % capacity_], buf->tid});
-  }
+  std::uint64_t lost = 0;
+  threads_.forEach([&](std::uint32_t tid, const ThreadRing<Record>& ring) {
+    lost += ring.read([&](const Record& r) { out.push_back({r, tid}); });
+  });
+  if (dropped != nullptr) *dropped = lost;
   return out;
 }
 
@@ -157,12 +107,8 @@ void LogRecorder::appendRecordJson(std::ostream& os,
     formatTraceId(r.trace, trace);
     os << ", \"trace\": \"" << trace << '"';
   }
-  for (const TraceArg* a : {&r.a0, &r.a1})
-    if (a->key != nullptr)
-      os << ", \"" << jsonEscape(a->key) << "\": " << a->value;
-  if (r.s0.key != nullptr)
-    os << ", \"" << jsonEscape(r.s0.key) << "\": \"" << jsonEscape(r.s0.value)
-       << '"';
+  bool first = false;
+  appendArgsJson(os, r.a0, r.a1, r.s0, first);
   os << '}';
 }
 

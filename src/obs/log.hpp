@@ -8,8 +8,8 @@
 //     a recorder attached, records below the atomic min-level gate cost
 //     one relaxed load.
 //  2. Lock-free, allocation-free recording when enabled. Each thread
-//     appends to its own fixed-capacity ring (single writer, release-
-//     published index); the message is copied into the slot (truncated to
+//     appends to its own fixed-capacity obs::ThreadRing (single writer,
+//     never blocks); the message is copied into the slot (truncated to
 //     kMessageCapacity-1), component/arg keys/string values must be
 //     string literals. A full ring drops the *oldest* records and counts
 //     the drops. Pinned by the operator-new-counter proof in
@@ -23,10 +23,10 @@
 // sink and the admin /logz body): steady-clock-relative tsNs for exact
 // ordering plus a wall-clock unixMs anchor for humans.
 //
-// Quiescence contract: snapshot()/writeJsonLines() may run concurrently
-// with recording (indices are acquire/release) but records landing
-// mid-copy may be missed; the recorder must outlive every thread that
-// logs into it — same rules as TraceRecorder.
+// Live snapshots: snapshot()/writeJsonLines() may run while threads log.
+// They are race-free and every record they return is whole; a record
+// overwritten while being copied counts as dropped. The recorder must
+// outlive every thread that logs into it — same rules as TraceRecorder.
 #pragma once
 
 #include <atomic>
@@ -34,14 +34,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "obs/thread_ring.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_id.hpp"
 
@@ -90,7 +87,6 @@ class LogRecorder {
 
   /// `perThreadCapacity` == 0 is clamped to 1.
   explicit LogRecorder(std::size_t perThreadCapacity = kDefaultCapacity);
-  ~LogRecorder();
 
   LogRecorder(const LogRecorder&) = delete;
   LogRecorder& operator=(const LogRecorder&) = delete;
@@ -122,7 +118,9 @@ class LogRecorder {
   std::size_t perThreadCapacity() const { return capacity_; }
 
   /// Resident records in (tid, record order), oldest first per thread.
-  std::vector<SnapshotRecord> snapshot() const;
+  /// `dropped`, when given, receives the records logged before this cut
+  /// that it does not return (ring wrap, including mid-copy overwrites).
+  std::vector<SnapshotRecord> snapshot(std::uint64_t* dropped = nullptr) const;
 
   /// Wall-clock ns at recorder construction; unixNs of a record is
   /// wallEpochNs() + record.tsNs (steady and wall clocks drift, but over
@@ -140,25 +138,11 @@ class LogRecorder {
   void writeJsonLines(std::ostream& os) const;
 
  private:
-  struct ThreadBuffer {
-    explicit ThreadBuffer(std::size_t cap, std::uint32_t id)
-        : records(cap), tid(id) {}
-    std::vector<Record> records;
-    std::atomic<std::uint64_t> writeIndex{0};  ///< total appends, unwrapped
-    std::uint32_t tid;
-  };
-
-  ThreadBuffer& bufferForThisThread();
-
   const std::size_t capacity_;
-  const std::uint64_t id_;  ///< process-unique, keys the TLS fast path
   const std::chrono::steady_clock::time_point epoch_;
   const std::int64_t wallEpochNs_;
   std::atomic<int> minLevel_{int(LogLevel::kInfo)};
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::unordered_map<std::thread::id, ThreadBuffer*> byThread_;
+  ThreadRegistry<ThreadRing<Record>> threads_;
 };
 
 /// One-branch-when-off convenience: every call site in engine/serve holds

@@ -13,19 +13,6 @@ namespace hsd::obs {
 
 namespace {
 
-std::uint64_t nextRecorderId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Single-slot per-thread cache of the last (recorder, state) pair — the
-// dangling-proof TLS scheme shared with TraceRecorder/LogRecorder.
-struct TlsSlot {
-  std::uint64_t recorderId = 0;
-  void* state = nullptr;
-};
-thread_local TlsSlot tlsSlot;
-
 /// Magnitude bucket in [0, kBucketsPerSide): 0 covers [kStart, kStart*2),
 /// the last bucket absorbs everything larger.
 std::size_t magnitudeBucket(double mag) {
@@ -101,11 +88,6 @@ double MarginSketch::quantile(const Counts& c, double q) {
   return 0.0;
 }
 
-ModelStatsRecorder::ThreadState::ThreadState(std::size_t slots,
-                                             std::size_t captureCapacity)
-    : counts(slots * (MarginSketch::kNumBuckets + 2)),
-      ring(captureCapacity == 0 ? 1 : captureCapacity) {}
-
 ModelStatsRecorder::ModelStatsRecorder(std::vector<std::string> clusterNames,
                                        Options opts)
     : names_([&clusterNames] {
@@ -116,10 +98,11 @@ ModelStatsRecorder::ModelStatsRecorder(std::vector<std::string> clusterNames,
         return std::move(clusterNames);
       }()),
       opts_(opts),
-      id_(nextRecorderId()),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-ModelStatsRecorder::~ModelStatsRecorder() = default;
+      epoch_(std::chrono::steady_clock::now()),
+      threads_([this] {
+        return std::make_unique<ThreadState>(names_.size(),
+                                             opts_.captureCapacity);
+      }) {}
 
 void ModelStatsRecorder::bindMetrics(MetricsRegistry& registry) {
   metricCounters_.resize(names_.size());
@@ -135,26 +118,12 @@ void ModelStatsRecorder::bindMetrics(MetricsRegistry& registry) {
   }
 }
 
-ModelStatsRecorder::ThreadState& ModelStatsRecorder::stateForThisThread() {
-  if (tlsSlot.recorderId == id_)
-    return *static_cast<ThreadState*>(tlsSlot.state);
-  const std::lock_guard<std::mutex> lock(mu_);
-  ThreadState*& slot = byThread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    states_.push_back(
-        std::make_unique<ThreadState>(names_.size(), opts_.captureCapacity));
-    slot = states_.back().get();
-  }
-  tlsSlot = {id_, slot};
-  return *slot;
-}
-
 void ModelStatsRecorder::record(std::size_t slot, double margin, bool hot) {
   if (slot >= names_.size()) {
     droppedRecords_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ThreadState& st = stateForThisThread();
+  ThreadState& st = threads_.local();
   const std::size_t bucket = MarginSketch::bucketOf(margin);
   st.counts[bucketBase(slot) + bucket].fetch_add(1, std::memory_order_relaxed);
   st.counts[verdictBase(slot) + (hot ? 0 : 1)].fetch_add(
@@ -178,9 +147,7 @@ void ModelStatsRecorder::capture(std::size_t slot, double margin,
     droppedRecords_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ThreadState& st = stateForThisThread();
-  const std::uint64_t w = st.captureWrite.load(std::memory_order_relaxed);
-  Capture& c = st.ring[w % st.ring.size()];
+  Capture c;
   c.anchorX = anchorX;
   c.anchorY = anchorY;
   c.contentHash = contentHash;
@@ -191,8 +158,7 @@ void ModelStatsRecorder::capture(std::size_t slot, double margin,
   c.trace = currentTraceId();
   c.margin = margin;
   c.cluster = std::uint32_t(slot);
-  // Release-publish: a snapshot that acquires w+1 sees this slot complete.
-  st.captureWrite.store(w + 1, std::memory_order_release);
+  threads_.local().ring.push(c);
 }
 
 ModelStatsRecorder::Snapshot ModelStatsRecorder::snapshot() const {
@@ -201,37 +167,30 @@ ModelStatsRecorder::Snapshot ModelStatsRecorder::snapshot() const {
   for (std::size_t i = 0; i < names_.size(); ++i)
     out.clusters[i].name = names_[i];
   out.droppedRecords = droppedRecords_.load(std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& st : states_) {
+  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
     for (std::size_t s = 0; s < names_.size(); ++s) {
       ClusterCounts& cc = out.clusters[s];
       for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b)
-        cc.buckets[b] += st->counts[bucketBase(s) + b].load(
-            std::memory_order_relaxed);
-      cc.hot += st->counts[verdictBase(s)].load(std::memory_order_relaxed);
-      cc.cold +=
-          st->counts[verdictBase(s) + 1].load(std::memory_order_relaxed);
+        cc.buckets[b] +=
+            st.counts[bucketBase(s) + b].load(std::memory_order_relaxed);
+      cc.hot += st.counts[verdictBase(s)].load(std::memory_order_relaxed);
+      cc.cold += st.counts[verdictBase(s) + 1].load(std::memory_order_relaxed);
     }
-    const std::uint64_t w = st->captureWrite.load(std::memory_order_acquire);
-    const std::uint64_t cap = st->ring.size();
-    const std::uint64_t resident = std::min(w, cap);
-    out.capturedTotal += w;
-    if (w > cap) out.droppedCaptures += w - cap;
-    out.captures.reserve(out.captures.size() + resident);
-    for (std::uint64_t k = w - resident; k < w; ++k)
-      out.captures.push_back(st->ring[k % cap]);
-  }
+    out.droppedCaptures += st.ring.read(
+        [&](const Capture& c) { out.captures.push_back(c); });
+  });
+  out.capturedTotal = out.captures.size() + out.droppedCaptures;
   return out;
 }
 
 std::vector<MarginSketch::Counts> ModelStatsRecorder::bucketCounts() const {
   std::vector<MarginSketch::Counts> out(names_.size());
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& st : states_)
+  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
     for (std::size_t s = 0; s < names_.size(); ++s)
       for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b)
         out[s][b] +=
-            st->counts[bucketBase(s) + b].load(std::memory_order_relaxed);
+            st.counts[bucketBase(s) + b].load(std::memory_order_relaxed);
+  });
   return out;
 }
 
@@ -287,7 +246,7 @@ std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
        << jsonEscape(c.cluster < names_.size() ? names_[c.cluster]
                                                : std::string("?"))
        << "\", \"x\": " << c.anchorX << ", \"y\": " << c.anchorY
-       << ", \"contentHash\": \"" << std::hex << c.contentHash << std::dec
+       << ", \"contentHash\": \"" << hex64(c.contentHash)
        << "\", \"margin\": " << c.margin << ", \"tsNs\": " << c.tsNs;
     if (c.trace.valid())
       os << ", \"trace\": \"" << formatTraceId(c.trace) << '"';

@@ -16,37 +16,37 @@
 //
 //  2. ModelStatsRecorder — per-cluster margin sketches plus hot/cold
 //     verdict counters, accumulated lock-free into per-thread slots
-//     (TraceRecorder/LogRecorder memory discipline: a process-unique id
-//     keys a TLS fast path, per-thread state is allocated once on the
-//     thread's first record and never again; recording is relaxed-atomic
-//     increments only). Optionally bound to a MetricsRegistry, where each
-//     cluster contributes hsd_model_verdicts_total{cluster=,verdict=}
-//     counters to the Prometheus exposition.
+//     (an obs::ThreadRegistry, like TraceRecorder/LogRecorder: per-thread
+//     state is allocated once on the thread's first record and never
+//     again; recording is relaxed-atomic increments only). Optionally
+//     bound to a MetricsRegistry, where each cluster contributes
+//     hsd_model_verdicts_total{cluster=,verdict=} counters to the
+//     Prometheus exposition.
 //
 //  3. The low-margin capture ring — fixed-size records (anchor coords,
 //     window content hash, margin, trace id) of decisions that landed
-//     within `captureWidth` of the decision boundary, drop-oldest per
-//     thread, zero steady-state allocation. These borderline windows are
-//     exactly the batch-active-learning candidate feed.
+//     within `captureWidth` of the decision boundary, one obs::ThreadRing
+//     per thread (drop-oldest), zero steady-state allocation. These
+//     borderline windows are exactly the batch-active-learning candidate
+//     feed.
 //
-// Quiescence contract (same as the other recorders): snapshot() may run
-// concurrently with recording — counts are relaxed reads and capture
-// records landing mid-copy may be missed; the recorder must outlive every
-// thread that records into it. Bind metrics before recording starts.
+// Live snapshots (same contract as the other recorders): snapshot() may
+// run while threads record. It is race-free: counts are relaxed reads and
+// every capture it returns is whole; a capture overwritten while being
+// copied counts as dropped. The recorder must outlive every thread that
+// records into it. Bind metrics before recording starts.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/thread_ring.hpp"
 #include "obs/trace_id.hpp"
 
 namespace hsd::obs {
@@ -110,7 +110,6 @@ class ModelStatsRecorder {
   explicit ModelStatsRecorder(std::vector<std::string> clusterNames)
       : ModelStatsRecorder(std::move(clusterNames), Options{}) {}
   ModelStatsRecorder(std::vector<std::string> clusterNames, Options opts);
-  ~ModelStatsRecorder();
 
   ModelStatsRecorder(const ModelStatsRecorder&) = delete;
   ModelStatsRecorder& operator=(const ModelStatsRecorder&) = delete;
@@ -165,8 +164,8 @@ class ModelStatsRecorder {
   struct Snapshot {
     std::vector<ClusterCounts> clusters;
     std::vector<Capture> captures;
-    std::uint64_t capturedTotal = 0;    ///< lifetime captures (incl. dropped)
-    std::uint64_t droppedCaptures = 0;  ///< overwritten by ring wrap
+    std::uint64_t capturedTotal = 0;    ///< captures.size() + droppedCaptures
+    std::uint64_t droppedCaptures = 0;  ///< overwritten (wrap or mid-copy)
     std::uint64_t droppedRecords = 0;   ///< out-of-range slot drops
   };
   Snapshot snapshot() const;
@@ -186,15 +185,15 @@ class ModelStatsRecorder {
 
  private:
   struct ThreadState {
-    ThreadState(std::size_t slots, std::size_t captureCapacity);
+    ThreadState(std::size_t slots, std::size_t captureCapacity)
+        : counts(slots * (MarginSketch::kNumBuckets + 2)),
+          ring(captureCapacity) {}
     /// slots * kNumBuckets relaxed counters, then slots * 2 verdict
     /// counters (hot, cold) — one flat allocation per thread, made once.
     std::vector<std::atomic<std::uint64_t>> counts;
-    std::vector<Capture> ring;
-    std::atomic<std::uint64_t> captureWrite{0};
+    ThreadRing<Capture> ring;
   };
 
-  ThreadState& stateForThisThread();
   std::size_t bucketBase(std::size_t slot) const {
     return slot * MarginSketch::kNumBuckets;
   }
@@ -204,16 +203,13 @@ class ModelStatsRecorder {
 
   const std::vector<std::string> names_;  ///< incl. trailing feedback slot
   const Options opts_;
-  const std::uint64_t id_;  ///< process-unique, keys the TLS fast path
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> droppedRecords_{0};
 
   /// Bound metric counters per slot ({hot, cold}); nullptr when unbound.
   std::vector<std::pair<Counter*, Counter*>> metricCounters_;
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadState>> states_;
-  std::unordered_map<std::thread::id, ThreadState*> byThread_;
+  ThreadRegistry<ThreadState> threads_;
 };
 
 /// One-branch-when-off convenience, mirroring obs::logTo — evaluation

@@ -9,46 +9,10 @@
 
 namespace hsd::obs {
 
-namespace {
-
-std::uint64_t nextRecorderId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Single-slot per-thread cache of the last (recorder, buffer) pair, so the
-// hot recording path never touches the registry mutex. Keyed by the
-// recorder's process-unique id: a dangling pointer from a destroyed
-// recorder can never be revived, because a new recorder always carries a
-// fresh id and misses this cache.
-struct TlsSlot {
-  std::uint64_t recorderId = 0;
-  void* buffer = nullptr;
-};
-thread_local TlsSlot tlsSlot;
-
-}  // namespace
-
 TraceRecorder::TraceRecorder(std::size_t perThreadCapacity)
     : capacity_(perThreadCapacity == 0 ? 1 : perThreadCapacity),
-      id_(nextRecorderId()),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-TraceRecorder::~TraceRecorder() = default;
-
-TraceRecorder::ThreadBuffer& TraceRecorder::bufferForThisThread() {
-  if (tlsSlot.recorderId == id_)
-    return *static_cast<ThreadBuffer*>(tlsSlot.buffer);
-  const std::lock_guard<std::mutex> lock(mu_);
-  ThreadBuffer*& slot = byThread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    buffers_.push_back(std::make_unique<ThreadBuffer>(
-        capacity_, static_cast<std::uint32_t>(buffers_.size())));
-    slot = buffers_.back().get();
-  }
-  tlsSlot = {id_, slot};
-  return *slot;
-}
+      epoch_(std::chrono::steady_clock::now()),
+      threads_([this] { return std::make_unique<ThreadState>(capacity_); }) {}
 
 void TraceRecorder::recordSpan(std::string_view name, const char* cat,
                                std::chrono::steady_clock::time_point t0,
@@ -56,12 +20,8 @@ void TraceRecorder::recordSpan(std::string_view name, const char* cat,
                                TraceArg a0, TraceArg a1, TraceStrArg s0,
                                TraceId trace) {
   if (!trace.valid()) trace = currentTraceId();
-  ThreadBuffer& buf = bufferForThisThread();
-  const std::uint64_t w = buf.writeIndex.load(std::memory_order_relaxed);
-  Event& e = buf.events[w % capacity_];
-  const std::size_t len = std::min(name.size(), kNameCapacity - 1);
-  std::memcpy(e.name, name.data(), len);
-  e.name[len] = '\0';
+  Event e{};  // zeroed: the NUL terminator and every byte the ring copies
+  std::memcpy(e.name, name.data(), std::min(name.size(), kNameCapacity - 1));
   e.cat = cat;
   // Clamp to the recorder's lifetime: a span whose begin predates the
   // recorder (e.g. a request submitted before tracing was attached) lands
@@ -77,59 +37,46 @@ void TraceRecorder::recordSpan(std::string_view name, const char* cat,
   e.a1 = a1;
   e.s0 = s0;
   e.trace = trace;
-  // Release-publish: a reader that acquires w+1 sees this slot complete.
-  buf.writeIndex.store(w + 1, std::memory_order_release);
+  threads_.local().ring.push(e);
 }
 
 void TraceRecorder::nameThread(const std::string& name) {
-  ThreadBuffer& buf = bufferForThisThread();
-  const std::lock_guard<std::mutex> lock(mu_);
-  buf.name = name;
+  ThreadState& st = threads_.local();
+  const std::lock_guard<std::mutex> lock(namesMu_);
+  st.name = name;
 }
 
 std::uint64_t TraceRecorder::droppedEvents() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t dropped = 0;
-  for (const auto& buf : buffers_) {
-    const std::uint64_t w = buf->writeIndex.load(std::memory_order_acquire);
-    if (w > capacity_) dropped += w - capacity_;
-  }
-  return dropped;
+  return threads_.sum([](const ThreadState& st) { return st.ring.dropped(); });
 }
 
 std::size_t TraceRecorder::spanCount() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& buf : buffers_)
-    n += std::size_t(std::min<std::uint64_t>(
-        buf->writeIndex.load(std::memory_order_acquire), capacity_));
-  return n;
+  return threads_.sum([](const ThreadState& st) { return st.ring.size(); });
 }
 
-std::vector<TraceRecorder::SnapshotEvent> TraceRecorder::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::vector<TraceRecorder::SnapshotEvent> TraceRecorder::snapshot(
+    std::uint64_t* dropped) const {
   std::vector<SnapshotEvent> out;
-  for (const auto& buf : buffers_) {
-    const std::uint64_t w = buf->writeIndex.load(std::memory_order_acquire);
-    const std::uint64_t resident = std::min<std::uint64_t>(w, capacity_);
-    out.reserve(out.size() + resident);
-    // Oldest resident event first: with a wrapped ring that is the slot
-    // the next append would overwrite.
-    for (std::uint64_t k = w - resident; k < w; ++k)
-      out.push_back({buf->events[k % capacity_], buf->tid});
-  }
+  std::uint64_t lost = 0;
+  threads_.forEach([&](std::uint32_t tid, const ThreadState& st) {
+    lost += st.ring.read([&](const Event& e) { out.push_back({e, tid}); });
+  });
+  if (dropped != nullptr) *dropped = lost;
   return out;
 }
 
 std::vector<std::string> TraceRecorder::threadNames() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names(buffers_.size());
-  for (const auto& buf : buffers_) names[buf->tid] = buf->name;
+  std::vector<std::string> names;
+  const std::lock_guard<std::mutex> lock(namesMu_);
+  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
+    names.push_back(st.name);
+  });
   return names;
 }
 
 void TraceRecorder::writeJson(std::ostream& os) const {
-  const std::vector<SnapshotEvent> events = snapshot();
+  std::uint64_t dropped = 0;
+  const std::vector<SnapshotEvent> events = snapshot(&dropped);
   const std::vector<std::string> names = threadNames();
   // A grouping locale on the caller's stream would corrupt the numbers
   // ("1.234" for tid 1234); pin the classic locale, restore on exit.
@@ -158,18 +105,7 @@ void TraceRecorder::writeJson(std::ostream& os) const {
     if (e.a0.key != nullptr || e.s0.key != nullptr || e.trace.valid()) {
       os << ", \"args\": {";
       bool firstArg = true;
-      for (const TraceArg* a : {&e.a0, &e.a1}) {
-        if (a->key == nullptr) continue;
-        if (!firstArg) os << ", ";
-        firstArg = false;
-        os << '"' << jsonEscape(a->key) << "\": " << a->value;
-      }
-      if (e.s0.key != nullptr) {
-        if (!firstArg) os << ", ";
-        firstArg = false;
-        os << '"' << jsonEscape(e.s0.key) << "\": \"" << jsonEscape(e.s0.value)
-           << '"';
-      }
+      appendArgsJson(os, e.a0, e.a1, e.s0, firstArg);
       if (e.trace.valid()) {
         if (!firstArg) os << ", ";
         char trace[kTraceIdChars + 1];
@@ -181,7 +117,7 @@ void TraceRecorder::writeJson(std::ostream& os) const {
     os << '}';
   }
   os << "\n], \"displayTimeUnit\": \"ms\", \"droppedEvents\": "
-     << droppedEvents() << "}\n";
+     << dropped << "}\n";
   os.imbue(saved);
 }
 

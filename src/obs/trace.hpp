@@ -9,38 +9,35 @@
 //     (pinned by the operator-new-counting test in tests/test_obs.cpp
 //     and the BM_SpanDisabled micro-bench).
 //  2. Lock-free recording when enabled. Each thread appends to its own
-//     fixed-capacity ring buffer (single writer, no CAS loop); a mutex is
-//     taken only once per (thread, recorder) pair to register the buffer.
-//     A full ring drops the *oldest* events — newest data wins — and
-//     counts the drops (droppedEvents(), also surfaced in the JSON).
+//     fixed-capacity obs::ThreadRing (single writer, no CAS loop); a
+//     mutex is taken only once per (thread, recorder) pair to register
+//     the ring. A full ring drops the *oldest* events — newest data wins
+//     — and counts the drops (droppedEvents(), also surfaced in the JSON).
 //  3. Bounded memory. perThreadCapacity events per thread, period.
 //
-// Quiescence contract: snapshot()/writeJson() may run concurrently with
-// recording without corrupting memory (indices are acquire/release), but
-// spans recorded while serializing may be missed or torn between buffers;
-// call them after runs finish (tools do so at exit). The recorder must
-// outlive every thread that records into it — the same lifetime rule as
-// StageCache vs. RunContext.
+// Live snapshots: snapshot()/writeJson() may run while threads record.
+// They are race-free and every event they return is whole; an event
+// overwritten while being copied counts as dropped, and spans recorded
+// after the copy passed their ring are simply not in it. The recorder
+// must outlive every thread that records into it — the same lifetime
+// rule as StageCache vs. RunContext.
 //
 // Event names are truncated to kNameCapacity-1 bytes (no allocation per
 // span); categories, arg keys, and string arg values must be string
 // literals (static storage) — the ring stores the pointers.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "obs/thread_ring.hpp"
 #include "obs/trace_id.hpp"
 
 namespace hsd::obs {
@@ -81,7 +78,6 @@ class TraceRecorder {
 
   /// `perThreadCapacity` == 0 is clamped to 1.
   explicit TraceRecorder(std::size_t perThreadCapacity = kDefaultCapacity);
-  ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -98,8 +94,7 @@ class TraceRecorder {
                   TraceId trace = {});
 
   /// Name the calling thread in the trace (Perfetto track label). Last
-  /// call wins. Takes the registry mutex — call once per thread, not per
-  /// span.
+  /// call wins. Takes a mutex — call once per thread, not per span.
   void nameThread(const std::string& name);
 
   /// Total events overwritten because a ring was full (drop-oldest).
@@ -111,8 +106,9 @@ class TraceRecorder {
   std::size_t perThreadCapacity() const { return capacity_; }
 
   /// Resident events in (tid, record order), oldest first per thread.
-  /// Subject to the quiescence contract above.
-  std::vector<SnapshotEvent> snapshot() const;
+  /// `dropped`, when given, receives the events recorded before this cut
+  /// that it does not return (ring wrap, including mid-copy overwrites).
+  std::vector<SnapshotEvent> snapshot(std::uint64_t* dropped = nullptr) const;
 
   /// Names of registered threads, indexed by tid ("" when never named).
   std::vector<std::string> threadNames() const;
@@ -123,24 +119,16 @@ class TraceRecorder {
   std::string toJson() const;
 
  private:
-  struct ThreadBuffer {
-    explicit ThreadBuffer(std::size_t cap, std::uint32_t id)
-        : events(cap), tid(id) {}
-    std::vector<Event> events;
-    std::atomic<std::uint64_t> writeIndex{0};  ///< total appends, unwrapped
-    std::uint32_t tid;
-    std::string name;  ///< guarded by the recorder's mu_
+  struct ThreadState {
+    explicit ThreadState(std::size_t cap) : ring(cap) {}
+    ThreadRing<Event> ring;
+    std::string name;  ///< guarded by namesMu_
   };
 
-  ThreadBuffer& bufferForThisThread();
-
   const std::size_t capacity_;
-  const std::uint64_t id_;  ///< process-unique, keys the TLS fast path
   const std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::unordered_map<std::thread::id, ThreadBuffer*> byThread_;
+  ThreadRegistry<ThreadState> threads_;
+  mutable std::mutex namesMu_;  ///< guards every ThreadState::name
 };
 
 /// RAII span guard. With a null recorder this is a stored nullptr and

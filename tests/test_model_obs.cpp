@@ -7,8 +7,10 @@
 //    interpolation with open-bucket clamping;
 //  - ModelStatsRecorder merge semantics: per-thread partitioning never
 //    changes the merged sketch (threads=1 vs threads=8 identical), the
-//    capture ring drops oldest and counts everything, out-of-range slots
-//    are counted drops, steady-state recording never allocates;
+//    capture ring drops oldest and counts everything (and returns only
+//    whole, in-order captures while it wraps under live snapshots),
+//    capture hashes render as 16 hex digits, out-of-range slots are
+//    counted drops, steady-state recording never allocates;
 //  - evaluation with the plane enabled stays byte-identical to the bare
 //    run across {1,8} threads x {monolithic, tiled}, and all four
 //    configurations produce the identical /modelz quantile/count JSON;
@@ -57,6 +59,7 @@
 #include "obs/drift.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_stats.hpp"
+#include "ring_hammer.hpp"
 #include "serve/server.hpp"
 
 // ---------------------------------------------------------------------------
@@ -337,6 +340,29 @@ TEST(ModelStatsRecorder, CaptureRingDropsOldestAndCountsEverything) {
   EXPECT_EQ(hashes, (std::vector<std::uint64_t>{3, 4, 5, 6}));
 }
 
+TEST(ModelStatsRecorder, SnapshotsWhileTheCaptureRingWrapsReturnWholeCaptures) {
+  ModelStatsRecorder::Options opts;
+  opts.captureCapacity = 4;
+  ModelStatsRecorder rec({"a"}, opts);
+  hsd::tests::hammerRingUnderSnapshots(
+      [&](std::uint64_t i) {
+        rec.capture(0, 0.01, std::int64_t(i), std::int64_t(2 * i), i);
+      },
+      [&] {
+        const ModelStatsRecorder::Snapshot snap = rec.snapshot();
+        std::int64_t next = 0;
+        for (const ModelStatsRecorder::Capture& c : snap.captures) {
+          EXPECT_EQ(c.anchorY, 2 * c.anchorX);
+          EXPECT_EQ(c.contentHash, std::uint64_t(c.anchorX));
+          EXPECT_GE(c.anchorX, next) << "ring order must strictly increase";
+          next = c.anchorX + 1;
+        }
+        EXPECT_EQ(snap.capturedTotal,
+                  snap.captures.size() + snap.droppedCaptures);
+        return snap.captures.size() + snap.droppedCaptures;
+      });
+}
+
 TEST(ModelStatsRecorder, CaptureGateHonorsWidth) {
   ModelStatsRecorder::Options opts;
   opts.captureWidth = 0.25;
@@ -379,6 +405,10 @@ TEST(ModelStatsRecorder, ToJsonParsesFiltersByClusterAndCapsCaptures) {
   EXPECT_NE(all.find("\"feedback\""), std::string::npos);
   EXPECT_NE(all.find("\"p50\""), std::string::npos);
   EXPECT_NE(all.find("\"capturedTotal\": 5"), std::string::npos);
+  // Content hashes render as fixed-width 64-bit ids, small ones included.
+  EXPECT_NE(all.find("\"contentHash\": \"0000000000000004\""),
+            std::string::npos)
+      << all;
 
   // Cluster filter: one cluster object, only that cluster's captures.
   const std::string beta = rec.toJson(64, "beta");

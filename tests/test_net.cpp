@@ -16,7 +16,8 @@
 //    (plus the ?degraded JSON detail view), /metrics (Prometheus 0.0.4,
 //    mount order + self-metrics), /statsz (JSON; throwing providers
 //    degrade, never fail the scrape; SLO section when mounted), /tracez
-//    (non-destructive snapshot, ?limit=, ?trace= filtering), /logz
+//    (non-destructive snapshot, ?limit=, ?trace= filtering, one span's
+//    exact bytes next to its Chrome-JSON rendering), /logz
 //    (JSON-lines, ?level=/?trace= filters), /sloz, and the shared
 //    query-param strictness (junk ?limit= / ?trace= -> 400, never a
 //    silent default);
@@ -31,6 +32,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -623,6 +625,35 @@ TEST(AdminServer, TracezFiltersBySpanTraceId) {
   EXPECT_EQ(countOccurrences(res.body, "\"name\": \"hit"), 3);
   EXPECT_EQ(countOccurrences(res.body, "\"name\": \"miss\""), 0);
   EXPECT_EQ(countOccurrences(res.body, "\"name\": \"untraced\""), 0);
+}
+
+TEST(AdminServer, TracezAndChromeJsonRenderOneSpanByteForByte) {
+  auto tracer = std::make_shared<obs::TraceRecorder>();
+  // A begin before the recorder existed clamps to ts 0, so every byte of
+  // both renderings is fixed.
+  const std::chrono::steady_clock::time_point t0{};
+  const obs::TraceId id{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  tracer->recordSpan("pin", "test", t0, t0 + std::chrono::nanoseconds(1234567),
+                     {"items", 3}, {"bytes", 42}, {"status", "ok"}, id);
+  EXPECT_EQ(tracer->toJson(),
+            "{\"traceEvents\": [\n"
+            "{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": \"pin\", "
+            "\"cat\": \"test\", \"ts\": 0.000, \"dur\": 1234.567, \"args\": "
+            "{\"items\": 3, \"bytes\": 42, \"status\": \"ok\", "
+            "\"trace\": \"0123456789abcdeffedcba9876543210\"}}\n"
+            "], \"displayTimeUnit\": \"ms\", \"droppedEvents\": 0}\n");
+  obs::AdminServer admin;
+  admin.setTracer(tracer);
+  admin.start();
+  EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/tracez").body,
+            "{\"enabled\": true, \"spanCount\": 1, \"returnedSpans\": 1, "
+            "\"droppedEvents\": 0, "
+            "\"threads\": [{\"tid\": 0, \"name\": \"\"}], \"spans\": [\n"
+            "{\"tid\": 0, \"name\": \"pin\", \"cat\": \"test\", \"tsNs\": 0, "
+            "\"durNs\": 1234567, "
+            "\"trace\": \"0123456789abcdeffedcba9876543210\", \"args\": "
+            "{\"items\": 3, \"bytes\": 42, \"status\": \"ok\"}}\n"
+            "]}\n");
 }
 
 TEST(AdminServer, LogzServesJsonLinesWithLevelAndTraceFilters) {

@@ -2,7 +2,9 @@
 // contracts:
 //  - jsonEscape produces valid JSON string bodies for any byte sequence;
 //  - TraceRecorder rings drop the *oldest* events when full and count the
-//    drops; span record order and timestamps nest correctly;
+//    drops; snapshots taken while a capacity-4 ring wraps return only
+//    whole spans, in order, with a drop count from the same cut; span
+//    record order and timestamps nest correctly;
 //  - writeJson() emits parseable Chrome trace-event JSON (validated with
 //    a real recursive-descent parser, not substring checks) with named
 //    threads;
@@ -20,6 +22,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <locale>
@@ -35,6 +38,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "ring_hammer.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps it.
@@ -122,6 +126,31 @@ TEST(TraceRecorder, FullRingDropsOldestAndCountsDrops) {
   for (int i = 0; i < 4; ++i)
     EXPECT_STREQ(events[std::size_t(i)].event.name,
                  ("s" + std::to_string(6 + i)).c_str());
+}
+
+TEST(TraceRecorder, SnapshotsWhileTheRingWrapsReturnWholeOrderedSpans) {
+  TraceRecorder rec(4);
+  const auto t = now();
+  hsd::tests::hammerRingUnderSnapshots(
+      [&](std::uint64_t i) {
+        char name[32];
+        const int n = std::snprintf(name, sizeof name, "span-%llu",
+                                    static_cast<unsigned long long>(i));
+        rec.recordSpan(std::string_view(name, std::size_t(n)), "wrap", t, t,
+                       {"i", i});
+      },
+      [&] {
+        std::uint64_t dropped = 0;
+        const auto events = rec.snapshot(&dropped);
+        std::uint64_t next = 0;
+        for (const auto& se : events) {
+          const std::uint64_t i = se.event.a0.value;
+          EXPECT_EQ(se.event.name, "span-" + std::to_string(i));
+          EXPECT_GE(i, next) << "per-thread order must strictly increase";
+          next = i + 1;
+        }
+        return events.size() + dropped;
+      });
 }
 
 TEST(TraceRecorder, NestedSpansRecordInnermostFirstAndNestTimestamps) {

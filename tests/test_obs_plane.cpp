@@ -7,8 +7,10 @@
 //    sites pick the ambient id up, and RunContext::parallelFor carries it
 //    into pool workers;
 //  - LogRecorder ring mechanics (drop-oldest + counted drops, level gate,
-//    message truncation), trace stamping, and JSON-lines serialization
-//    (every line parses; trace field present iff the id is valid);
+//    message truncation, whole in-order records from snapshots taken
+//    while a capacity-4 ring wraps), trace stamping, and JSON-lines
+//    serialization (every line parses; trace field present iff the id
+//    is valid);
 //  - the no-allocation guarantees: steady-state log records, traced
 //    spans, and ScopedTraceId installs perform zero heap allocations
 //    (global operator-new counter);
@@ -44,6 +46,7 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_id.hpp"
+#include "ring_hammer.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps it.
@@ -248,6 +251,31 @@ TEST(LogRecorder, FullRingDropsOldestAndCountsDrops) {
   for (int i = 0; i < 4; ++i)
     EXPECT_STREQ(records[std::size_t(i)].record.message,
                  ("m" + std::to_string(6 + i)).c_str());
+}
+
+TEST(LogRecorder, SnapshotsWhileTheRingWrapsReturnWholeOrderedRecords) {
+  LogRecorder rec(4);
+  hsd::tests::hammerRingUnderSnapshots(
+      [&](std::uint64_t i) {
+        char msg[32];
+        const int n = std::snprintf(msg, sizeof msg, "msg-%llu",
+                                    static_cast<unsigned long long>(i));
+        rec.log(LogLevel::kInfo, "wrap", std::string_view(msg, std::size_t(n)),
+                {"i", i});
+      },
+      [&] {
+        std::uint64_t dropped = 0;
+        const auto records = rec.snapshot(&dropped);
+        std::uint64_t next = 0;
+        for (const auto& sr : records) {
+          const std::uint64_t i = sr.record.a0.value;
+          EXPECT_EQ(sr.record.message, "msg-" + std::to_string(i));
+          EXPECT_EQ(sr.record.msgLen, ("msg-" + std::to_string(i)).size());
+          EXPECT_GE(i, next) << "per-thread order must strictly increase";
+          next = i + 1;
+        }
+        return records.size() + dropped;
+      });
 }
 
 TEST(LogRecorder, LongMessagesTruncateWithoutOverflow) {
