@@ -16,6 +16,7 @@
 #include "core/metrics.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
+#include "obs/json.hpp"
 
 // Stamped by bench/CMakeLists.txt at configure time so the BENCH_*.json
 // trajectory files attribute every number to a commit.
@@ -36,15 +37,24 @@ inline const char* argString(int argc, char** argv, const char* flag,
   return def;
 }
 
-/// Write a machine-readable artifact (the BENCH_*.json trajectory files);
-/// prints where it went. Returns false (with a stderr note) on I/O error.
+/// A BENCH_*.json trajectory record, opened as {"bench": <name>, "git":
+/// <describe>, ... for the caller to fill in and close.
+inline obs::JsonWriter benchJson(const char* bench) {
+  obs::JsonWriter w;
+  w.beginObject().field("bench", bench).field("git", gitDescribe());
+  return w;
+}
+
+/// Write a machine-readable artifact (the BENCH_*.json trajectory files)
+/// plus a trailing newline; prints where it went. Returns false (with a
+/// stderr note) on I/O error.
 inline bool writeJsonFile(const std::string& path, const std::string& json) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
     return false;
   }
-  os << json;
+  os << json << '\n';
   std::printf("bench json: -> %s\n", path.c_str());
   return true;
 }

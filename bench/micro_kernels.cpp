@@ -15,7 +15,6 @@
 #include <limits>
 #include <random>
 #include <span>
-#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -443,22 +442,18 @@ int runJsonMode(const char* path) {
                        "batch_ns"});
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"hotpath\",\n  \"git\": \""
-       << bench::gitDescribe() << "\",\n  \"simd\": \""
-       << simd::toString(simd::activeLevel()) << "\",\n  \"kernels\": [\n";
-  for (std::size_t i = 0; i < timings.size(); ++i) {
-    const KernelTiming& t = timings[i];
-    json << "    {\"name\": \"" << t.name << "\", \"" << t.scalarKey
-         << "\": " << t.scalarNs << ", \"" << t.dispatchedKey
-         << "\": " << t.dispatchedNs << ", \"speedup\": " << t.speedup()
-         << "}"
-         << (i + 1 < timings.size() ? "," : "") << "\n";
+  obs::JsonWriter json = bench::benchJson("hotpath");
+  json.field("simd", simd::toString(simd::activeLevel()));
+  json.key("kernels").beginArray(true);
+  for (const KernelTiming& t : timings) {
+    json.beginObject().field("name", t.name).field(t.scalarKey, t.scalarNs);
+    json.field(t.dispatchedKey, t.dispatchedNs);
+    json.field("speedup", t.speedup()).endObject();
     std::printf("%-16s %s %9.1f  %s %9.1f  speedup %.2fx\n", t.name,
                 t.scalarKey, t.scalarNs, t.dispatchedKey, t.dispatchedNs,
                 t.speedup());
   }
-  json << "  ]\n}\n";
+  json.endArray().endObject();
   return bench::writeJsonFile(path, json.str()) ? 0 : 1;
 }
 

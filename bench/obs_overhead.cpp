@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -246,18 +245,16 @@ int main(int argc, char** argv) {
   const std::vector<MicroRow> rows = microRows();
   const EndToEnd e2e = endToEnd(3);
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"obs\",\n  \"git\": \""
-       << hsd::bench::gitDescribe() << "\",\n  \"micro\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    json << "    {\"name\": \"" << rows[i].name << "\", \"ns_per_op\": "
-         << rows[i].nsPerOp << "}" << (i + 1 < rows.size() ? "," : "")
-         << "\n";
-    std::printf("%-18s %9.2f ns/op\n", rows[i].name, rows[i].nsPerOp);
+  hsd::obs::JsonWriter json = hsd::bench::benchJson("obs");
+  json.key("micro").beginArray(true);
+  for (const MicroRow& r : rows) {
+    json.beginObject().field("name", r.name).field("ns_per_op", r.nsPerOp);
+    json.endObject();
+    std::printf("%-18s %9.2f ns/op\n", r.name, r.nsPerOp);
   }
-  json << "  ],\n  \"end_to_end\": {\"bare_s\": " << e2e.bareSec
-       << ", \"observed_s\": " << e2e.observedSec
-       << ", \"overhead_frac\": " << e2e.overhead() << "}\n}\n";
+  json.endArray().key("end_to_end").beginObject();
+  json.field("bare_s", e2e.bareSec).field("observed_s", e2e.observedSec);
+  json.field("overhead_frac", e2e.overhead()).endObject().endObject();
   std::printf("end-to-end: bare %.3fs observed %.3fs overhead %.1f%%\n",
               e2e.bareSec, e2e.observedSec, 100.0 * e2e.overhead());
   return hsd::bench::writeJsonFile(path, json.str()) ? 0 : 1;

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <locale>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -93,35 +92,28 @@ ScenarioResult runScenario(const char* name,
               out.p99RunSeconds * 1e3);
   // statsJson() carries the same percentiles under "latency" for the
   // perf tracker.
-  std::printf("SERVE_STATS %s {\"requests\": %zu, \"wallSeconds\": %.6f, "
-              "\"throughputRps\": %.3f, \"server\": %s}\n",
-              name, out.requests, out.wallSeconds, out.throughputRps,
-              out.serverStatsJson.c_str());
+  hsd::obs::JsonWriter w;
+  w.beginObject().field("requests", out.requests);
+  w.field("wallSeconds", out.wallSeconds);
+  w.field("throughputRps", out.throughputRps);
+  w.key("server").raw(out.serverStatsJson).endObject();
+  std::printf("SERVE_STATS %s %s\n", name, w.str().c_str());
   return out;
 }
 
 std::string toJson(const std::vector<ScenarioResult>& scenarios) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"bench\": \"serve_throughput\", \"git\": \""
-     << hsd::obs::jsonEscape(hsd::bench::gitDescribe())
-     << "\", \"scenarios\": [";
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const ScenarioResult& s = scenarios[i];
-    if (i != 0) os << ",";
-    os << "\n{\"name\": \"" << hsd::obs::jsonEscape(s.name)
-       << "\", \"requests\": " << s.requests << ", \"ok\": " << s.ok
-       << ", \"wallSeconds\": " << s.wallSeconds
-       << ", \"throughputRps\": " << s.throughputRps
-       << ", \"runSeconds\": {\"p50\": " << s.p50RunSeconds
-       << ", \"p95\": " << s.p95RunSeconds << ", \"p99\": " << s.p99RunSeconds
-       << "}, \"cacheHitRate\": " << s.cacheHitRate
-       << ", \"server\": " << s.serverStatsJson << "}";
+  hsd::obs::JsonWriter w = hsd::bench::benchJson("serve_throughput");
+  w.key("scenarios").beginArray(true);
+  for (const ScenarioResult& s : scenarios) {
+    w.beginObject().field("name", s.name).field("requests", s.requests);
+    w.field("ok", s.ok).field("wallSeconds", s.wallSeconds);
+    w.field("throughputRps", s.throughputRps).key("runSeconds").beginObject();
+    w.field("p50", s.p50RunSeconds).field("p95", s.p95RunSeconds);
+    w.field("p99", s.p99RunSeconds).endObject();
+    w.field("cacheHitRate", s.cacheHitRate);
+    w.key("server").raw(s.serverStatsJson).endObject();
   }
-  os << "\n]}\n";
-  return os.str();
+  return w.endArray().endObject().str();
 }
 
 // --- Over-the-wire scenarios ----------------------------------------
@@ -221,28 +213,18 @@ WireResult runWireScenario(const char* name, const hsd::core::Detector& det,
 }
 
 std::string wireToJson(const std::vector<WireResult>& scenarios) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"bench\": \"serve_throughput_wire\", \"git\": \""
-     << hsd::obs::jsonEscape(hsd::bench::gitDescribe())
-     << "\", \"scenarios\": [";
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const WireResult& s = scenarios[i];
-    if (i != 0) os << ",";
-    os << "\n{\"name\": \"" << hsd::obs::jsonEscape(s.name)
-       << "\", \"requests\": " << s.requests << ", \"ok\": " << s.ok
-       << ", \"tooBusy\": " << s.tooBusy << ", \"failed\": " << s.failed
-       << ", \"wallSeconds\": " << s.wallSeconds
-       << ", \"throughputRps\": " << s.throughputRps
-       << ", \"rate429\": " << s.rate429
-       << ", \"wireSeconds\": {\"p50\": " << s.p50Seconds
-       << ", \"p95\": " << s.p95Seconds << ", \"p99\": " << s.p99Seconds
-       << "}}";
+  hsd::obs::JsonWriter w = hsd::bench::benchJson("serve_throughput_wire");
+  w.key("scenarios").beginArray(true);
+  for (const WireResult& s : scenarios) {
+    w.beginObject().field("name", s.name).field("requests", s.requests);
+    w.field("ok", s.ok).field("tooBusy", s.tooBusy).field("failed", s.failed);
+    w.field("wallSeconds", s.wallSeconds);
+    w.field("throughputRps", s.throughputRps).field("rate429", s.rate429);
+    w.key("wireSeconds").beginObject().field("p50", s.p50Seconds);
+    w.field("p95", s.p95Seconds).field("p99", s.p99Seconds);
+    w.endObject().endObject();
   }
-  os << "\n]}\n";
-  return os.str();
+  return w.endArray().endObject().str();
 }
 
 }  // namespace

@@ -6,8 +6,6 @@
 // profile (accuracy, runtime, per-stage EngineStats) and git describe —
 // the input of bench/run_benches.sh.
 #include <cstdio>
-#include <locale>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,35 +26,24 @@ struct SuiteRow {
 
 std::string toJson(const std::vector<SuiteRow>& rows,
                    const hsd::bench::RunResult& profile) {
-  using hsd::obs::jsonEscape;
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"bench\": \"table1\", \"git\": \""
-     << jsonEscape(hsd::bench::gitDescribe()) << "\", \"benchmarks\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SuiteRow& r = rows[i];
-    if (i != 0) os << ",";
-    os << "\n{\"training\": \"" << jsonEscape(r.training)
-       << "\", \"hotspots\": " << r.hs << ", \"nonHotspots\": " << r.nhs
-       << ", \"layout\": \"" << jsonEscape(r.layout)
-       << "\", \"layoutHotspots\": " << r.layoutHotspots
-       << ", \"areaUm2\": " << r.areaUm2 << ", \"sites\": " << r.sites
-       << ", \"process\": \"" << jsonEscape(r.process) << "\"}";
+  hsd::obs::JsonWriter w = hsd::bench::benchJson("table1");
+  w.key("benchmarks").beginArray(true);
+  for (const SuiteRow& r : rows) {
+    w.beginObject().field("training", r.training).field("hotspots", r.hs);
+    w.field("nonHotspots", r.nhs).field("layout", r.layout);
+    w.field("layoutHotspots", r.layoutHotspots).field("areaUm2", r.areaUm2);
+    w.field("sites", r.sites).field("process", r.process).endObject();
   }
-  os << "\n], \"profile\": {\"benchmark\": \"benchmark1\", \"method\": \""
-     << jsonEscape(profile.method)
-     << "\", \"accuracy\": " << profile.score.accuracy()
-     << ", \"hits\": " << profile.score.hits
-     << ", \"actualHotspots\": " << profile.score.actualHotspots
-     << ", \"extras\": " << profile.score.extras
-     << ", \"trainSeconds\": " << profile.trainSec
-     << ", \"evalSeconds\": " << profile.evalSec << ", \"engineStats\": "
-     << (profile.engineStats.empty() ? std::string("null")
-                                     : profile.engineStats)
-     << "}}\n";
-  return os.str();
+  w.endArray().key("profile").beginObject();
+  w.field("benchmark", "benchmark1").field("method", profile.method);
+  w.field("accuracy", profile.score.accuracy());
+  w.field("hits", profile.score.hits);
+  w.field("actualHotspots", profile.score.actualHotspots);
+  w.field("extras", profile.score.extras);
+  w.field("trainSeconds", profile.trainSec);
+  w.field("evalSeconds", profile.evalSec).key("engineStats");
+  w.raw(profile.engineStats.empty() ? "null" : profile.engineStats);
+  return w.endObject().endObject().str();
 }
 
 }  // namespace

@@ -21,9 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <locale>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,9 +81,9 @@ struct GridPoint {
   double speedupVsMono8 = 0.0;
 };
 
-void jsonTiming(std::ostringstream& os, const Timing& t) {
-  os << "{\"p50\": " << t.p50 << ", \"p95\": " << t.p95
-     << ", \"p99\": " << t.p99 << "}";
+void jsonTiming(hsd::obs::JsonWriter& w, const Timing& t) {
+  w.beginObject().field("p50", t.p50).field("p95", t.p95);
+  w.field("p99", t.p99).endObject();
 }
 
 }  // namespace
@@ -175,37 +173,29 @@ int main(int argc, char** argv) {
   std::printf("TILING_IDENTICAL %s\n", allIdentical ? "true" : "false");
 
   if (jsonOut != nullptr) {
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os.precision(6);
-    os << std::fixed;
-    os << "{\"bench\": \"tiling_scaling\", \"git\": \""
-       << obs::jsonEscape(bench::gitDescribe())
-       << "\", \"hwThreads\": " << bench::hwThreads()
-       << ", \"iters\": " << kIters << ", \"layout\": {\"width\": "
-       << spec.width << ", \"height\": " << spec.height
-       << "}, \"baselines\": {\"mono1\": ";
-    jsonTiming(os, mono1.timing);
-    os << ", \"mono8\": ";
-    jsonTiming(os, mono8.timing);
-    os << "}, \"grid\": [";
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const GridPoint& gp = grid[i];
-      if (i != 0) os << ",";
-      os << "\n{\"tileSize\": " << gp.tileSize << ", \"tiles\": " << gp.tiles
-         << ", \"activeTiles\": " << gp.activeTiles
-         << ", \"threads\": " << gp.threads << ", \"runSeconds\": ";
-      jsonTiming(os, gp.timing);
-      os << ", \"identical\": " << (gp.identical ? "true" : "false")
-         << ", \"speedupVsMono1\": " << gp.speedupVsMono1
-         << ", \"speedupVsMono8\": " << gp.speedupVsMono8 << "}";
+    obs::JsonWriter w = bench::benchJson("tiling_scaling");
+    w.field("hwThreads", bench::hwThreads()).field("iters", kIters);
+    w.key("layout").beginObject().field("width", spec.width);
+    w.field("height", spec.height).endObject();
+    w.key("baselines").beginObject().key("mono1");
+    jsonTiming(w, mono1.timing);
+    w.key("mono8");
+    jsonTiming(w, mono8.timing);
+    w.endObject().key("grid").beginArray(true);
+    for (const GridPoint& gp : grid) {
+      w.beginObject().field("tileSize", gp.tileSize).field("tiles", gp.tiles);
+      w.field("activeTiles", gp.activeTiles).field("threads", gp.threads);
+      w.key("runSeconds");
+      jsonTiming(w, gp.timing);
+      w.field("identical", gp.identical);
+      w.field("speedupVsMono1", gp.speedupVsMono1);
+      w.field("speedupVsMono8", gp.speedupVsMono8).endObject();
     }
-    os << "\n], \"cache\": {\"coldHitRate\": " << coldHitRate
-       << ", \"warmHitRate\": " << warmHitRate << ", \"warmIdentical\": "
-       << (warmIdentical ? "true" : "false")
-       << "}, \"allIdentical\": " << (allIdentical ? "true" : "false")
-       << "}\n";
-    if (!bench::writeJsonFile(jsonOut, os.str())) return 1;
+    w.endArray().key("cache").beginObject();
+    w.field("coldHitRate", coldHitRate).field("warmHitRate", warmHitRate);
+    w.field("warmIdentical", warmIdentical).endObject();
+    w.field("allIdentical", allIdentical).endObject();
+    if (!bench::writeJsonFile(jsonOut, w.str())) return 1;
   }
   return allIdentical ? 0 : 1;
 }

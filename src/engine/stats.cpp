@@ -1,8 +1,5 @@
 #include "engine/stats.hpp"
 
-#include <locale>
-#include <sstream>
-
 #include "obs/json.hpp"
 
 namespace hsd::engine {
@@ -133,94 +130,72 @@ CacheStats EngineStats::cache(const std::string& name) const {
 }
 
 std::string EngineStats::toJson() const {
-  std::ostringstream os;
-  // A global-locale change must not reformat numbers (0.123 -> "0,123"
-  // would corrupt every ENGINE_STATS/SERVE_STATS consumer), so pin the
-  // classic locale; stage names are escaped so a quote or backslash in a
-  // name can't break the JSON either.
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed << '{';
+  obs::JsonWriter w;
+  w.beginObject();
+  writeJson(w);
+  w.endObject();
+  return w.str();
+}
+
+void EngineStats::writeJson(obs::JsonWriter& w) const {
+  const auto stage = [&w](const std::string& name, const StageStats& s) {
+    w.key(name).beginObject().field("calls", s.calls);
+    w.field("items", s.items).field("seconds", s.seconds).endObject();
+  };
+  const auto cache = [&w](const std::string& name, const CacheStats& c) {
+    w.key("cache/" + name).beginObject().field("hits", c.hits);
+    w.field("misses", c.misses).field("evictions", c.evictions).endObject();
+  };
   // One critical section for both registries: stage and cache counters in
   // a single dump are a consistent cut, not two snapshots a concurrent
   // recorder could land between.
   const std::lock_guard<std::mutex> lock(mu_);
-  bool first = true;
-  for (const auto& [name, s] : stages_) {
-    if (!first) os << ", ";
-    first = false;
-    os << '"' << obs::jsonEscape(name) << "\": {\"calls\": " << s.calls
-       << ", \"items\": " << s.items << ", \"seconds\": " << s.seconds << '}';
-  }
-  for (const auto& [name, c] : caches_) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"cache/" << obs::jsonEscape(name) << "\": {\"hits\": " << c.hits
-       << ", \"misses\": " << c.misses << ", \"evictions\": " << c.evictions
-       << '}';
-  }
+  for (const auto& [name, s] : stages_) stage(name, s);
+  for (const auto& [name, c] : caches_) cache(name, c);
   // Tiled-run roll-ups: per-tile counters summed under the plain stage
   // name, keyed in first-appearance order of the suffix (deterministic
   // because the tiled evaluator declares tile stages up front, in tile
   // order). Absent entirely for monolithic runs.
-  {
-    std::vector<std::pair<std::string, StageStats>> agg;
-    std::unordered_map<std::string, std::size_t> aggIndex;
-    for (const auto& [name, s] : stages_) {
-      const std::size_t p = tilePrefixLen(name);
-      if (p == 0) continue;
-      StageStats& dst =
-          agg[slotOf(agg, aggIndex, name.substr(p))].second;
-      dst.calls += s.calls;
-      dst.items += s.items;
-      dst.seconds += s.seconds;
-    }
-    // Fold in same-named plain entries so each aggregate matches
-    // rollup(name) even when a run mixed tiled and monolithic recording.
-    for (const auto& [name, s] : stages_) {
-      const auto it = aggIndex.find(name);
-      if (tilePrefixLen(name) != 0 || it == aggIndex.end()) continue;
-      StageStats& dst = agg[it->second].second;
-      dst.calls += s.calls;
-      dst.items += s.items;
-      dst.seconds += s.seconds;
-    }
-    for (const auto& [name, s] : agg) {
-      if (!first) os << ", ";
-      first = false;
-      os << '"' << obs::jsonEscape(name) << "\": {\"calls\": " << s.calls
-         << ", \"items\": " << s.items << ", \"seconds\": " << s.seconds
-         << '}';
-    }
-    std::vector<std::pair<std::string, CacheStats>> cagg;
-    std::unordered_map<std::string, std::size_t> caggIndex;
-    for (const auto& [name, c] : caches_) {
-      const std::size_t p = tilePrefixLen(name);
-      if (p == 0) continue;
-      CacheStats& dst =
-          cagg[slotOf(cagg, caggIndex, name.substr(p))].second;
-      dst.hits += c.hits;
-      dst.misses += c.misses;
-      dst.evictions += c.evictions;
-    }
-    for (const auto& [name, c] : caches_) {
-      const auto it = caggIndex.find(name);
-      if (tilePrefixLen(name) != 0 || it == caggIndex.end()) continue;
-      CacheStats& dst = cagg[it->second].second;
-      dst.hits += c.hits;
-      dst.misses += c.misses;
-      dst.evictions += c.evictions;
-    }
-    for (const auto& [name, c] : cagg) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"cache/" << obs::jsonEscape(name) << "\": {\"hits\": " << c.hits
-         << ", \"misses\": " << c.misses << ", \"evictions\": " << c.evictions
-         << '}';
-    }
+  std::vector<std::pair<std::string, StageStats>> agg;
+  std::unordered_map<std::string, std::size_t> aggIndex;
+  for (const auto& [name, s] : stages_) {
+    const std::size_t p = tilePrefixLen(name);
+    if (p == 0) continue;
+    StageStats& dst = agg[slotOf(agg, aggIndex, name.substr(p))].second;
+    dst.calls += s.calls;
+    dst.items += s.items;
+    dst.seconds += s.seconds;
   }
-  os << '}';
-  return os.str();
+  // Fold in same-named plain entries so each aggregate matches
+  // rollup(name) even when a run mixed tiled and monolithic recording.
+  for (const auto& [name, s] : stages_) {
+    const auto it = aggIndex.find(name);
+    if (tilePrefixLen(name) != 0 || it == aggIndex.end()) continue;
+    StageStats& dst = agg[it->second].second;
+    dst.calls += s.calls;
+    dst.items += s.items;
+    dst.seconds += s.seconds;
+  }
+  for (const auto& [name, s] : agg) stage(name, s);
+  std::vector<std::pair<std::string, CacheStats>> cagg;
+  std::unordered_map<std::string, std::size_t> caggIndex;
+  for (const auto& [name, c] : caches_) {
+    const std::size_t p = tilePrefixLen(name);
+    if (p == 0) continue;
+    CacheStats& dst = cagg[slotOf(cagg, caggIndex, name.substr(p))].second;
+    dst.hits += c.hits;
+    dst.misses += c.misses;
+    dst.evictions += c.evictions;
+  }
+  for (const auto& [name, c] : caches_) {
+    const auto it = caggIndex.find(name);
+    if (tilePrefixLen(name) != 0 || it == caggIndex.end()) continue;
+    CacheStats& dst = cagg[it->second].second;
+    dst.hits += c.hits;
+    dst.misses += c.misses;
+    dst.evictions += c.evictions;
+  }
+  for (const auto& [name, c] : cagg) cache(name, c);
 }
 
 void EngineStats::clear() {

@@ -19,6 +19,10 @@
 
 #include "obs/trace.hpp"
 
+namespace hsd::obs {
+class JsonWriter;
+}
+
 namespace hsd::engine {
 
 /// Accumulated counters of one named stage.
@@ -102,6 +106,9 @@ class EngineStats {
   /// raw entries, so existing consumers keep their keys. Monolithic runs
   /// emit exactly the pre-tiling format.
   std::string toJson() const;
+  /// The same entries as members of the object `w` has open (how
+  /// ENGINE_STATS puts the model fingerprint first).
+  void writeJson(obs::JsonWriter& w) const;
 
   void clear();
 

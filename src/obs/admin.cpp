@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <locale>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -207,30 +205,28 @@ net::HttpResponse AdminServer::handleMetrics(const net::HttpRequest&) {
 
 net::HttpResponse AdminServer::handleStatsz(const net::HttpRequest&) {
   scrapes_[kStatsz]->inc();
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(3);
-  os << std::fixed << "{\"uptimeSeconds\": "
-     << std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started_)
-            .count();
+  JsonWriter w;
+  w.beginObject().field(
+      "uptimeSeconds", std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - started_)
+                           .count());
   for (const auto& [key, fn] : stats_) {
-    os << ", \"" << jsonEscape(key) << "\": ";
+    w.key(key);
     try {
-      os << fn();
+      w.raw(fn());
     } catch (const std::exception& e) {
-      os << "{\"error\": \"" << jsonEscape(e.what()) << "\"}";
+      w.beginObject().field("error", e.what()).endObject();
     } catch (...) {
-      os << "{\"error\": \"unknown\"}";
+      w.beginObject().field("error", "unknown").endObject();
     }
   }
-  if (slo_) os << ", \"slo\": " << slo_->sampleAndJson();
+  if (slo_) w.key("slo").raw(slo_->sampleAndJson());
   if (modelStats_) {
-    os << ", \"model\": " << modelStats_->toJson(opts_.modelzDefaultLimit);
-    if (drift_) os << ", \"modelDrift\": " << drift_->sampleAndJson();
+    w.key("model").raw(modelStats_->toJson(opts_.modelzDefaultLimit));
+    if (drift_) w.key("modelDrift").raw(drift_->sampleAndJson());
   }
-  os << "}\n";
-  return net::HttpResponse::json(os.str());
+  w.endObject().raw("\n");
+  return net::HttpResponse::json(w.str());
 }
 
 net::HttpResponse AdminServer::handleReadyz(const net::HttpRequest& req) {
@@ -249,37 +245,25 @@ net::HttpResponse AdminServer::handleReadyz(const net::HttpRequest& req) {
   // Detail view: same status code, JSON body naming each hook plus the
   // SLO burn-rate status when a tracker is mounted — "is it up" and "is
   // it healthy enough" in one scrape.
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << "{\"ready\": " << (allReady ? "true" : "false") << ", \"hooks\": [";
-  bool first = true;
-  for (const auto& [name, ok] : hooks) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << jsonEscape(*name)
-       << "\", \"ready\": " << (ok ? "true" : "false") << "}";
-  }
-  os << "]";
+  JsonWriter w;
+  w.beginObject().field("ready", allReady).key("hooks").beginArray();
+  for (const auto& [name, ok] : hooks)
+    w.beginObject().field("name", *name).field("ready", ok).endObject();
+  w.endArray();
   if (slo_ || drift_) {
     // Degraded = any mounted health signal firing: an SLO burn or a
     // drifted model cluster. With only an SLO mounted the body is
     // byte-identical to the pre-drift format.
-    bool degraded = false;
-    std::string detail;
-    if (slo_) {
-      const SloTracker::Status st = slo_->sampleAndStatus();
-      degraded = degraded || st.degraded;
-      detail += ", \"slo\": " + slo_->toJson(st);
-    }
-    if (drift_) {
-      const DriftScorer::Status dst = drift_->sampleAndStatus();
-      degraded = degraded || dst.anyDrifted;
-      detail += ", \"modelDrift\": " + drift_->toJson(dst);
-    }
-    os << ", \"degraded\": " << (degraded ? "true" : "false") << detail;
+    SloTracker::Status st;
+    DriftScorer::Status dst;
+    if (slo_) st = slo_->sampleAndStatus();
+    if (drift_) dst = drift_->sampleAndStatus();
+    w.field("degraded", st.degraded || dst.anyDrifted);
+    if (slo_) w.key("slo").raw(slo_->toJson(st));
+    if (drift_) w.key("modelDrift").raw(drift_->toJson(dst));
   }
-  os << "}\n";
-  net::HttpResponse res = net::HttpResponse::json(os.str());
+  w.endObject().raw("\n");
+  net::HttpResponse res = net::HttpResponse::json(w.str());
   res.status = status;
   return res;
 }
@@ -288,10 +272,10 @@ net::HttpResponse AdminServer::handleSloz(const net::HttpRequest&) {
   scrapes_[kSloz]->inc();
   if (!slo_)
     return net::HttpResponse::json("{\"enabled\": false}\n");
-  std::string body = "{\"enabled\": true, \"slo\": ";
-  body += slo_->sampleAndJson();
-  body += "}\n";
-  return net::HttpResponse::json(std::move(body));
+  JsonWriter w;
+  w.beginObject().field("enabled", true).key("slo").raw(slo_->sampleAndJson());
+  w.endObject().raw("\n");
+  return net::HttpResponse::json(w.str());
 }
 
 net::HttpResponse AdminServer::handleModelz(const net::HttpRequest& req) {
@@ -308,14 +292,12 @@ net::HttpResponse AdminServer::handleModelz(const net::HttpRequest& req) {
     if (std::find(names.begin(), names.end(), cluster) == names.end())
       return badRequest("unknown cluster for 'cluster': " + cluster);
   }
-  std::string body = "{\"enabled\": true, \"model\": ";
-  body += modelStats_->toJson(limit, cluster);
-  if (drift_) {
-    body += ", \"drift\": ";
-    body += drift_->sampleAndJson();
-  }
-  body += "}\n";
-  return net::HttpResponse::json(std::move(body));
+  JsonWriter w;
+  w.beginObject().field("enabled", true);
+  w.key("model").raw(modelStats_->toJson(limit, cluster));
+  if (drift_) w.key("drift").raw(drift_->sampleAndJson());
+  w.endObject().raw("\n");
+  return net::HttpResponse::json(w.str());
 }
 
 net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
@@ -332,13 +314,11 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
     if (!parseLogLevel(raw, levelFloor))
       return badRequest("bad log level for 'level': " + raw);
   }
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
+  net::HttpResponse res;
+  res.contentType = "application/x-ndjson";
   if (!log_) {
-    os << "{\"enabled\": false, \"recordCount\": 0, \"returnedRecords\": 0}\n";
-    net::HttpResponse res;
-    res.contentType = "application/x-ndjson";
-    res.body = os.str();
+    res.body =
+        "{\"enabled\": false, \"recordCount\": 0, \"returnedRecords\": 0}\n";
     return res;
   }
   std::uint64_t dropped = 0;
@@ -363,19 +343,17 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
                   records.end() - static_cast<std::ptrdiff_t>(limit));
   // Meta line first, then one JSON object per record: every line parses
   // on its own (JSON lines), and the meta carries the snapshot counters.
-  os << "{\"enabled\": true, \"recordCount\": " << total
-     << ", \"returnedRecords\": " << records.size()
-     << ", \"droppedRecords\": " << dropped
-     << ", \"minLevel\": \"" << toString(log_->minLevel()) << '"';
-  if (hasTrace) os << ", \"trace\": \"" << formatTraceId(traceFilter) << '"';
-  os << "}\n";
+  JsonWriter w;
+  w.beginObject().field("enabled", true).field("recordCount", total);
+  w.field("returnedRecords", records.size()).field("droppedRecords", dropped);
+  w.field("minLevel", toString(log_->minLevel()));
+  if (hasTrace) w.field("trace", formatTraceId(traceFilter));
+  w.endObject().raw("\n");
   for (const LogRecorder::SnapshotRecord& sr : records) {
-    log_->appendRecordJson(os, sr);
-    os << '\n';
+    log_->appendRecordJson(w, sr);
+    w.raw("\n");
   }
-  net::HttpResponse res;
-  res.contentType = "application/x-ndjson";
-  res.body = os.str();
+  res.body = w.str();
   return res;
 }
 
@@ -388,12 +366,8 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
   if (!parseLimitParam(req, limit, err) ||
       !parseTraceParam(req, traceFilter, hasTrace, err))
     return badRequest(err);
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  if (!tracer_) {
-    os << "{\"enabled\": false, \"spans\": []}\n";
-    return net::HttpResponse::json(os.str());
-  }
+  if (!tracer_)
+    return net::HttpResponse::json("{\"enabled\": false, \"spans\": []}\n");
   // Non-destructive and race-free: snapshot() copies the per-thread rings
   // while recording continues. Every returned span is whole; one
   // overwritten mid-copy is counted in `dropped`, from the same cut.
@@ -419,37 +393,28 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
   if (events.size() > limit)
     events.erase(events.begin(),
                  events.end() - static_cast<std::ptrdiff_t>(limit));
-  os << "{\"enabled\": true, \"spanCount\": " << total
-     << ", \"returnedSpans\": " << events.size()
-     << ", \"droppedEvents\": " << dropped;
-  if (hasTrace) os << ", \"trace\": \"" << formatTraceId(traceFilter) << '"';
-  os << ", \"threads\": [";
-  for (std::size_t tid = 0; tid < names.size(); ++tid) {
-    if (tid != 0) os << ", ";
-    os << "{\"tid\": " << tid << ", \"name\": \"" << jsonEscape(names[tid])
-       << "\"}";
-  }
-  os << "], \"spans\": [";
-  bool first = true;
+  JsonWriter w;
+  w.beginObject().field("enabled", true).field("spanCount", total);
+  w.field("returnedSpans", events.size()).field("droppedEvents", dropped);
+  if (hasTrace) w.field("trace", formatTraceId(traceFilter));
+  w.key("threads").beginArray();
+  for (std::size_t tid = 0; tid < names.size(); ++tid)
+    w.beginObject().field("tid", tid).field("name", names[tid]).endObject();
+  w.endArray().key("spans").beginArray(true);
   for (const TraceRecorder::SnapshotEvent& se : events) {
-    if (!first) os << ",";
-    first = false;
     const TraceRecorder::Event& e = se.event;
-    os << "\n{\"tid\": " << se.tid << ", \"name\": \"" << jsonEscape(e.name)
-       << "\", \"cat\": \"" << jsonEscape(e.cat) << "\", \"tsNs\": " << e.tsNs
-       << ", \"durNs\": " << e.durNs;
-    if (e.trace.valid())
-      os << ", \"trace\": \"" << formatTraceId(e.trace) << '"';
+    w.beginObject().field("tid", se.tid).field("name", e.name);
+    w.field("cat", e.cat).field("tsNs", e.tsNs).field("durNs", e.durNs);
+    if (e.trace.valid()) w.field("trace", formatTraceId(e.trace));
     if (e.a0.key != nullptr || e.s0.key != nullptr) {
-      os << ", \"args\": {";
-      bool firstArg = true;
-      appendArgsJson(os, e.a0, e.a1, e.s0, firstArg);
-      os << '}';
+      w.key("args").beginObject();
+      appendArgsJson(w, e.a0, e.a1, e.s0);
+      w.endObject();
     }
-    os << '}';
+    w.endObject();
   }
-  os << "\n]}\n";
-  return net::HttpResponse::json(os.str());
+  w.endArray().endObject().raw("\n");
+  return net::HttpResponse::json(w.str());
 }
 
 }  // namespace hsd::obs

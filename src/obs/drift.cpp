@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
 #include <limits>
-#include <locale>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -169,27 +169,19 @@ DriftScorer::Status DriftScorer::status(Clock::time_point now) const {
 }
 
 std::string DriftScorer::toJson(const Status& st) const {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << "{\"psiThreshold\": " << cfg_.psiThreshold
-     << ", \"windowSeconds\": " << cfg_.windowSeconds
-     << ", \"minWindowCount\": " << cfg_.minWindowCount
-     << ", \"drifted\": " << (st.anyDrifted ? "true" : "false")
-     << ", \"clusters\": [";
-  bool first = true;
+  JsonWriter w;
+  w.beginObject().field("psiThreshold", cfg_.psiThreshold);
+  w.field("windowSeconds", cfg_.windowSeconds);
+  w.field("minWindowCount", cfg_.minWindowCount);
+  w.field("drifted", st.anyDrifted).key("clusters").beginArray();
   for (const ClusterStatus& c : st.clusters) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"cluster\": \"" << jsonEscape(c.name)
-       << "\", \"windowCount\": " << c.windowCount
-       << ", \"coveredSeconds\": " << c.coveredSeconds
-       << ", \"psi\": " << c.psi
-       << ", \"scored\": " << (c.scored ? "true" : "false")
-       << ", \"drifted\": " << (c.drifted ? "true" : "false") << "}";
+    w.beginObject().field("cluster", c.name);
+    w.field("windowCount", c.windowCount);
+    w.field("coveredSeconds", c.coveredSeconds).field("psi", c.psi);
+    w.field("scored", c.scored).field("drifted", c.drifted).endObject();
   }
-  os << "]}";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace hsd::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <locale>
 #include <ostream>
 
 #include "obs/json.hpp"
@@ -91,25 +90,20 @@ std::vector<LogRecorder::SnapshotRecord> LogRecorder::snapshot(
   return out;
 }
 
-void LogRecorder::appendRecordJson(std::ostream& os,
+void LogRecorder::appendRecordJson(JsonWriter& w,
                                    const SnapshotRecord& sr) const {
   const Record& r = sr.record;
-  os << "{\"tsNs\": " << r.tsNs
-     << ", \"unixMs\": " << (wallEpochNs_ + r.tsNs) / 1000000
-     << ", \"level\": \"" << toString(r.level) << "\", \"component\": \""
-     << jsonEscape(r.component != nullptr ? r.component : "") << "\", \"tid\": "
-     << sr.tid << ", \"message\": \""
-     << jsonEscape(std::string_view(
-            r.message, std::min<std::size_t>(r.msgLen, kMessageCapacity - 1)))
-     << '"';
-  if (r.trace.valid()) {
-    char trace[kTraceIdChars + 1];
-    formatTraceId(r.trace, trace);
-    os << ", \"trace\": \"" << trace << '"';
-  }
-  bool first = false;
-  appendArgsJson(os, r.a0, r.a1, r.s0, first);
-  os << '}';
+  w.beginObject().field("tsNs", r.tsNs);
+  w.field("unixMs", (wallEpochNs_ + r.tsNs) / 1000000);
+  w.field("level", toString(r.level));
+  w.field("component", r.component != nullptr ? r.component : "");
+  w.field("tid", sr.tid);
+  w.field("message", std::string_view(r.message,
+                                      std::min<std::size_t>(
+                                          r.msgLen, kMessageCapacity - 1)));
+  if (r.trace.valid()) w.field("trace", formatTraceId(r.trace));
+  appendArgsJson(w, r.a0, r.a1, r.s0);
+  w.endObject();
 }
 
 void LogRecorder::writeJsonLines(std::ostream& os) const {
@@ -118,14 +112,12 @@ void LogRecorder::writeJsonLines(std::ostream& os) const {
             [](const SnapshotRecord& a, const SnapshotRecord& b) {
               return a.record.tsNs < b.record.tsNs;
             });
-  // A grouping locale on the caller's stream would corrupt the numbers;
-  // pin the classic locale, restore on exit.
-  const std::locale saved = os.imbue(std::locale::classic());
+  JsonWriter w;
   for (const SnapshotRecord& sr : records) {
-    appendRecordJson(os, sr);
-    os << '\n';
+    appendRecordJson(w, sr);
+    w.raw("\n");
   }
-  os.imbue(saved);
+  os << w.str();
 }
 
 }  // namespace hsd::obs

@@ -44,6 +44,8 @@
 
 namespace hsd::obs {
 
+class JsonWriter;
+
 enum class LogLevel : int {
   kTrace = 0,
   kDebug = 1,
@@ -127,11 +129,11 @@ class LogRecorder {
   /// a process lifetime the anchor is plenty for log reading).
   std::int64_t wallEpochNs() const { return wallEpochNs_; }
 
-  /// One JSON object (no trailing newline) for a snapshot record —
+  /// Appends one JSON object (no trailing newline) for a snapshot record —
   /// {"tsNs":..,"unixMs":..,"level":"..","component":"..","tid":N,
   ///  "message":"..","trace":"..hex..", <args...>}. Shared by the /logz
   /// handler and the file sink.
-  void appendRecordJson(std::ostream& os, const SnapshotRecord& sr) const;
+  void appendRecordJson(JsonWriter& w, const SnapshotRecord& sr) const;
 
   /// JSON-lines dump of the whole snapshot, sorted by tsNs (the
   /// hsd_serve/hsd_detect --log-out format); ends with a newline.

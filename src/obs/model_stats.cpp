@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <locale>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -209,23 +207,17 @@ std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
     if (slot < snap.clusters.size()) kept.push_back(snap.clusters[slot]);
     snap.clusters = std::move(kept);
   }
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << '{';
+  JsonWriter w;
+  w.beginObject();
   if (opts_.modelFingerprint != 0)
-    os << "\"fingerprint\": \"" << hex64(opts_.modelFingerprint) << "\", ";
-  os << "\"clusters\": [";
-  bool first = true;
+    w.field("fingerprint", hex64(opts_.modelFingerprint));
+  w.key("clusters").beginArray();
   for (const ClusterCounts& cc : snap.clusters) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"cluster\": \"" << jsonEscape(cc.name)
-       << "\", \"hot\": " << cc.hot << ", \"cold\": " << cc.cold
-       << ", \"count\": " << cc.count() << ", \"p50\": "
-       << MarginSketch::quantile(cc.buckets, 0.5) << ", \"p90\": "
-       << MarginSketch::quantile(cc.buckets, 0.9) << ", \"p99\": "
-       << MarginSketch::quantile(cc.buckets, 0.99) << "}";
+    w.beginObject().field("cluster", cc.name).field("hot", cc.hot);
+    w.field("cold", cc.cold).field("count", cc.count());
+    w.field("p50", MarginSketch::quantile(cc.buckets, 0.5));
+    w.field("p90", MarginSketch::quantile(cc.buckets, 0.9));
+    w.field("p99", MarginSketch::quantile(cc.buckets, 0.99)).endObject();
   }
   // Most recent captures win the cap; render survivors oldest-first.
   std::sort(snap.captures.begin(), snap.captures.end(),
@@ -234,26 +226,22 @@ std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
     snap.captures.erase(snap.captures.begin(),
                         snap.captures.end() -
                             static_cast<std::ptrdiff_t>(captureLimit));
-  os << "], \"capturedTotal\": " << snap.capturedTotal
-     << ", \"droppedCaptures\": " << snap.droppedCaptures
-     << ", \"droppedRecords\": " << snap.droppedRecords
-     << ", \"captureWidth\": " << opts_.captureWidth << ", \"captures\": [";
-  first = true;
+  w.endArray().field("capturedTotal", snap.capturedTotal);
+  w.field("droppedCaptures", snap.droppedCaptures);
+  w.field("droppedRecords", snap.droppedRecords);
+  w.field("captureWidth", opts_.captureWidth).key("captures").beginArray();
   for (const Capture& c : snap.captures) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"cluster\": \""
-       << jsonEscape(c.cluster < names_.size() ? names_[c.cluster]
-                                               : std::string("?"))
-       << "\", \"x\": " << c.anchorX << ", \"y\": " << c.anchorY
-       << ", \"contentHash\": \"" << hex64(c.contentHash)
-       << "\", \"margin\": " << c.margin << ", \"tsNs\": " << c.tsNs;
-    if (c.trace.valid())
-      os << ", \"trace\": \"" << formatTraceId(c.trace) << '"';
-    os << "}";
+    w.beginObject().field("cluster", c.cluster < names_.size()
+                                         ? std::string_view(names_[c.cluster])
+                                         : std::string_view("?"));
+    w.field("x", c.anchorX).field("y", c.anchorY);
+    w.field("contentHash", hex64(c.contentHash)).field("margin", c.margin);
+    w.field("tsNs", c.tsNs);
+    if (c.trace.valid()) w.field("trace", formatTraceId(c.trace));
+    w.endObject();
   }
-  os << "]}";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace hsd::obs

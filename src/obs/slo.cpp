@@ -1,8 +1,8 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <locale>
-#include <sstream>
+
+#include "obs/json.hpp"
 
 namespace hsd::obs {
 
@@ -132,34 +132,26 @@ SloTracker::Status SloTracker::status(Clock::time_point now) const {
 }
 
 std::string SloTracker::toJson(const Status& st) const {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"availabilityTarget\": " << cfg_.availabilityTarget
-     << ", \"latencyObjectiveSeconds\": " << cfg_.latencyObjectiveSeconds
-     << ", \"effectiveLatencyObjectiveSeconds\": " << objectiveBound_
-     << ", \"latencyTarget\": " << cfg_.latencyTarget
-     << ", \"degradedBurnRate\": " << cfg_.degradedBurnRate
-     << ", \"degraded\": " << (st.degraded ? "true" : "false")
-     << ", \"windows\": [";
-  bool first = true;
-  for (const Window& w : st.windows) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"seconds\": " << w.seconds
-       << ", \"coveredSeconds\": " << w.coveredSeconds
-       << ", \"total\": " << w.total << ", \"good\": " << w.good
-       << ", \"availability\": " << w.availability
-       << ", \"availabilityBurn\": " << w.availabilityBurn
-       << ", \"latencyTotal\": " << w.latencyTotal
-       << ", \"latencyFast\": " << w.latencyFast
-       << ", \"latencyAttainment\": " << w.latencyAttainment
-       << ", \"latencyBurn\": " << w.latencyBurn
-       << ", \"burning\": " << (w.burning ? "true" : "false") << "}";
+  JsonWriter w;
+  w.beginObject().field("availabilityTarget", cfg_.availabilityTarget);
+  w.field("latencyObjectiveSeconds", cfg_.latencyObjectiveSeconds);
+  w.field("effectiveLatencyObjectiveSeconds", objectiveBound_);
+  w.field("latencyTarget", cfg_.latencyTarget);
+  w.field("degradedBurnRate", cfg_.degradedBurnRate);
+  w.field("degraded", st.degraded).key("windows").beginArray();
+  for (const Window& win : st.windows) {
+    w.beginObject().field("seconds", win.seconds);
+    w.field("coveredSeconds", win.coveredSeconds).field("total", win.total);
+    w.field("good", win.good).field("availability", win.availability);
+    w.field("availabilityBurn", win.availabilityBurn);
+    w.field("latencyTotal", win.latencyTotal);
+    w.field("latencyFast", win.latencyFast);
+    w.field("latencyAttainment", win.latencyAttainment);
+    w.field("latencyBurn", win.latencyBurn);
+    w.field("burning", win.burning).endObject();
   }
-  os << "]}";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace hsd::obs

@@ -1,9 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <locale>
+#include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -74,57 +73,44 @@ std::vector<std::string> TraceRecorder::threadNames() const {
   return names;
 }
 
-void TraceRecorder::writeJson(std::ostream& os) const {
+void TraceRecorder::writeJson(std::ostream& os) const { os << toJson(); }
+
+std::string TraceRecorder::toJson() const {
   std::uint64_t dropped = 0;
   const std::vector<SnapshotEvent> events = snapshot(&dropped);
   const std::vector<std::string> names = threadNames();
-  // A grouping locale on the caller's stream would corrupt the numbers
-  // ("1.234" for tid 1234); pin the classic locale, restore on exit.
-  const std::locale saved = os.imbue(std::locale::classic());
-  os << "{\"traceEvents\": [";
-  bool first = true;
+  // Chrome's ts/dur unit is the microsecond; print ns exactly as
+  // "<us>.<3 digits>" instead of through a double.
+  const auto micros = [](std::int64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%lld.%03lld", (long long)(ns / 1000),
+                  (long long)(ns % 1000));
+    return std::string(buf);
+  };
+  JsonWriter w;
+  w.beginObject().key("traceEvents").beginArray(true);
   for (std::size_t tid = 0; tid < names.size(); ++tid) {
     if (names[tid].empty()) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-       << jsonEscape(names[tid]) << "\"}}";
+    w.beginObject().field("ph", "M").field("pid", 1).field("tid", tid);
+    w.field("name", "thread_name").key("args").beginObject();
+    w.field("name", names[tid]).endObject().endObject();
   }
   for (const SnapshotEvent& se : events) {
-    if (!first) os << ",";
-    first = false;
     const Event& e = se.event;
-    os << "\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " << se.tid
-       << ", \"name\": \"" << jsonEscape(e.name) << "\", \"cat\": \""
-       << jsonEscape(e.cat) << "\", \"ts\": " << e.tsNs / 1000 << '.'
-       << char('0' + e.tsNs / 100 % 10) << char('0' + e.tsNs / 10 % 10)
-       << char('0' + e.tsNs % 10) << ", \"dur\": " << e.durNs / 1000 << '.'
-       << char('0' + e.durNs / 100 % 10) << char('0' + e.durNs / 10 % 10)
-       << char('0' + e.durNs % 10);
+    w.beginObject().field("ph", "X").field("pid", 1).field("tid", se.tid);
+    w.field("name", e.name).field("cat", e.cat);
+    w.key("ts").raw(micros(e.tsNs)).key("dur").raw(micros(e.durNs));
     if (e.a0.key != nullptr || e.s0.key != nullptr || e.trace.valid()) {
-      os << ", \"args\": {";
-      bool firstArg = true;
-      appendArgsJson(os, e.a0, e.a1, e.s0, firstArg);
-      if (e.trace.valid()) {
-        if (!firstArg) os << ", ";
-        char trace[kTraceIdChars + 1];
-        formatTraceId(e.trace, trace);
-        os << "\"trace\": \"" << trace << '"';
-      }
-      os << '}';
+      w.key("args").beginObject();
+      appendArgsJson(w, e.a0, e.a1, e.s0);
+      if (e.trace.valid()) w.field("trace", formatTraceId(e.trace));
+      w.endObject();
     }
-    os << '}';
+    w.endObject();
   }
-  os << "\n], \"displayTimeUnit\": \"ms\", \"droppedEvents\": "
-     << dropped << "}\n";
-  os.imbue(saved);
-}
-
-std::string TraceRecorder::toJson() const {
-  std::ostringstream os;
-  writeJson(os);
-  return os.str();
+  w.endArray().field("displayTimeUnit", "ms").field("droppedEvents", dropped);
+  w.endObject().raw("\n");
+  return w.str();
 }
 
 }  // namespace hsd::obs

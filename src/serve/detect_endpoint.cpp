@@ -85,22 +85,15 @@ std::string buildProfileJson(const ServeResult& sr, std::uint64_t wireId,
     hits += c.hits;
     misses += c.misses;
   }
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"wireId\": " << wireId << ", \"status\": \"" << toString(sr.status)
-     << '"';
-  if (sr.trace.valid())
-    os << ", \"trace\": \"" << obs::formatTraceId(sr.trace) << '"';
-  os << ", \"queueSeconds\": " << sr.queueSeconds
-     << ", \"runSeconds\": " << sr.runSeconds
-     << ", \"arenaReservedBytes\": " << sr.arenaReservedBytes
-     << ", \"cache\": {\"hits\": " << hits << ", \"misses\": " << misses
-     << "}, \"stages\": "
-     << (sr.statsJson.empty() ? std::string("{}") : sr.statsJson)
-     << ", \"model\": \"" << modelId << "\"}";
-  return os.str();
+  obs::JsonWriter w;
+  w.beginObject().field("wireId", wireId).field("status", toString(sr.status));
+  if (sr.trace.valid()) w.field("trace", obs::formatTraceId(sr.trace));
+  w.field("queueSeconds", sr.queueSeconds).field("runSeconds", sr.runSeconds);
+  w.field("arenaReservedBytes", sr.arenaReservedBytes);
+  w.key("cache").beginObject().field("hits", hits).field("misses", misses);
+  w.endObject().key("stages").raw(sr.statsJson.empty() ? "{}" : sr.statsJson);
+  w.field("model", modelId).endObject();
+  return w.str();
 }
 
 }  // namespace
@@ -372,39 +365,29 @@ void DetectionEndpoint::rememberProfile(std::string profileJson) {
 }
 
 std::string DetectionEndpoint::statsJson() const {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"responses\": {\"200\": " << status200_->value()
-     << ", \"400\": " << status400_->value()
-     << ", \"415\": " << status415_->value()
-     << ", \"429\": " << status429_->value()
-     << ", \"499\": " << status499_->value()
-     << ", \"500\": " << status500_->value()
-     << ", \"503\": " << status503_->value()
-     << ", \"504\": " << status504_->value()
-     << ", \"other\": " << statusOther_->value()
-     << "}, \"inflight\": " << inflight_->value()
-     << ", \"requestBytes\": " << requestBytes_->value()
-     << ", \"responseBytes\": " << responseBytes_->value()
-     << ", \"disconnectCancels\": " << disconnectCancels_->value()
-     << ", \"maxQueueDepth\": " << cfg_.maxQueueDepth
-     << ", \"latencySeconds\": {\"p50\": " << latency_->quantile(0.50)
-     << ", \"p95\": " << latency_->quantile(0.95)
-     << ", \"p99\": " << latency_->quantile(0.99)
-     << "}, \"recentProfiles\": [";
+  obs::JsonWriter w;
+  w.beginObject().key("responses").beginObject();
+  w.field("200", status200_->value()).field("400", status400_->value());
+  w.field("415", status415_->value()).field("429", status429_->value());
+  w.field("499", status499_->value()).field("500", status500_->value());
+  w.field("503", status503_->value()).field("504", status504_->value());
+  w.field("other", statusOther_->value()).endObject();
+  w.field("inflight", inflight_->value());
+  w.field("requestBytes", requestBytes_->value());
+  w.field("responseBytes", responseBytes_->value());
+  w.field("disconnectCancels", disconnectCancels_->value());
+  w.field("maxQueueDepth", cfg_.maxQueueDepth);
+  w.key("latencySeconds").beginObject();
+  w.field("p50", latency_->quantile(0.50));
+  w.field("p95", latency_->quantile(0.95));
+  w.field("p99", latency_->quantile(0.99)).endObject();
+  w.key("recentProfiles").beginArray();
   {
     const std::lock_guard<std::mutex> lock(profileMu_);
-    bool first = true;
-    for (const std::string& p : recentProfiles_) {
-      if (!first) os << ", ";
-      first = false;
-      os << p;
-    }
+    for (const std::string& p : recentProfiles_) w.raw(p);
   }
-  os << "]}";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 }  // namespace hsd::serve

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <locale>
-#include <sstream>
+
+#include "obs/json.hpp"
 
 namespace hsd::serve {
 
@@ -468,43 +468,40 @@ DetectionServer::Stats DetectionServer::stats() const {
 std::string DetectionServer::statsJson() const {
   const Stats s = stats();
   const std::size_t lookups = s.cache.hits + s.cache.misses;
-  std::ostringstream os;
-  os.imbue(std::locale::classic());  // valid JSON under any global locale
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"requests\": {\"submitted\": " << s.submitted
-     << ", \"completed\": " << s.completed << ", \"ok\": " << s.ok
-     << ", \"timeout\": " << s.timeout << ", \"cancelled\": " << s.cancelled
-     << ", \"error\": " << s.error << ", \"rejected\": " << s.rejected
-     << "}, \"busySeconds\": " << s.busySeconds
-     << ", \"workers\": " << cfg_.workers
-     << ", \"contexts\": " << cfg_.contexts
-     << ", \"threadsPerContext\": " << cfg_.threadsPerContext
-     << ", \"cache\": {\"enabled\": " << (cache_ ? "true" : "false")
-     << ", \"hits\": " << s.cache.hits << ", \"misses\": " << s.cache.misses
-     << ", \"evictions\": " << s.cache.evictions
-     << ", \"entries\": " << s.cache.entries << ", \"hitRate\": "
-     << (lookups == 0 ? 0.0 : double(s.cache.hits) / double(lookups))
-     << "}, \"latency\": {\"queueSeconds\": {\"p50\": "
-     << queueHist_->quantile(0.50) << ", \"p95\": "
-     << queueHist_->quantile(0.95) << ", \"p99\": "
-     << queueHist_->quantile(0.99)
-     << "}, \"runSeconds\": {\"p50\": " << runHist_->quantile(0.50)
-     << ", \"p95\": " << runHist_->quantile(0.95)
-     << ", \"p99\": " << runHist_->quantile(0.99) << "}, \"exemplars\": [";
+  const auto quantiles = [](obs::JsonWriter& w, const obs::Histogram& h) {
+    w.beginObject().field("p50", h.quantile(0.50));
+    w.field("p95", h.quantile(0.95)).field("p99", h.quantile(0.99));
+    w.endObject();
+  };
+  obs::JsonWriter w;
+  w.beginObject().key("requests").beginObject();
+  w.field("submitted", s.submitted).field("completed", s.completed);
+  w.field("ok", s.ok).field("timeout", s.timeout);
+  w.field("cancelled", s.cancelled).field("error", s.error);
+  w.field("rejected", s.rejected).endObject();
+  w.field("busySeconds", s.busySeconds).field("workers", cfg_.workers);
+  w.field("contexts", cfg_.contexts);
+  w.field("threadsPerContext", cfg_.threadsPerContext);
+  w.key("cache").beginObject().field("enabled", bool(cache_));
+  w.field("hits", s.cache.hits).field("misses", s.cache.misses);
+  w.field("evictions", s.cache.evictions).field("entries", s.cache.entries);
+  w.field("hitRate",
+          lookups == 0 ? 0.0 : double(s.cache.hits) / double(lookups));
+  w.endObject().key("latency").beginObject().key("queueSeconds");
+  quantiles(w, *queueHist_);
+  w.key("runSeconds");
+  quantiles(w, *runHist_);
   // Recent trace-id exemplars off the run histogram: one per bucket, so
   // a slow bucket hands you a concrete request to pull from /tracez.
-  bool first = true;
+  w.key("exemplars").beginArray();
   for (const obs::Histogram::Exemplar& e : runHist_->exemplars()) {
     if (!e.valid()) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"runSeconds\": " << e.value << ", \"trace\": \""
-       << obs::formatTraceId(e.trace) << "\", \"unixMs\": " << e.unixMs
-       << "}";
+    w.beginObject().field("runSeconds", e.value);
+    w.field("trace", obs::formatTraceId(e.trace));
+    w.field("unixMs", e.unixMs).endObject();
   }
-  os << "]}}";
-  return os.str();
+  w.endArray().endObject().endObject();
+  return w.str();
 }
 
 }  // namespace hsd::serve

@@ -95,16 +95,31 @@ class JsonParser {
     return false;  // unterminated
   }
 
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool number() {
-    const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
+    if (peek() == '0') {
       ++pos_;
-    return pos_ > start && std::isdigit(static_cast<unsigned char>(
-                               s_[start] == '-' ? s_[start + 1] : s_[start]));
+    } else if (!digits()) {
+      return false;
+    }
+    if (peek() == '.') {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') ++pos_;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+
+  /// One or more decimal digits.
+  bool digits() {
+    const std::size_t start = pos_;
+    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    return pos_ > start;
   }
 
   bool literal(const char* lit) {

@@ -429,6 +429,18 @@ TEST(ModelStatsRecorder, ToJsonParsesFiltersByClusterAndCapsCaptures) {
   const std::string none = rec.toJson(0);
   EXPECT_TRUE(parsesAsJson(none)) << none;
   EXPECT_NE(none.find("\"captures\": []"), std::string::npos);
+
+  // Margins print in shortest round-trip form: a low-margin capture
+  // parses back to exactly the double that was recorded.
+  const double margin = 0.12345678912345;
+  rec.capture(0, margin, 9, 9, 9);
+  const std::string exact = rec.toJson();
+  EXPECT_TRUE(parsesAsJson(exact)) << exact;
+  bool found = false;
+  for (std::size_t at = exact.find("\"margin\": "); at != std::string::npos;
+       at = exact.find("\"margin\": ", at + 1))
+    found = found || std::strtod(exact.c_str() + at + 10, nullptr) == margin;
+  EXPECT_TRUE(found) << exact;
 }
 
 TEST(ModelStatsRecorder, BindMetricsExportsPerClusterVerdictCounters) {

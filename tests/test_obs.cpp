@@ -15,18 +15,25 @@
 //    hostile HELP/label-value escaping per the 0.0.4 text format);
 //  - the disabled-span fast path performs zero heap allocations (global
 //    operator-new counter) — the "near-zero overhead when off" guarantee;
-//  - EngineStats::toJson stays valid JSON under a hostile global locale.
+//  - EngineStats::toJson stays valid JSON under a hostile global locale;
+//  - JsonWriter: nesting and comma state, escaping of keys and values,
+//    exact integers, bit-exact round-trip doubles, null for non-finite
+//    values, locale independence; mini_json's strict number grammar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <locale>
 #include <new>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -472,6 +479,113 @@ TEST(EngineStats, ToJsonIsLocaleIndependent) {
   EXPECT_TRUE(parsesAsJson(json)) << json;
   EXPECT_EQ(json.find(','), json.find(", "));  // no numeric commas
   EXPECT_NE(json.find("1234"), std::string::npos);  // no grouping dots
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter
+
+TEST(MiniJson, RejectsNumbersOutsideTheRfc8259Grammar) {
+  for (const char* ok : {"0", "-0", "1", "-12", "0.5", "1e5", "1E+5", "2.5e-3"})
+    EXPECT_TRUE(parsesAsJson(ok)) << ok;
+  for (const char* bad : {"01", "-01", "1.", ".5", "1e", "1e+", "1.2.3", "-",
+                          "+1", "0x10", "1..2", "1e5.0"})
+    EXPECT_FALSE(parsesAsJson(bad)) << bad;
+}
+
+TEST(JsonWriter, NestsObjectsAndArraysIncludingEmptyOnes) {
+  JsonWriter w;
+  w.beginObject().key("a").beginArray().endArray();
+  w.key("o").beginObject().endObject().key("arr").beginArray().value(1);
+  w.beginObject().field("x", true).endObject();
+  w.beginArray().value("s").value(false).endArray().endArray();
+  w.key("lines").beginArray(true).value(1).value(2).endArray();
+  w.key("none").beginArray(true).endArray();
+  w.key("r").raw("{\"pre\": 1}").endObject().raw("\n");
+  EXPECT_EQ(w.str(),
+            "{\"a\": [], \"o\": {}, \"arr\": [1, {\"x\": true}, "
+            "[\"s\", false]], \"lines\": [\n1,\n2\n], \"none\": [\n], "
+            "\"r\": {\"pre\": 1}}\n");
+  EXPECT_TRUE(parsesAsJson(w.str())) << w.str();
+}
+
+TEST(JsonWriter, EscapesEveryJsonEscapeInputAsKeyAndValue) {
+  std::vector<std::string> inputs = {
+      "plain", "a\"b", "a\\b", "a\nb\tc", "\x01", "caf\xc3\xa9",
+      std::string("a\0b", 3), "\"\\\b\f\n\r\t", "\x7f",
+      "h\xc3\xa9llo \xe2\x86\x92", std::string("x\0\x01\x1f\x7f\"\\\n", 8)};
+  std::string nasty;
+  for (int c = 0; c < 0x20; ++c) {
+    nasty.push_back(char(c));
+    inputs.emplace_back(1, char(c));
+  }
+  inputs.push_back(nasty + "\"\\end");
+  for (const std::string& in : inputs) {
+    JsonWriter w;
+    w.beginObject().field(in, in).endObject();
+    const std::string e = jsonEscape(in);
+    EXPECT_EQ(w.str(), "{\"" + e + "\": \"" + e + "\"}");
+    EXPECT_TRUE(parsesAsJson(w.str())) << w.str();
+  }
+}
+
+TEST(JsonWriter, IntegersPrintExactly) {
+  JsonWriter w;
+  w.beginArray().value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::uint64_t>::max()).value(0).value(-1);
+  w.value(std::uint8_t(255)).endArray();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808, 18446744073709551615, 0, -1, 255]");
+  EXPECT_TRUE(parsesAsJson(w.str())) << w.str();
+}
+
+TEST(JsonWriter, DoublesRoundTripBitExactly) {
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            0.1,
+                            1.0 / 3.0,
+                            1e-300,
+                            std::numeric_limits<double>::denorm_min(),
+                            DBL_MIN / 3.0,
+                            DBL_MIN,
+                            DBL_MAX,
+                            -DBL_MAX};
+  std::mt19937_64 rng(20260117);
+  while (xs.size() < 20000) {
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) xs.push_back(d);
+  }
+  for (const double d : xs) {
+    JsonWriter w;
+    w.value(d);
+    ASSERT_TRUE(parsesAsJson(w.str())) << w.str();
+    const double back = std::strtod(w.str().c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &d, sizeof d), 0) << w.str();
+  }
+  JsonWriter negZero;
+  EXPECT_EQ(negZero.value(-0.0).str(), "-0");
+}
+
+TEST(JsonWriter, NonFiniteDoublesPrintAsNull) {
+  JsonWriter w;
+  w.beginObject().field("nan", std::nan(""));
+  w.field("inf", std::numeric_limits<double>::infinity());
+  w.field("ninf", -std::numeric_limits<double>::infinity()).endObject();
+  EXPECT_EQ(w.str(), "{\"nan\": null, \"inf\": null, \"ninf\": null}");
+  EXPECT_TRUE(parsesAsJson(w.str())) << w.str();
+}
+
+TEST(JsonWriter, OutputIgnoresAHostileGlobalLocale) {
+  const std::locale saved = std::locale::global(
+      std::locale(std::locale::classic(), new GermanNumpunct));
+  JsonWriter w;
+  w.beginObject().field("n", 1234567).field("d", 1234.5);
+  w.field("min", std::numeric_limits<std::int64_t>::min()).endObject();
+  std::locale::global(saved);
+  EXPECT_EQ(w.str(),
+            "{\"n\": 1234567, \"d\": 1234.5, \"min\": -9223372036854775808}");
+  EXPECT_TRUE(parsesAsJson(w.str())) << w.str();
 }
 
 }  // namespace

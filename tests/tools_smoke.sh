@@ -87,6 +87,31 @@ grep -q '^hsd_serve_requests_total{status="ok"} 4$' "$OUT/serve.prom"
 "$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/layout.gds" \
   --requests 3 --workers 2 --deadline-ms 0.001 \
   | grep -q '"timeout": 3'
+# The layout name comes from the input file: rename the top cell (the
+# first STRNAME record) to q"a\b and SERVE_STATS must still parse, with
+# the name intact.
+python3 - "$OUT/layout.gds" "$OUT/quoted.gds" <<'EOF'
+import struct, sys
+data = open(sys.argv[1], 'rb').read()
+out, pos, renamed = bytearray(), 0, False
+while pos + 4 <= len(data):
+    n = struct.unpack('>H', data[pos:pos + 2])[0]
+    if n < 4:
+        break
+    rec = data[pos:pos + n]
+    if not renamed and rec[2:4] == b'\x06\x06':
+        name = b'q"a\\b\x00'
+        rec = struct.pack('>H', 4 + len(name)) + b'\x06\x06' + name
+        renamed = True
+    out += rec
+    pos += n
+assert renamed
+open(sys.argv[2], 'wb').write(out)
+EOF
+"$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/quoted.gds" --requests 1 \
+  | grep '^SERVE_STATS ' | sed 's/^SERVE_STATS //' \
+  | python3 -c 'import json,sys
+assert json.load(sys.stdin)["layout"] == "q\"a\\b"'
 # Tiled serving: each request fans its tiles across the context pool;
 # concurrent tiled requests must still agree byte-for-byte.
 "$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/layout.gds" \

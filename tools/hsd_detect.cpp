@@ -154,11 +154,10 @@ int main(int argc, char** argv) {
                 layout.name().c_str(), res.candidateClips,
                 res.flaggedBeforeRemoval, res.reported.size(),
                 res.evalSeconds, argv[3]);
-    // {"model": "<fingerprint>", <the stage entries>}
-    const std::string stages = ctx.stats().toJson();
-    std::printf("ENGINE_STATS {\"model\": \"%s\"%s%s\n",
-                obs::hex64(fingerprint).c_str(), stages.size() > 2 ? ", " : "",
-                stages.c_str() + 1);
+    obs::JsonWriter stats;
+    stats.beginObject().field("model", obs::hex64(fingerprint));
+    ctx.stats().writeJson(stats);
+    std::printf("ENGINE_STATS %s\n", stats.endObject().str().c_str());
     if (tracer) {
       std::ofstream ts(traceOut);
       if (!ts) {
@@ -190,9 +189,10 @@ int main(int argc, char** argv) {
                      modelStatsOut);
         return 1;
       }
-      out << "{\"model\": " << modelStats->toJson();
-      if (drift) out << ", \"drift\": " << drift->sampleAndJson();
-      out << "}\n";
+      obs::JsonWriter w;
+      w.beginObject().key("model").raw(modelStats->toJson());
+      if (drift) w.key("drift").raw(drift->sampleAndJson());
+      out << w.endObject().str() << '\n';
       std::printf("model stats: %zu clusters -> %s\n", modelStats->numSlots(),
                   modelStatsOut);
     }

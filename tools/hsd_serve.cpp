@@ -338,15 +338,16 @@ int main(int argc, char** argv) {
     // in-flight POSTs finish and get their responses), then the workers.
     if (detectHttp) detectHttp->stop();
     server.shutdown();  // idempotent when the drain already ran
-    std::printf(
-        "SERVE_STATS {\"layout\": \"%s\", \"requests\": %zu, "
-        "\"wallSeconds\": %.6f, \"throughputRps\": %.3f, "
-        "\"reportsIdentical\": %s, \"interrupted\": %s, \"server\": %s, "
-        "\"model\": \"%s\"}\n",
-        layout.name().c_str(), requests, wall,
-        wall > 0.0 ? double(results.size()) / wall : 0.0,
-        identical ? "true" : "false", interrupted ? "true" : "false",
-        server.statsJson().c_str(), obs::hex64(det.fingerprint()).c_str());
+    obs::JsonWriter stats;
+    stats.beginObject().field("layout", layout.name());
+    stats.field("requests", requests).field("wallSeconds", wall);
+    stats.field("throughputRps",
+                wall > 0.0 ? double(results.size()) / wall : 0.0);
+    stats.field("reportsIdentical", identical);
+    stats.field("interrupted", interrupted);
+    stats.key("server").raw(server.statsJson());
+    stats.field("model", obs::hex64(det.fingerprint())).endObject();
+    std::printf("SERVE_STATS %s\n", stats.str().c_str());
     std::fflush(stdout);
     if (cfg.tracer && traceOut != nullptr) {
       std::ofstream ts(traceOut);
@@ -389,9 +390,10 @@ int main(int argc, char** argv) {
                      modelStatsOut);
         return 1;
       }
-      out << "{\"model\": " << cfg.modelStats->toJson();
-      if (drift) out << ", \"drift\": " << drift->sampleAndJson();
-      out << "}\n";
+      obs::JsonWriter w;
+      w.beginObject().key("model").raw(cfg.modelStats->toJson());
+      if (drift) w.key("drift").raw(drift->sampleAndJson());
+      out << w.endObject().str() << '\n';
       std::printf("model stats: %zu clusters -> %s\n",
                   cfg.modelStats->numSlots(), modelStatsOut);
     }
