@@ -71,16 +71,18 @@ inline double quantile(std::vector<double> xs, double q) {
   return xs[i] * (1.0 - frac) + xs[i + 1] * frac;
 }
 
-/// One detection method: trainer + evaluator configuration.
+inline std::size_t hwThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// One detection method: trainer + evaluator configuration, plus the
+/// thread count of the RunContext runMethod trains and evaluates it on.
 struct Method {
   std::string name;
   core::TrainParams train;
   core::EvalParams eval;
+  std::size_t threads = hwThreads();
 };
-
-inline std::size_t hwThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
 
 /// The paper's Table III ladder plus the Table II operating points.
 inline Method makeBasic() {
@@ -90,10 +92,8 @@ inline Method makeBasic() {
   m.train.enableShift = false;
   m.train.balancePopulation = false;
   m.train.enableFeedback = false;
-  m.train.threads = hwThreads();
   m.eval.useRemoval = false;
   m.eval.useFeedback = false;
-  m.eval.threads = hwThreads();
   return m;
 }
 
@@ -101,10 +101,8 @@ inline Method makeTopology() {
   Method m;
   m.name = "+Topology";
   m.train.enableFeedback = false;
-  m.train.threads = hwThreads();
   m.eval.useRemoval = false;
   m.eval.useFeedback = false;
-  m.eval.threads = hwThreads();
   return m;
 }
 
@@ -118,8 +116,7 @@ inline Method makeRemoval() {
 inline Method makeOurs(double bias = 0.0, std::size_t threads = 0) {
   Method m;
   m.name = "Ours";
-  m.train.threads = threads ? threads : hwThreads();
-  m.eval.threads = m.train.threads;
+  if (threads != 0) m.threads = threads;
   m.eval.decisionBias = bias;
   return m;
 }
@@ -145,7 +142,7 @@ inline RunResult runMethod(const Method& method,
                            const data::TestLayout& test) {
   RunResult out;
   out.method = method.name;
-  engine::RunContext ctx(method.eval.threads);
+  engine::RunContext ctx(method.threads);
   const core::Detector det = core::trainDetector(training, method.train, ctx);
   const core::EvalResult res =
       core::evaluateLayout(det, test.layout, method.eval, ctx);

@@ -31,8 +31,9 @@ int main() {
   }
 
   const bench::Method ours = bench::makeOurs();
+  engine::RunContext ctx(ours.threads);
   const core::Detector det =
-      core::trainDetector(pooledTraining, ours.train);
+      core::trainDetector(pooledTraining, ours.train, ctx);
   std::printf("pooled training: %zu clips -> %zu kernels\n\n",
               pooledTraining.size(), det.kernels.size());
 
@@ -44,7 +45,7 @@ int main() {
     ep.decisionBias = bias;
     std::size_t hits = 0, actuals = 0, extras = 0;
     for (const data::TestLayout& t : tests) {
-      const core::EvalResult res = core::evaluateLayout(det, t.layout, ep);
+      const core::EvalResult res = core::evaluateLayout(det, t.layout, ep, ctx);
       const core::Score s = core::scoreReports(res.reported, t.actualHotspots);
       hits += s.hits;
       actuals += s.actualHotspots;

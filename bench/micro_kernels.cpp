@@ -123,8 +123,10 @@ void BM_ClipExtraction(benchmark::State& state) {
   const auto test =
       data::generateTestLayout(gp, state.range(0), state.range(0), 10, 0.5);
   const core::ExtractParams p;
+  engine::RunContext ctx(1);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::extractCandidateClips(test.layout, 1, p));
+    benchmark::DoNotOptimize(
+        core::extractCandidateClips(test.layout, 1, p, ctx));
 }
 BENCHMARK(BM_ClipExtraction)->Arg(20000)->Arg(40000)->Unit(benchmark::kMillisecond);
 

@@ -197,27 +197,27 @@ EndToEnd endToEnd(int reps) {
   spec.height = std::min<Coord>(spec.height, 28000);
   spec.sites = std::min<std::size_t>(spec.sites, 24);
   const data::Benchmark b = data::generateBenchmark(spec);
-  engine::RunContext trainCtx(bench::hwThreads());
+  const bench::Method ours = bench::makeOurs();
+  engine::RunContext trainCtx(ours.threads);
   const core::Detector det =
-      core::trainDetector(b.training.clips, bench::makeOurs().train, trainCtx);
-  const core::EvalParams ep = bench::makeOurs().eval;
+      core::trainDetector(b.training.clips, ours.train, trainCtx);
 
   EndToEnd out;
   out.bareSec = std::numeric_limits<double>::infinity();
   out.observedSec = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     {
-      engine::RunContext ctx(ep.threads);
+      engine::RunContext ctx(ours.threads);
       const auto t0 = std::chrono::steady_clock::now();
       const core::EvalResult res =
-          core::evaluateLayout(det, b.test.layout, ep, ctx);
+          core::evaluateLayout(det, b.test.layout, ours.eval, ctx);
       const auto t1 = std::chrono::steady_clock::now();
       keep(res.reported);
       out.bareSec = std::min(
           out.bareSec, std::chrono::duration<double>(t1 - t0).count());
     }
     {
-      engine::RunContext ctx(ep.threads);
+      engine::RunContext ctx(ours.threads);
       ctx.attachTracer(std::make_shared<obs::TraceRecorder>());
       auto log = std::make_shared<obs::LogRecorder>();
       log->setMinLevel(obs::LogLevel::kDebug);
@@ -227,7 +227,7 @@ EndToEnd endToEnd(int reps) {
       const obs::ScopedTraceId scope(obs::makeTraceId());
       const auto t0 = std::chrono::steady_clock::now();
       const core::EvalResult res =
-          core::evaluateLayout(det, b.test.layout, ep, ctx);
+          core::evaluateLayout(det, b.test.layout, ours.eval, ctx);
       const auto t1 = std::chrono::steady_clock::now();
       keep(res.reported);
       out.observedSec = std::min(

@@ -30,15 +30,15 @@ hsd::bench::RunResult runFuzzy(const std::vector<hsd::Clip>& training,
   const auto t1 = std::chrono::steady_clock::now();
   const Layer* l = test.layout.findLayer(1);
   const GridIndex index(l->rects(), ClipParams{}.clipSide);
-  core::ExtractParams xp;
-  xp.threads = bench::hwThreads();
+  engine::RunContext ctx(bench::hwThreads());
   std::vector<ClipWindow> flagged;
-  for (const ClipWindow& w : core::extractCandidateClips(index, xp)) {
+  for (const ClipWindow& w :
+       core::extractCandidateClips(index, core::ExtractParams{}, ctx)) {
     const Clip clip = extractClip({{1, &index}}, w);
     if (matcher.evaluateClip(clip)) flagged.push_back(w);
   }
   const auto reported =
-      core::removeRedundantClips(flagged, index, core::RemovalParams{});
+      core::removeRedundantClips(flagged, index, core::RemovalParams{}, ctx);
   out.evalSec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
           .count();

@@ -29,8 +29,9 @@ int main() {
   t.hotspots = 40;
   t.nonHotspots = 160;
   const auto training = data::generateTrainingSet(gp, t);
+  engine::RunContext ctx;
   const core::Detector det =
-      core::trainDetector(training.clips, core::TrainParams{});
+      core::trainDetector(training.clips, core::TrainParams{}, ctx);
 
   // Fresh evaluation clips.
   gp.seed = 4242;

@@ -55,10 +55,11 @@ int main() {
   t.hotspots = 30;
   t.nonHotspots = 120;
   const auto training = data::generateTrainingSet(gp, t);
+  engine::RunContext ctx;
   const core::Detector det =
-      core::trainDetector(training.clips, core::TrainParams{});
+      core::trainDetector(training.clips, core::TrainParams{}, ctx);
   const core::EvalResult res =
-      core::evaluateLayout(det, flat, core::EvalParams{});
+      core::evaluateLayout(det, flat, core::EvalParams{}, ctx);
   std::printf("detection: %zu candidates, %zu reported hotspot clips\n",
               res.candidateClips, res.reported.size());
 

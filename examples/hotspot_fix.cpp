@@ -21,14 +21,15 @@ int main() {
   targets.hotspots = 30;
   targets.nonHotspots = 120;
   const auto training = data::generateTrainingSet(gp, targets);
+  engine::RunContext ctx;
   const core::Detector det =
-      core::trainDetector(training.clips, core::TrainParams{});
+      core::trainDetector(training.clips, core::TrainParams{}, ctx);
 
   // Scan a testing layout.
   const data::TestLayout test =
       data::generateTestLayout(gp, 30000, 30000, 25, 0.7);
   const core::EvalResult res =
-      core::evaluateLayout(det, test.layout, core::EvalParams{});
+      core::evaluateLayout(det, test.layout, core::EvalParams{}, ctx);
   std::printf("detector reported %zu hotspot clips on a %.0f um^2 layout\n",
               res.reported.size(), test.layout.areaUm2());
 

@@ -527,30 +527,4 @@ EvalResult evaluateLayoutWindowScan(const Detector& det, const Layout& layout,
   return evaluateCandidates(det, index, windows, p, ctx);
 }
 
-EvalResult evaluateLayout(const Detector& det, const Layout& layout,
-                          const EvalParams& p) {
-  engine::RunContext ctx(p.threads);
-  return evaluateLayout(det, layout, p, ctx);
-}
-
-EvalResult evaluateCandidates(const Detector& det, const GridIndex& index,
-                              const std::vector<ClipWindow>& candidates,
-                              const EvalParams& p) {
-  engine::RunContext ctx(p.threads);
-  return evaluateCandidates(det, index, candidates, p, ctx);
-}
-
-std::vector<RankedReport> rankReports(const Detector& det,
-                                      const GridIndex& index,
-                                      const std::vector<ClipWindow>& reports) {
-  engine::RunContext ctx(1);
-  return rankReports(det, index, reports, ctx);
-}
-
-EvalResult evaluateLayoutWindowScan(const Detector& det, const Layout& layout,
-                                    const EvalParams& p, double overlap) {
-  engine::RunContext ctx(p.threads);
-  return evaluateLayoutWindowScan(det, layout, p, ctx, overlap);
-}
-
 }  // namespace hsd::core

@@ -38,18 +38,15 @@ struct EvalParams {
   double decisionBias = 0.0;
   bool useFeedback = true;
   bool useRemoval = true;
-  /// Thread count used only by the RunContext-free back-compat overloads;
-  /// with an explicit context, ctx.threadCount() governs.
-  std::size_t threads = 1;
   /// Spatial tiling (engine/tiler.hpp): when enabled, evaluateLayout
   /// partitions the layout into halo-expanded grid tiles, runs the stage
   /// pipeline per tile, and deterministically merges — reports are
-  /// byte-identical to the monolithic path, so (like threads) tiling is
-  /// deliberately excluded from fingerprint().
+  /// byte-identical to the monolithic path, so tiling is deliberately
+  /// excluded from fingerprint().
   engine::TilingParams tiling;
 
   /// Stable config fingerprint over every field that changes evaluation
-  /// results (extract + removal + bias + toggles; threads excluded).
+  /// results (extract + removal + bias + toggles).
   std::uint64_t fingerprint() const;
 };
 
@@ -157,20 +154,6 @@ std::vector<RankedReport> rankReports(const Detector& det,
 EvalResult evaluateLayoutWindowScan(const Detector& det, const Layout& layout,
                                     const EvalParams& p,
                                     engine::RunContext& ctx,
-                                    double overlap = 0.5);
-
-// Back-compat overloads: construct a default context (p.threads for the
-// evaluators, serial for ranking) per call.
-EvalResult evaluateLayout(const Detector& det, const Layout& layout,
-                          const EvalParams& p);
-EvalResult evaluateCandidates(const Detector& det, const GridIndex& index,
-                              const std::vector<ClipWindow>& candidates,
-                              const EvalParams& p);
-std::vector<RankedReport> rankReports(const Detector& det,
-                                      const GridIndex& index,
-                                      const std::vector<ClipWindow>& reports);
-EvalResult evaluateLayoutWindowScan(const Detector& det, const Layout& layout,
-                                    const EvalParams& p,
                                     double overlap = 0.5);
 
 }  // namespace hsd::core

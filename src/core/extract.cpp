@@ -172,19 +172,6 @@ std::vector<ClipWindow> extractCandidateClips(const Layout& layout,
   return extractCandidateClips(index, p, ctx);
 }
 
-std::vector<ClipWindow> extractCandidateClips(const GridIndex& index,
-                                              const ExtractParams& p) {
-  engine::RunContext ctx(p.threads);
-  return extractCandidateClips(index, p, ctx);
-}
-
-std::vector<ClipWindow> extractCandidateClips(const Layout& layout,
-                                              LayerId layer,
-                                              const ExtractParams& p) {
-  engine::RunContext ctx(p.threads);
-  return extractCandidateClips(layout, layer, p, ctx);
-}
-
 std::vector<ClipWindow> windowScanClips(const Layout& layout, LayerId layer,
                                         const ClipParams& clip,
                                         double overlap) {

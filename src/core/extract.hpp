@@ -34,12 +34,9 @@ struct ExtractParams {
   double minDensity = 0.005;
   double maxDensity = 0.90;
   std::size_t minRectCount = 1;
-  /// Thread count used only by the RunContext-free back-compat overloads.
-  std::size_t threads = 1;
 
   /// Stable config fingerprint for stage-cache keys: covers every field
-  /// that changes a screen verdict (threads deliberately excluded — the
-  /// thread count must never change results).
+  /// that changes a screen verdict.
   std::uint64_t fingerprint() const;
 };
 
@@ -80,13 +77,6 @@ std::vector<ClipWindow> extractCandidateClips(const Layout& layout,
 std::vector<ClipWindow> extractCandidateClips(const GridIndex& index,
                                               const ExtractParams& p,
                                               engine::RunContext& ctx);
-
-/// Back-compat overloads: run on a fresh default context with p.threads.
-std::vector<ClipWindow> extractCandidateClips(const Layout& layout,
-                                              LayerId layer,
-                                              const ExtractParams& p);
-std::vector<ClipWindow> extractCandidateClips(const GridIndex& index,
-                                              const ExtractParams& p);
 
 /// Table V baseline: full sliding-window grid at `overlap` (0.5 = 50 %)
 /// between adjacent windows of core size. Returns every grid window over

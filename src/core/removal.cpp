@@ -239,11 +239,4 @@ std::vector<ClipWindow> removeRedundantClips(
   return mergeAndReframe(wins, p);
 }
 
-std::vector<ClipWindow> removeRedundantClips(
-    const std::vector<ClipWindow>& reported, const GridIndex& layoutIndex,
-    const RemovalParams& p) {
-  engine::RunContext ctx(1);
-  return removeRedundantClips(reported, layoutIndex, p, ctx);
-}
-
 }  // namespace hsd::core

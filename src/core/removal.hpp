@@ -40,9 +40,4 @@ std::vector<ClipWindow> removeRedundantClips(
     const std::vector<ClipWindow>& reported, const GridIndex& layoutIndex,
     const RemovalParams& p, engine::RunContext& ctx);
 
-/// Back-compat overload: serial, on a fresh default context.
-std::vector<ClipWindow> removeRedundantClips(
-    const std::vector<ClipWindow>& reported, const GridIndex& layoutIndex,
-    const RemovalParams& p);
-
 }  // namespace hsd::core

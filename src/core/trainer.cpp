@@ -335,12 +335,6 @@ Detector trainDetector(const std::vector<Clip>& training,
   return det;
 }
 
-Detector trainDetector(const std::vector<Clip>& training,
-                       const TrainParams& tp) {
-  engine::RunContext ctx(tp.threads);
-  return trainDetector(training, tp, ctx);
-}
-
 double Detector::hotspotProbability(const CorePattern& core) const {
   return probabilityOf(decisionValue(core));
 }
@@ -387,10 +381,9 @@ void saveScaler(std::ostream& os, const svm::Scaler& s) {
 
 svm::Scaler loadScaler(std::istream& is) {
   std::size_t d = 0;
-  is >> d;
-  std::vector<double> lo(d), hi(d);
-  for (double& v : lo) is >> v;
-  for (double& v : hi) is >> v;
+  if (!(is >> d)) throw std::runtime_error("Detector::load: truncated");
+  std::vector<double> lo = svm::readDoubles(is, d, "Detector::load");
+  std::vector<double> hi = svm::readDoubles(is, d, "Detector::load");
   return svm::Scaler(std::move(lo), std::move(hi));
 }
 
@@ -527,8 +520,9 @@ Detector Detector::load(std::istream& is) {
   det.params.feedbackFeatures = loadFeatureParams(is);
   std::size_t nk = 0;
   is >> nk;
-  det.kernels.resize(nk);
-  for (KernelEntry& k : det.kernels) {
+  // Grown kernel by kernel: a hostile count runs out of stream, not memory.
+  for (std::size_t i = 0; i < nk; ++i) {
+    KernelEntry& k = det.kernels.emplace_back();
     std::string kw;
     int fba = 0;
     is >> kw >> k.hotspotCount >> k.finalC >> k.finalGamma >>

@@ -51,9 +51,6 @@ struct TrainParams {
   /// train a single huge SVM kernel (no topological classification).
   bool singleKernel = false;
 
-  /// Thread count used only by the RunContext-free back-compat overload;
-  /// with an explicit context, ctx.threadCount() governs (Sec. III-G).
-  std::size_t threads = 1;
   LayerId layer = 1;        ///< layer the detector operates on
 };
 
@@ -162,11 +159,6 @@ class Detector {
 /// cancellation flag between iterations.
 Detector trainDetector(const std::vector<Clip>& training,
                        const TrainParams& params, engine::RunContext& ctx);
-
-/// Back-compat overload: runs on a fresh default context with
-/// params.threads.
-Detector trainDetector(const std::vector<Clip>& training,
-                       const TrainParams& params);
 
 /// Generate the 4-way shifted derivatives of a hotspot clip (Sec. III-D3);
 /// includes the original.

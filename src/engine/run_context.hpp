@@ -2,9 +2,9 @@
 // one ThreadPool shared by every phase (no more per-call pool or ad-hoc
 // thread construction), the per-stage EngineStats registry, the streaming
 // batch size, and a cooperative cancellation flag. Every long-running
-// entry point in src/core takes a RunContext& (with a back-compat
-// overload that builds a default context), so thread count, batch size,
-// and per-stage wall time are controlled and observed from one place.
+// entry point in src/core takes a RunContext& — there is no other way in
+// — so thread count, batch size, and per-stage wall time are controlled
+// and observed from one place.
 #pragma once
 
 #include <atomic>

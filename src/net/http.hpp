@@ -208,9 +208,6 @@ struct HttpResult {
   const std::string* header(std::string_view lowerName) const;
 };
 
-/// Back-compat alias (the client grew POST support and header capture).
-using HttpGetResult = HttpResult;
-
 /// Minimal blocking HTTP/1.1 GET (Connection: close, numeric IPv4 host).
 /// The curl-free scrape path of tests and tools_smoke.sh (via
 /// tools/hsd_scrape). `extraHeaders` are sent verbatim after

@@ -55,19 +55,22 @@ ModelBaseline ModelBaseline::load(std::istream& is) {
     throw std::runtime_error("ModelBaseline::load: bad header");
   is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   ModelBaseline out;
-  out.clusters.resize(n);
-  for (Cluster& c : out.clusters) {
+  // Grown cluster by cluster: a hostile count runs out of stream first.
+  for (std::size_t i = 0; i < n; ++i) {
+    Cluster& c = out.clusters.emplace_back();
     std::getline(is, c.name);
     is >> c.hot >> c.cold;
     for (std::uint64_t& v : c.buckets) is >> v;
     is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    if (!is) throw std::runtime_error("ModelBaseline::load: truncated");
   }
-  if (!is) throw std::runtime_error("ModelBaseline::load: truncated");
   return out;
 }
 
 DriftScorer::DriftScorer(ModelBaseline baseline, DriftConfig cfg)
-    : baseline_(std::move(baseline)), cfg_(cfg), epoch_(Clock::now()) {}
+    : baseline_(std::move(baseline)),
+      cfg_(cfg),
+      ring_(cfg.windowSeconds, cfg.maxSamples) {}
 
 void DriftScorer::setSource(std::shared_ptr<const ModelStatsRecorder> source) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -102,61 +105,37 @@ void DriftScorer::sample(Clock::time_point now) {
     const std::lock_guard<std::mutex> lock(mu_);
     src = source_;
   }
-  if (!src) return;
-  Sample s;
-  s.tNs = std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_)
-              .count();
-  s.cumulative = src->bucketCounts();
-  const std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(std::move(s));
-  // Prune like SloTracker: keep one sample older than the window (the
-  // delta baseline) and bound the ring size.
-  const double keepNs = cfg_.windowSeconds * 1e9 * 1.25;
-  while (ring_.size() > 2 &&
-         double(ring_.back().tNs - ring_[1].tNs) >= keepNs)
-    ring_.pop_front();
-  while (ring_.size() > cfg_.maxSamples) ring_.pop_front();
+  if (src) ring_.push(now, src->bucketCounts());
 }
 
 DriftScorer::Status DriftScorer::status(Clock::time_point now) const {
   std::shared_ptr<const ModelStatsRecorder> src;
   std::vector<std::size_t> baselineOf;
-  std::deque<Sample> ring;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     src = source_;
     baselineOf = baselineOf_;
-    ring = ring_;
   }
   Status st;
   if (!src) return st;
-  const std::int64_t nowNs =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_)
-          .count();
-  const std::vector<MarginSketch::Counts> cur = src->bucketCounts();
-  // Window origin: the newest sample at least windowSeconds old; with no
-  // sample that old the zero origin serves — the window degrades to
-  // "since scoring started", honest while history is short.
-  const Sample* base = nullptr;
-  for (const Sample& s : ring) {
-    if (double(nowNs - s.tNs) >= cfg_.windowSeconds * 1e9) {
-      base = &s;
-    } else {
-      break;  // ring is time-ordered; later samples are younger
-    }
-  }
+  const Cumulative cur = src->bucketCounts();
+  // With no sample windowSeconds old the zero origin (no counts) serves:
+  // the window covers everything since scoring started.
+  const SampleRing<Cumulative>::Sample origin =
+      ring_.origin(now, cfg_.windowSeconds);
+  const Cumulative& base = origin.value;
+  const double coveredSeconds = std::min(
+      cfg_.windowSeconds, double(ring_.sinceEpochNs(now) - origin.tNs) / 1e9);
   const std::vector<std::string>& names = src->clusterNames();
   st.clusters.resize(names.size());
   for (std::size_t s = 0; s < names.size(); ++s) {
     ClusterStatus& cs = st.clusters[s];
     cs.name = names[s];
-    cs.coveredSeconds = std::min(
-        cfg_.windowSeconds,
-        double(nowNs - (base != nullptr ? base->tNs : 0)) / 1e9);
+    cs.coveredSeconds = coveredSeconds;
     MarginSketch::Counts window = cur[s];
-    if (base != nullptr && s < base->cumulative.size())
+    if (s < base.size())
       for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b)
-        window[b] -= base->cumulative[s][b];
+        window[b] -= base[s][b];
     cs.windowCount = MarginSketch::total(window);
     const std::size_t bi = s < baselineOf.size() ? baselineOf[s] : kNone;
     if (bi == kNone) continue;  // unscored: no baseline for this slot

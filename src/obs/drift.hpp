@@ -17,19 +17,20 @@
 //
 // Mechanics mirror SloTracker: scoring is scrape-driven (the admin
 // /modelz, /statsz and /readyz handlers call sampleAndStatus()), samples
-// of cumulative bucket counts land in a bounded ring, and a window's live
-// distribution is the delta between now and the newest sample at least
-// windowSeconds old (zero-origin fallback while history is short). An
-// idle process costs nothing; time is injectable for deterministic tests.
+// of cumulative bucket counts land in the same bounded obs::SampleRing,
+// and a window's live distribution is the delta between now and the
+// newest sample at least windowSeconds old (zero-origin fallback while
+// history is short). An idle process costs nothing; time is injectable
+// for deterministic tests.
 //
 // Thread-safe: the source recorder's counts are lock-free underneath; the
-// sample ring is mutex-guarded (scrape-rate, not decision-rate).
+// source binding is mutex-guarded and the sample ring guards itself
+// (scrape-rate, not decision-rate).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "obs/model_stats.hpp"
+#include "obs/sample_ring.hpp"
 
 namespace hsd::obs {
 
@@ -127,20 +129,16 @@ class DriftScorer {
   const ModelBaseline& baseline() const { return baseline_; }
 
  private:
-  struct Sample {
-    std::int64_t tNs = 0;  ///< since epoch_
-    std::vector<MarginSketch::Counts> cumulative;  ///< per recorder slot
-  };
+  /// Cumulative bucket counts per recorder slot.
+  using Cumulative = std::vector<MarginSketch::Counts>;
 
   const ModelBaseline baseline_;
   const DriftConfig cfg_;
-  const Clock::time_point epoch_;
+  mutable std::mutex mu_;  ///< guards source_ and baselineOf_
   std::shared_ptr<const ModelStatsRecorder> source_;
   /// baselineOf_[slot]: index into baseline_.clusters, or npos.
   std::vector<std::size_t> baselineOf_;
-
-  mutable std::mutex mu_;
-  std::deque<Sample> ring_;
+  SampleRing<Cumulative> ring_;
 };
 
 }  // namespace hsd::obs

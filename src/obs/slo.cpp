@@ -13,14 +13,18 @@ double burnRate(double attainment, double target) {
   return (1.0 - attainment) / (1.0 - target);
 }
 
+SloConfig normalized(SloConfig cfg) {
+  if (cfg.windowsSeconds.empty()) cfg.windowsSeconds = {60.0};
+  std::sort(cfg.windowsSeconds.begin(), cfg.windowsSeconds.end());
+  if (cfg.maxSamples == 0) cfg.maxSamples = 1;
+  return cfg;
+}
+
 }  // namespace
 
 SloTracker::SloTracker(SloConfig cfg)
-    : cfg_(std::move(cfg)), epoch_(Clock::now()) {
-  if (cfg_.windowsSeconds.empty()) cfg_.windowsSeconds = {60.0};
-  std::sort(cfg_.windowsSeconds.begin(), cfg_.windowsSeconds.end());
-  if (cfg_.maxSamples == 0) cfg_.maxSamples = 1;
-}
+    : cfg_(normalized(std::move(cfg))),
+      ring_(cfg_.windowsSeconds.back(), cfg_.maxSamples) {}
 
 void SloTracker::setAvailabilitySource(CountFn good, CountFn total) {
   good_ = std::move(good);
@@ -47,10 +51,8 @@ void SloTracker::setLatencySource(const Histogram* hist) {
   }
 }
 
-SloTracker::Sample SloTracker::read(Clock::time_point now) const {
-  Sample s;
-  s.tNs = std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_)
-              .count();
+SloTracker::Counts SloTracker::read() const {
+  Counts s;
   if (good_) s.good = good_();
   if (total_) s.total = total_();
   if (hist_ != nullptr && hasObjectiveBucket_) {
@@ -67,44 +69,21 @@ SloTracker::Sample SloTracker::read(Clock::time_point now) const {
   return s;
 }
 
-void SloTracker::sample(Clock::time_point now) {
-  const Sample s = read(now);
-  const std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(s);
-  // Prune: keep one sample older than the longest window (the delta
-  // baseline) and bound the ring size.
-  const double keepNs = cfg_.windowsSeconds.back() * 1e9 * 1.25;
-  while (ring_.size() > 2 &&
-         double(s.tNs - ring_[1].tNs) >= keepNs)
-    ring_.pop_front();
-  while (ring_.size() > cfg_.maxSamples) ring_.pop_front();
-}
+void SloTracker::sample(Clock::time_point now) { ring_.push(now, read()); }
 
 SloTracker::Status SloTracker::status(Clock::time_point now) const {
-  const Sample cur = read(now);
-  std::deque<Sample> ring;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ring = ring_;
-  }
+  const Counts cur = read();
+  const std::int64_t nowNs = ring_.sinceEpochNs(now);
   Status st;
   st.windows.reserve(cfg_.windowsSeconds.size());
   for (const double w : cfg_.windowsSeconds) {
     Window win;
     win.seconds = w;
-    // Baseline: the newest sample at least `w` old. With no sample that
-    // old (early life / sparse scrapes) the zero origin serves — the
-    // window degrades to "since process start", which is the honest
-    // answer while history is still shorter than the window.
-    Sample base;  // zero counts at epoch
-    for (const Sample& s : ring) {
-      if (double(cur.tNs - s.tNs) >= w * 1e9) {
-        base = s;
-      } else {
-        break;  // ring is time-ordered; later samples are younger
-      }
-    }
-    win.coveredSeconds = std::min(w, double(cur.tNs - base.tNs) / 1e9);
+    // With no sample `w` old (early life / sparse scrapes) the zero
+    // origin serves: the window covers everything since process start.
+    const SampleRing<Counts>::Sample origin = ring_.origin(now, w);
+    const Counts& base = origin.value;
+    win.coveredSeconds = std::min(w, double(nowNs - origin.tNs) / 1e9);
     win.total = cur.total - base.total;
     win.good = cur.good - base.good;
     win.availability =

@@ -18,27 +18,26 @@
 // Mechanics: the tracker holds cumulative-count sources (good/total
 // closures over Counter values, plus a latency Histogram whose buckets
 // give "completed within objective" cumulatively). sample() pushes one
-// (time, counts) tuple into a bounded ring; a window's attainment is the
-// delta between now and the oldest sample at least that far back.
+// (time, counts) tuple into a bounded obs::SampleRing; a window's
+// attainment is the delta between now and the newest sample at least
+// that far back.
 // Sampling is scrape-driven (the admin /sloz, /statsz and /readyz
 // handlers call sampleAndStatus()), so an idle process costs nothing;
 // time is injectable for deterministic tests.
 //
 // Thread-safe: sources are read outside any lock (they are lock-free
-// atomics underneath); the sample ring is mutex-guarded (scrape-rate,
-// not request-rate).
+// atomics underneath); the sample ring guards itself.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/sample_ring.hpp"
 
 namespace hsd::obs {
 
@@ -124,27 +123,23 @@ class SloTracker {
   double effectiveLatencyObjective() const { return objectiveBound_; }
 
  private:
-  struct Sample {
-    std::int64_t tNs = 0;  ///< since epoch_
+  struct Counts {
     std::uint64_t good = 0;
     std::uint64_t total = 0;
     std::uint64_t latencyTotal = 0;
     std::uint64_t latencyFast = 0;
   };
 
-  Sample read(Clock::time_point now) const;  ///< poll the sources
+  Counts read() const;  ///< poll the sources
 
-  SloConfig cfg_;
-  Clock::time_point epoch_;
+  const SloConfig cfg_;
   CountFn good_;
   CountFn total_;
   const Histogram* hist_ = nullptr;
   std::size_t objectiveBucket_ = 0;  ///< buckets [0..objectiveBucket_] fast
   double objectiveBound_ = 0.0;
   bool hasObjectiveBucket_ = false;
-
-  mutable std::mutex mu_;
-  std::deque<Sample> ring_;
+  SampleRing<Counts> ring_;
 };
 
 }  // namespace hsd::obs

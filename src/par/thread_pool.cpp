@@ -55,9 +55,9 @@ std::size_t autoGrain(std::size_t n, std::size_t threads) {
 
 namespace {
 
-// Shared chunk-claiming loop: workers grab `grain` consecutive indices per
-// atomic fetch instead of one task/fetch per item (which is pathological
-// for >100k-item ranges).
+// Chunk-claiming loop of every parallelFor task: workers grab `grain`
+// consecutive indices per atomic fetch instead of one task/fetch per item
+// (which is pathological for >100k-item ranges).
 //
 // An exception from `body` (notably engine::CancelledError) is captured
 // into `firstError` for the submitting thread to rethrow, and the claim
@@ -121,37 +121,6 @@ void ThreadPool::parallelFor(std::size_t n,
     }));
   for (auto& f : futs) f.get();
   if (firstError) std::rethrow_exception(firstError);
-}
-
-void parallelFor(std::size_t n, std::size_t threads, std::size_t grain,
-                 const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  threads = std::min(threads, n);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  if (grain == 0) grain = autoGrain(n, threads);
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr firstError;
-  std::mutex errMu;
-  std::vector<std::thread> ts;
-  ts.reserve(threads);
-  const obs::TraceId trace = obs::currentTraceId();
-  for (std::size_t t = 0; t < threads; ++t)
-    ts.emplace_back([&, trace] {
-      const obs::ScopedTraceId scope(trace);
-      chunkLoop(next, n, grain, body, firstError, errMu, nullptr);
-    });
-  for (std::thread& t : ts) t.join();
-  if (firstError) std::rethrow_exception(firstError);
-}
-
-void parallelFor(std::size_t n, std::size_t threads,
-                 const std::function<void(std::size_t)>& body) {
-  parallelFor(n, threads, 0, body);
 }
 
 }  // namespace hsd

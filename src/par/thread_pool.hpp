@@ -2,9 +2,9 @@
 // paper (Sec. III-G). Kernel training, clip extraction and evaluation are
 // all embarrassingly parallel over independent work items.
 //
-// Production call sites should not construct a ThreadPool directly: one
-// pool lives inside engine::RunContext and is shared by every stage of a
-// detection run (see src/engine/run_context.hpp).
+// Nothing constructs a ThreadPool directly: one pool lives inside
+// engine::RunContext and is shared by every stage of a detection run
+// (see src/engine/run_context.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -78,19 +78,6 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Run body(i) for i in [0, n) across `threads` ad-hoc threads (0 =
-/// hardware concurrency, 1 = serial in the calling thread), each thread
-/// claiming `grain` consecutive indices per atomic fetch (0 = auto-sized
-/// so a range never degenerates into per-item contention). Blocks until
-/// the threads finish; the first exception (if any) is rethrown after
-/// stopping all threads from claiming further chunks.
-void parallelFor(std::size_t n, std::size_t threads, std::size_t grain,
-                 const std::function<void(std::size_t)>& body);
-
-/// Back-compat overload: auto grain size.
-void parallelFor(std::size_t n, std::size_t threads,
-                 const std::function<void(std::size_t)>& body);
 
 /// Auto grain: aim for ~8 chunks per thread, at least 1 index each.
 std::size_t autoGrain(std::size_t n, std::size_t threads);

@@ -277,14 +277,31 @@ SvmModel SvmModel::load(std::istream& is) {
   double gamma = 0, rho = 0;
   std::size_t nsv = 0, dim = 0;
   is >> kw >> gamma >> kw >> rho >> kw >> nsv >> kw >> dim;
-  std::vector<FeatureVector> sv(nsv, FeatureVector(dim));
-  std::vector<double> coef(nsv);
-  for (std::size_t i = 0; i < nsv; ++i) {
-    is >> coef[i];
-    for (std::size_t k = 0; k < dim; ++k) is >> sv[i][k];
-  }
   if (!is) throw std::runtime_error("SvmModel::load: truncated model");
+  std::vector<FeatureVector> sv;
+  std::vector<double> coef;
+  for (std::size_t i = 0; i < nsv; ++i) {
+    double c = 0;
+    if (!(is >> c))
+      throw std::runtime_error("SvmModel::load: truncated model");
+    coef.push_back(c);
+    sv.push_back(readDoubles(is, dim, "SvmModel::load"));
+  }
   return SvmModel(std::move(sv), std::move(coef), rho, gamma);
+}
+
+std::vector<double> readDoubles(std::istream& is, std::size_t n,
+                                const char* what) {
+  // Up-front capacity is capped at a constant, not taken from `n`: real
+  // rows (feature dims in the low hundreds) fit in one allocation, and a
+  // hostile count still grows only as values arrive.
+  constexpr std::size_t kUpFront = 1024;
+  std::vector<double> out;
+  out.reserve(std::min(n, kUpFront));
+  for (double v = 0; out.size() < n && is >> v;) out.push_back(v);
+  if (out.size() != n)
+    throw std::runtime_error(std::string(what) + ": truncated");
+  return out;
 }
 
 double trainingAccuracy(const SvmModel& model, const Dataset& data) {

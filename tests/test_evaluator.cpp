@@ -32,7 +32,8 @@ const Fixture& fixture() {
 TEST(Evaluator, EndToEndAccuracy) {
   const Fixture& f = fixture();
   ASSERT_GE(f.test.actualHotspots.size(), 3u);
-  const EvalResult res = evaluateLayout(f.detector, f.test.layout, {});
+  engine::RunContext ctx(1);
+  const EvalResult res = evaluateLayout(f.detector, f.test.layout, {}, ctx);
   const Score s = scoreReports(res.reported, f.test.actualHotspots);
   // The paper reports 85-98% accuracy; demand a solid floor here.
   EXPECT_GE(s.accuracy(), 0.7)
@@ -45,8 +46,10 @@ TEST(Evaluator, RemovalReducesReportsKeepsHits) {
   EvalParams with;
   EvalParams without = with;
   without.useRemoval = false;
-  const EvalResult a = evaluateLayout(f.detector, f.test.layout, with);
-  const EvalResult b = evaluateLayout(f.detector, f.test.layout, without);
+  engine::RunContext ctx(1);
+  const EvalResult a = evaluateLayout(f.detector, f.test.layout, with, ctx);
+  const EvalResult b =
+      evaluateLayout(f.detector, f.test.layout, without, ctx);
   const Score sa = scoreReports(a.reported, f.test.actualHotspots);
   const Score sb = scoreReports(b.reported, f.test.actualHotspots);
   EXPECT_LE(a.reported.size(), b.reported.size());
@@ -56,11 +59,12 @@ TEST(Evaluator, RemovalReducesReportsKeepsHits) {
 TEST(Evaluator, BiasSweepIsMonotoneInReports) {
   const Fixture& f = fixture();
   std::size_t last = std::size_t(-1);
+  engine::RunContext ctx(1);
   for (const double bias : {-0.5, 0.0, 0.5, 2.0}) {
     EvalParams ep;
     ep.decisionBias = bias;
     ep.useRemoval = false;
-    const EvalResult res = evaluateLayout(f.detector, f.test.layout, ep);
+    const EvalResult res = evaluateLayout(f.detector, f.test.layout, ep, ctx);
     EXPECT_LE(res.flaggedBeforeRemoval, last);
     last = res.flaggedBeforeRemoval;
   }
@@ -69,19 +73,18 @@ TEST(Evaluator, BiasSweepIsMonotoneInReports) {
 TEST(Evaluator, EmptyLayoutYieldsNothing) {
   const Fixture& f = fixture();
   const Layout empty;
-  const EvalResult res = evaluateLayout(f.detector, empty, {});
+  engine::RunContext ctx(1);
+  const EvalResult res = evaluateLayout(f.detector, empty, {}, ctx);
   EXPECT_TRUE(res.reported.empty());
   EXPECT_EQ(res.candidateClips, 0u);
 }
 
 TEST(Evaluator, ThreadedEvaluationMatchesSerial) {
   const Fixture& f = fixture();
-  EvalParams p1;
-  p1.threads = 1;
-  EvalParams p4 = p1;
-  p4.threads = 4;
-  const EvalResult a = evaluateLayout(f.detector, f.test.layout, p1);
-  const EvalResult b = evaluateLayout(f.detector, f.test.layout, p4);
+  engine::RunContext ctx1(1);
+  engine::RunContext ctx4(4);
+  const EvalResult a = evaluateLayout(f.detector, f.test.layout, {}, ctx1);
+  const EvalResult b = evaluateLayout(f.detector, f.test.layout, {}, ctx4);
   EXPECT_EQ(a.reported, b.reported);
 }
 
@@ -90,11 +93,12 @@ TEST(Evaluator, CandidateReuseMatchesFullRun) {
   const Layer* l = f.test.layout.findLayer(1);
   ASSERT_NE(l, nullptr);
   EvalParams ep;
+  engine::RunContext ctx(1);
   const GridIndex index(l->rects(), ep.extract.clip.clipSide);
-  const auto candidates = extractCandidateClips(index, ep.extract);
+  const auto candidates = extractCandidateClips(index, ep.extract, ctx);
   const EvalResult viaCandidates =
-      evaluateCandidates(f.detector, index, candidates, ep);
-  const EvalResult full = evaluateLayout(f.detector, f.test.layout, ep);
+      evaluateCandidates(f.detector, index, candidates, ep, ctx);
+  const EvalResult full = evaluateLayout(f.detector, f.test.layout, ep, ctx);
   EXPECT_EQ(viaCandidates.reported, full.reported);
 }
 
@@ -103,8 +107,9 @@ TEST(Evaluator, RankedReportsSortedAndComplete) {
   const Layer* l = f.test.layout.findLayer(1);
   ASSERT_NE(l, nullptr);
   const GridIndex idx(l->rects(), 4800);
-  const EvalResult res = evaluateLayout(f.detector, f.test.layout, {});
-  const auto ranked = rankReports(f.detector, idx, res.reported);
+  engine::RunContext ctx(1);
+  const EvalResult res = evaluateLayout(f.detector, f.test.layout, {}, ctx);
+  const auto ranked = rankReports(f.detector, idx, res.reported, ctx);
   ASSERT_EQ(ranked.size(), res.reported.size());
   for (std::size_t i = 0; i + 1 < ranked.size(); ++i)
     EXPECT_GE(ranked[i].probability, ranked[i + 1].probability);
@@ -119,9 +124,10 @@ TEST(Evaluator, WindowScanFindsAtLeastAsManyHits) {
   // hotspots that extraction-based evaluation finds.
   const Fixture& f = fixture();
   EvalParams ep;
-  const EvalResult fast = evaluateLayout(f.detector, f.test.layout, ep);
+  engine::RunContext ctx(1);
+  const EvalResult fast = evaluateLayout(f.detector, f.test.layout, ep, ctx);
   const EvalResult scan =
-      evaluateLayoutWindowScan(f.detector, f.test.layout, ep, 0.5);
+      evaluateLayoutWindowScan(f.detector, f.test.layout, ep, ctx, 0.5);
   const Score sf = scoreReports(fast.reported, f.test.actualHotspots);
   const Score ss = scoreReports(scan.reported, f.test.actualHotspots);
   EXPECT_GE(ss.hits + 1, sf.hits);  // allow one boundary-alignment wobble
@@ -134,8 +140,9 @@ TEST(Evaluator, DetectorPersistenceKeepsResults) {
   f.detector.save(ss);
   const Detector re = Detector::load(ss);
   EvalParams ep;
-  const EvalResult a = evaluateLayout(f.detector, f.test.layout, ep);
-  const EvalResult b = evaluateLayout(re, f.test.layout, ep);
+  engine::RunContext ctx(1);
+  const EvalResult a = evaluateLayout(f.detector, f.test.layout, ep, ctx);
+  const EvalResult b = evaluateLayout(re, f.test.layout, ep, ctx);
   EXPECT_EQ(a.reported, b.reported);
 }
 
@@ -197,7 +204,8 @@ const ScoredCandidates& candidates() {
                   ep.extract.clip.clipSide),
         {},
         {}};
-    out.windows = extractCandidateClips(out.index, ep.extract);
+    engine::RunContext ctx(1);
+    out.windows = extractCandidateClips(out.index, ep.extract, ctx);
     const std::vector<std::pair<LayerId, const GridIndex*>> layers{
         {f.detector.params.layer, &out.index}};
     for (const ClipWindow& w : out.windows)
@@ -304,7 +312,8 @@ TEST(Scorer, RankProbabilitiesMatchHotspotProbabilityBitForBit) {
   const Fixture& f = fixture();
   const Detector& det = f.detector;
   const ScoredCandidates& c = candidates();
-  const EvalResult res = evaluateLayout(det, f.test.layout, {});
+  engine::RunContext serial(1);
+  const EvalResult res = evaluateLayout(det, f.test.layout, {}, serial);
   ASSERT_FALSE(res.reported.empty());
   const std::vector<std::pair<LayerId, const GridIndex*>> layers{
       {det.params.layer, &c.index}};

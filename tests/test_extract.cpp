@@ -4,13 +4,15 @@
 
 #include "core/extract.hpp"
 #include "data/generator.hpp"
+#include "engine/run_context.hpp"
 
 namespace hsd::core {
 namespace {
 
 TEST(Extract, EmptyLayoutNoClips) {
   const Layout l;
-  EXPECT_TRUE(extractCandidateClips(l, 1, {}).empty());
+  engine::RunContext ctx(1);
+  EXPECT_TRUE(extractCandidateClips(l, 1, {}, ctx).empty());
 }
 
 TEST(Extract, SingleWireProducesClips) {
@@ -22,7 +24,8 @@ TEST(Extract, SingleWireProducesClips) {
   // An isolated wire leaves >1440 nm empty margins in every clip; the
   // default margin screen would (correctly, per Sec. III-E) drop them.
   p.maxMargin = 100000;
-  const auto clips = extractCandidateClips(l, 1, p);
+  engine::RunContext ctx(1);
+  const auto clips = extractCandidateClips(l, 1, p, ctx);
   EXPECT_FALSE(clips.empty());
   // Every candidate core must contain some geometry.
   for (const ClipWindow& w : clips)
@@ -40,7 +43,8 @@ TEST(Extract, EveryPolygonCoveredByAClip) {
   p.minDensity = 0.0;
   p.maxDensity = 1.0;
   p.maxMargin = 100000;  // effectively no screen
-  const auto clips = extractCandidateClips(test.layout, 1, p);
+  engine::RunContext ctx(1);
+  const auto clips = extractCandidateClips(test.layout, 1, p, ctx);
   const auto& rects = test.layout.findLayer(1)->rects();
   for (const Rect& r : rects) {
     bool covered = false;
@@ -60,10 +64,11 @@ TEST(Extract, DensityScreenDropsSparseClips) {
   loose.minRectCount = 1;
   loose.minDensity = 0.0;
   loose.maxMargin = 100000;
-  EXPECT_FALSE(extractCandidateClips(l, 1, loose).empty());
+  engine::RunContext ctx(1);
+  EXPECT_FALSE(extractCandidateClips(l, 1, loose, ctx).empty());
   ExtractParams strict = loose;
   strict.minDensity = 0.05;  // the speck can't reach 5% clip density
-  EXPECT_TRUE(extractCandidateClips(l, 1, strict).empty());
+  EXPECT_TRUE(extractCandidateClips(l, 1, strict, ctx).empty());
 }
 
 TEST(Extract, MarginScreenDropsCornerHuggers) {
@@ -75,7 +80,8 @@ TEST(Extract, MarginScreenDropsCornerHuggers) {
   p.minDensity = 0.0;
   p.maxMargin = 1440;
   // The clip anchored at this rect has ~4200nm empty on two sides.
-  EXPECT_TRUE(extractCandidateClips(l, 1, p).empty());
+  engine::RunContext ctx(1);
+  EXPECT_TRUE(extractCandidateClips(l, 1, p, ctx).empty());
 }
 
 TEST(Extract, AnchorsDeduplicated) {
@@ -87,7 +93,8 @@ TEST(Extract, AnchorsDeduplicated) {
   p.minRectCount = 1;
   p.minDensity = 0.0;
   p.maxMargin = 100000;
-  EXPECT_EQ(extractCandidateClips(l, 1, p).size(), 1u);
+  engine::RunContext ctx(1);
+  EXPECT_EQ(extractCandidateClips(l, 1, p, ctx).size(), 1u);
 }
 
 TEST(Extract, FewerClipsThanWindowScan) {
@@ -97,7 +104,8 @@ TEST(Extract, FewerClipsThanWindowScan) {
   gp.seed = 5;
   const auto test = data::generateTestLayout(gp, 30000, 30000, 12, 0.5);
   ExtractParams p;
-  const auto ours = extractCandidateClips(test.layout, 1, p);
+  engine::RunContext ctx(1);
+  const auto ours = extractCandidateClips(test.layout, 1, p, ctx);
   const auto windows = windowScanClips(test.layout, 1, p.clip, 0.5);
   EXPECT_LT(ours.size(), windows.size());
   EXPECT_GT(ours.size(), 0u);
@@ -117,12 +125,10 @@ TEST(Extract, ThreadedMatchesSerial) {
   data::GeneratorParams gp;
   gp.seed = 8;
   const auto test = data::generateTestLayout(gp, 25000, 25000, 8, 0.5);
-  ExtractParams p1;
-  p1.threads = 1;
-  ExtractParams p4 = p1;
-  p4.threads = 4;
-  const auto a = extractCandidateClips(test.layout, 1, p1);
-  const auto b = extractCandidateClips(test.layout, 1, p4);
+  engine::RunContext ctx1(1);
+  engine::RunContext ctx4(4);
+  const auto a = extractCandidateClips(test.layout, 1, {}, ctx1);
+  const auto b = extractCandidateClips(test.layout, 1, {}, ctx4);
   EXPECT_EQ(a, b);
 }
 

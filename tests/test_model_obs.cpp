@@ -805,7 +805,9 @@ TEST(DetectorFingerprint, SurvivesSaveLoadWithNonRoundTrainingParameters) {
   core::TrainParams tp;
   tp.initC = 1000.0 / 3.0;
   tp.initGamma = 0.1 / 7.0;
-  const core::Detector det = core::trainDetector(tests::lineTrainingSet(), tp);
+  engine::RunContext ctx(1);
+  const core::Detector det =
+      core::trainDetector(tests::lineTrainingSet(), tp, ctx);
   ASSERT_FALSE(det.kernels.empty());
   std::stringstream ss;
   det.save(ss);

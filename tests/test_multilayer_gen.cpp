@@ -113,7 +113,8 @@ TEST(DetectorPlatt, ProbabilityTracksRisk) {
     training.push_back(lineClip(100, Label::kHotspot, i * 30 - 150));
   for (int i = 0; i < 40; ++i)
     training.push_back(lineClip(220, Label::kNonHotspot, i * 8 - 160));
-  const core::Detector det = core::trainDetector(training, {});
+  engine::RunContext ctx(1);
+  const core::Detector det = core::trainDetector(training, {}, ctx);
   ASSERT_TRUE(det.hasPlatt);
   const double pRisky = det.hotspotProbability(
       core::CorePattern::fromCore(lineClip(100, Label::kUnknown, 40), 1));
@@ -130,7 +131,8 @@ TEST(DetectorPlatt, SurvivesSaveLoad) {
     training.push_back(lineClip(100, Label::kHotspot, i * 40 - 160));
   for (int i = 0; i < 30; ++i)
     training.push_back(lineClip(220, Label::kNonHotspot, i * 10 - 150));
-  const core::Detector det = core::trainDetector(training, {});
+  engine::RunContext ctx(1);
+  const core::Detector det = core::trainDetector(training, {}, ctx);
   std::stringstream ss;
   det.save(ss);
   const core::Detector back = core::Detector::load(ss);

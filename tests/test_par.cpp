@@ -1,6 +1,6 @@
 // Thread pool and parallelFor tests. The pool under test is obtained
-// through engine::RunContext — production code never constructs a
-// ThreadPool directly (the context owns the one pool per run).
+// through engine::RunContext — nothing constructs a ThreadPool directly
+// (the context owns the one pool per run).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,17 +58,20 @@ TEST(ThreadPool, NestedMemberParallelForRunsInline) {
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const std::size_t threads : {std::size_t(1), std::size_t(3),
                                     std::size_t(8)}) {
+    engine::RunContext ctx(threads);
     std::vector<std::atomic<int>> hits(500);
-    parallelFor(500, threads, [&](std::size_t i) { ++hits[i]; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    ctx.pool().parallelFor(500, [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits)
+      EXPECT_EQ(h.load(), 1) << "threads " << threads;
   }
 }
 
 TEST(ParallelFor, GrainOverloadCoversEveryIndexExactlyOnce) {
+  engine::RunContext ctx(4);
   for (const std::size_t grain : {std::size_t(0), std::size_t(1),
                                   std::size_t(13), std::size_t(512)}) {
     std::vector<std::atomic<int>> hits(500);
-    parallelFor(500, 4, grain, [&](std::size_t i) { ++hits[i]; });
+    ctx.pool().parallelFor(500, [&](std::size_t i) { ++hits[i]; }, grain);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "grain " << grain;
   }
 }
@@ -82,28 +85,33 @@ TEST(ParallelFor, AutoGrainIsSaneAcrossSizes) {
 }
 
 TEST(ParallelFor, ZeroIterationsIsNoop) {
-  parallelFor(0, 4, [](std::size_t) { FAIL(); });
+  engine::RunContext ctx(4);
+  ctx.pool().parallelFor(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ParallelFor, SerialPathMatchesParallel) {
+  engine::RunContext serial(1);
+  engine::RunContext parallel(4);
   std::vector<int> a(64, 0), b(64, 0);
-  parallelFor(64, 1, [&](std::size_t i) { a[i] = int(i * i); });
-  parallelFor(64, 4, [&](std::size_t i) { b[i] = int(i * i); });
+  serial.pool().parallelFor(64, [&](std::size_t i) { a[i] = int(i * i); });
+  parallel.pool().parallelFor(64, [&](std::size_t i) { b[i] = int(i * i); });
   EXPECT_EQ(a, b);
 }
 
 TEST(ParallelFor, RethrowsFirstException) {
-  EXPECT_THROW(
-      parallelFor(100, 4,
-                  [](std::size_t i) {
-                    if (i == 42) throw std::logic_error("x");
-                  }),
-      std::logic_error);
+  engine::RunContext ctx(4);
+  EXPECT_THROW(ctx.pool().parallelFor(100,
+                                      [](std::size_t i) {
+                                        if (i == 42)
+                                          throw std::logic_error("x");
+                                      }),
+               std::logic_error);
 }
 
 TEST(ParallelFor, MoreThreadsThanWorkIsFine) {
+  engine::RunContext ctx(16);
   std::atomic<int> count{0};
-  parallelFor(3, 16, [&](std::size_t) { ++count; });
+  ctx.pool().parallelFor(3, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 3);
 }
 

@@ -45,13 +45,14 @@ TEST_P(TrainerKnobs, PipelineRunsAndScores) {
   tp.balancePopulation = balance;
   tp.enableFeedback = feedback;
   tp.singleKernel = single;
-  const Detector det = trainDetector(fixture().training.clips, tp);
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(fixture().training.clips, tp, ctx);
   EXPECT_GE(det.kernels.size(), 1u);
   if (single) {
     EXPECT_EQ(det.kernels.size(), 1u);
   }
 
-  const EvalResult res = evaluateLayout(det, fixture().test.layout, {});
+  const EvalResult res = evaluateLayout(det, fixture().test.layout, {}, ctx);
   const Score s = scoreReports(res.reported, fixture().test.actualHotspots);
   // Sanity, not quality: scoring identities hold in every configuration.
   EXPECT_LE(s.hits, s.actualHotspots);
@@ -66,8 +67,9 @@ TEST_P(TrainerKnobs, TrainingIsDeterministic) {
   tp.balancePopulation = balance;
   tp.enableFeedback = feedback;
   tp.singleKernel = single;
-  const Detector a = trainDetector(fixture().training.clips, tp);
-  const Detector b = trainDetector(fixture().training.clips, tp);
+  engine::RunContext ctx(1);
+  const Detector a = trainDetector(fixture().training.clips, tp, ctx);
+  const Detector b = trainDetector(fixture().training.clips, tp, ctx);
   ASSERT_EQ(a.kernels.size(), b.kernels.size());
   const Clip& probe = fixture().training.clips.front();
   EXPECT_EQ(a.evaluateClip(probe), b.evaluateClip(probe));

@@ -17,20 +17,23 @@ using tests::emptyIndex;
 
 TEST(Removal, EmptyInput) {
   const GridIndex idx = emptyIndex();
-  EXPECT_TRUE(removeRedundantClips({}, idx, {}).empty());
+  engine::RunContext ctx(1);
+  EXPECT_TRUE(removeRedundantClips({}, idx, {}, ctx).empty());
 }
 
 TEST(Removal, SingleReportSurvives) {
   const GridIndex idx = emptyIndex();
-  const auto out = removeRedundantClips({at(0, 0)}, idx, {});
+  engine::RunContext ctx(1);
+  const auto out = removeRedundantClips({at(0, 0)}, idx, {}, ctx);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], at(0, 0));
 }
 
 TEST(Removal, DisjointReportsUntouched) {
   const GridIndex idx = emptyIndex();
-  const auto out =
-      removeRedundantClips({at(0, 0), at(10000, 0), at(0, 10000)}, idx, {});
+  engine::RunContext ctx(1);
+  const auto out = removeRedundantClips(
+      {at(0, 0), at(10000, 0), at(0, 10000)}, idx, {}, ctx);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -41,7 +44,8 @@ TEST(Removal, PileOfOverlappingCoresShrinks) {
   for (int i = 0; i < 5; ++i)
     for (int j = 0; j < 5; ++j) pile.push_back(at(i * 100, j * 100));
   const GridIndex idx = emptyIndex();
-  const auto out = removeRedundantClips(pile, idx, {});
+  engine::RunContext ctx(1);
+  const auto out = removeRedundantClips(pile, idx, {}, ctx);
   EXPECT_LT(out.size(), pile.size());
   EXPECT_GE(out.size(), 1u);
 }
@@ -51,11 +55,12 @@ TEST(Removal, CoverageGuarantee) {
   // output core (so a hit on an actual hotspot cannot be lost).
   std::mt19937 rng(12);
   std::uniform_int_distribution<Coord> c(0, 20000);
+  engine::RunContext ctx(1);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<ClipWindow> reports;
     for (int i = 0; i < 30; ++i) reports.push_back(at(c(rng), c(rng)));
     const GridIndex idx = emptyIndex();
-    const auto out = removeRedundantClips(reports, idx, {});
+    const auto out = removeRedundantClips(reports, idx, {}, ctx);
     for (const ClipWindow& r : reports) {
       const Point center = r.core.center();
       bool covered = false;
@@ -84,7 +89,8 @@ TEST(Removal, HitPreservation) {
       reports.push_back(at(a.core.lo.x + n(rng), a.core.lo.y + n(rng)));
   const Score before = scoreReports(reports, actual);
   const GridIndex idx = emptyIndex();
-  const auto filtered = removeRedundantClips(reports, idx, {});
+  engine::RunContext ctx(1);
+  const auto filtered = removeRedundantClips(reports, idx, {}, ctx);
   const Score after = scoreReports(filtered, actual);
   EXPECT_GE(after.hits, before.hits);
   EXPECT_LE(filtered.size(), reports.size());
@@ -96,8 +102,9 @@ TEST(Removal, ReframePitchRespectsCoreSide) {
   std::vector<ClipWindow> strip;
   for (int i = 0; i < 12; ++i) strip.push_back(at(i * 200, 0));
   const GridIndex idx = emptyIndex();
+  engine::RunContext ctx(1);
   RemovalParams rp;
-  const auto out = removeRedundantClips(strip, idx, rp);
+  const auto out = removeRedundantClips(strip, idx, rp, ctx);
   EXPECT_LT(out.size(), strip.size());
   // Strip x-extent [0, 200*11 + 1200]; all original core centers covered.
   for (const ClipWindow& r : strip) {
@@ -116,10 +123,11 @@ TEST(Removal, ShiftRecentersOffsetClip) {
   for (int i = 0; i < 5; ++i)
     geom.push_back({2500 + i * 150, 1000, 2600 + i * 150, 3800});
   const GridIndex idx(geom, tests::kClip.clipSide);
+  engine::RunContext ctx(1);
   RemovalParams rp;
   rp.maxMargin = 1440;
   const ClipWindow rep = at(300, 1800);  // clip [-1500..3300]: 4000nm left margin
-  const auto out = removeRedundantClips({rep}, idx, rp);
+  const auto out = removeRedundantClips({rep}, idx, rp, ctx);
   ASSERT_EQ(out.size(), 1u);
   // The surviving clip center moved toward the blob (x grew).
   EXPECT_GT(out[0].core.center().x, rep.core.center().x);
@@ -128,9 +136,10 @@ TEST(Removal, ShiftRecentersOffsetClip) {
 TEST(Removal, IdempotentOnCleanReports) {
   // Already-sparse reports pass through unchanged by a second application.
   const GridIndex idx = emptyIndex();
+  engine::RunContext ctx(1);
   const std::vector<ClipWindow> in{at(0, 0), at(8000, 2000), at(2000, 9000)};
-  const auto once = removeRedundantClips(in, idx, {});
-  const auto twice = removeRedundantClips(once, idx, {});
+  const auto once = removeRedundantClips(in, idx, {}, ctx);
+  const auto twice = removeRedundantClips(once, idx, {}, ctx);
   EXPECT_EQ(once, twice);
 }
 

@@ -30,12 +30,14 @@ TEST(ShiftDerivatives, FourWayPlusOriginal) {
 
 TEST(Trainer, ThrowsWithoutBothClasses) {
   std::vector<Clip> onlyHs{lineClip(100, Label::kHotspot)};
-  EXPECT_THROW(trainDetector(onlyHs, {}), std::invalid_argument);
+  engine::RunContext ctx(1);
+  EXPECT_THROW(trainDetector(onlyHs, {}, ctx), std::invalid_argument);
 }
 
 TEST(Trainer, LearnsWidthBoundary) {
   TrainParams tp;
-  const Detector det = trainDetector(lineTrainingSet(), tp);
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), tp, ctx);
   EXPECT_GE(det.kernels.size(), 1u);
   EXPECT_GT(det.stats.upsampledHotspots, det.stats.rawHotspots);
 
@@ -47,7 +49,8 @@ TEST(Trainer, LearnsWidthBoundary) {
 }
 
 TEST(Trainer, StatsArePopulated) {
-  const Detector det = trainDetector(lineTrainingSet(), {});
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), {}, ctx);
   EXPECT_EQ(det.stats.rawHotspots, 12u);
   EXPECT_EQ(det.stats.rawNonHotspots, 40u);
   EXPECT_EQ(det.stats.upsampledHotspots, 60u);
@@ -59,19 +62,22 @@ TEST(Trainer, StatsArePopulated) {
 TEST(Trainer, ShiftDisabledKeepsRawCount) {
   TrainParams tp;
   tp.enableShift = false;
-  const Detector det = trainDetector(lineTrainingSet(), tp);
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), tp, ctx);
   EXPECT_EQ(det.stats.upsampledHotspots, det.stats.rawHotspots);
 }
 
 TEST(Trainer, BalancingOffUsesAllNonHotspots) {
   TrainParams tp;
   tp.balancePopulation = false;
-  const Detector det = trainDetector(lineTrainingSet(), tp);
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), tp, ctx);
   EXPECT_EQ(det.stats.balancedNonHotspots, 40u);
 }
 
 TEST(Trainer, DecisionValueOrdersByRisk) {
-  const Detector det = trainDetector(lineTrainingSet(), {});
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), {}, ctx);
   const double risky =
       det.decisionValue(CorePattern::fromCore(lineClip(100, Label::kUnknown), 1));
   const double safe =
@@ -80,7 +86,8 @@ TEST(Trainer, DecisionValueOrdersByRisk) {
 }
 
 TEST(Trainer, BiasTradesRecallForPrecision) {
-  const Detector det = trainDetector(lineTrainingSet(), {});
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), {}, ctx);
   // With a huge positive bias nothing is flagged.
   EXPECT_FALSE(det.evaluateClip(lineClip(100, Label::kUnknown), 1e6));
   // With a huge negative bias everything is flagged (before feedback).
@@ -89,11 +96,13 @@ TEST(Trainer, BiasTradesRecallForPrecision) {
 }
 
 TEST(Trainer, SaveLoadRoundTrip) {
-  const Detector det = trainDetector(lineTrainingSet(), {});
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(lineTrainingSet(), {}, ctx);
   std::stringstream ss;
   det.save(ss);
   const Detector back = Detector::load(ss);
   ASSERT_EQ(back.kernels.size(), det.kernels.size());
+  EXPECT_EQ(back.fingerprint(), det.fingerprint());
   EXPECT_EQ(back.hasFeedback, det.hasFeedback);
   EXPECT_EQ(back.params.clip, det.params.clip);
   EXPECT_EQ(back.params.layer, det.params.layer);
@@ -109,6 +118,56 @@ TEST(Trainer, LoadRejectsGarbage) {
   EXPECT_THROW(Detector::load(ss), std::runtime_error);
 }
 
+// Hostile model files: a count the file never backs with data must fail
+// typed, not by sizing a container from it (std::bad_alloc). Line layout
+// of a saved model: header, clip sides, two FeatureParams lines, kernel
+// count, then per kernel a "kernel" line, the scaler (dim, mins, maxs)
+// and the SVM model (header, gamma, rho, "nsv N dim D", ...); the drift
+// baseline ("baseline <clusters> <buckets>", ...) comes last.
+
+/// hostileModel()'s line number for the "baseline ..." header line.
+constexpr std::size_t kBaselineLine = std::size_t(-1);
+
+/// The saved text of a detector trained on the line set, with line
+/// `lineNo` (0-based, or kBaselineLine) swapped for `replacement`.
+std::string hostileModel(std::size_t lineNo, const std::string& replacement) {
+  engine::RunContext ctx(1);
+  std::stringstream saved;
+  trainDetector(lineTrainingSet(), {}, ctx).save(saved);
+  std::string out;
+  std::string line;
+  for (std::size_t i = 0; std::getline(saved, line); ++i) {
+    if (i == lineNo ||
+        (lineNo == kBaselineLine && line.starts_with("baseline ")))
+      line = replacement;
+    out += line + '\n';
+  }
+  return out;
+}
+
+void expectTypedLoadFailure(const std::string& model) {
+  std::stringstream ss(model);
+  EXPECT_THROW(Detector::load(ss), std::runtime_error);
+}
+
+TEST(Trainer, LoadRejectsHostileKernelCount) {
+  expectTypedLoadFailure(hostileModel(4, "99999999999999"));
+}
+
+TEST(Trainer, LoadRejectsHostileScalerDim) {
+  expectTypedLoadFailure(hostileModel(6, "99999999999"));
+}
+
+TEST(Trainer, LoadRejectsHostileSupportVectorCount) {
+  expectTypedLoadFailure(hostileModel(12, "nsv 3000000000 dim 3000000000"));
+}
+
+TEST(Trainer, LoadRejectsHostileBaselineClusterCount) {
+  expectTypedLoadFailure(hostileModel(
+      kBaselineLine, "baseline 99999999999999 " +
+                         std::to_string(obs::MarginSketch::kNumBuckets)));
+}
+
 TEST(Trainer, FeedbackKernelTrainsOnOracleLabeledData) {
   // On a realistic generated set the self-evaluation usually finds extras;
   // verify the feedback path runs and the detector still works.
@@ -119,7 +178,8 @@ TEST(Trainer, FeedbackKernelTrainsOnOracleLabeledData) {
   t.nonHotspots = 100;
   const auto set = data::generateTrainingSet(gp, t);
   TrainParams tp;
-  const Detector det = trainDetector(set.clips, tp);
+  engine::RunContext ctx(1);
+  const Detector det = trainDetector(set.clips, tp, ctx);
   EXPECT_GE(det.kernels.size(), 1u);
   // Self-consistency: most hotspot training clips are detected.
   std::size_t hit = 0, hs = 0;
@@ -132,12 +192,10 @@ TEST(Trainer, FeedbackKernelTrainsOnOracleLabeledData) {
 }
 
 TEST(Trainer, MultithreadMatchesSingleThread) {
-  TrainParams t1;
-  t1.threads = 1;
-  TrainParams t4 = t1;
-  t4.threads = 4;
-  const Detector a = trainDetector(lineTrainingSet(), t1);
-  const Detector b = trainDetector(lineTrainingSet(), t4);
+  engine::RunContext ctx1(1);
+  engine::RunContext ctx4(4);
+  const Detector a = trainDetector(lineTrainingSet(), {}, ctx1);
+  const Detector b = trainDetector(lineTrainingSet(), {}, ctx4);
   ASSERT_EQ(a.kernels.size(), b.kernels.size());
   for (const Coord w : {95, 130, 180, 230}) {
     const Clip probe = lineClip(w, Label::kUnknown, -41);

@@ -52,6 +52,19 @@ if "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/bad.txt" \
   exit 1
 fi
 grep -q 'halo' "$OUT/halo_err.txt"
+# A hostile model file (line 5, the kernel count, claims far more kernels
+# than its bytes hold) must fail typed under an address-space limit, not
+# with bad_alloc.
+sed '5s/.*/99999999999999/' "$OUT/model.txt" > "$OUT/hostile_model.txt"
+if (ulimit -v 4000000; "$BIN/tools/hsd_detect" "$OUT/hostile_model.txt" \
+  "$OUT/layout.gds" "$OUT/hostile.txt") 2>"$OUT/hostile_err.txt"; then
+  echo "hostile model unexpectedly loaded" >&2
+  exit 1
+fi
+if grep -q 'bad_alloc' "$OUT/hostile_err.txt"; then
+  cat "$OUT/hostile_err.txt" >&2
+  exit 1
+fi
 "$BIN/tools/hsd_fix" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/fixed.gds"
 test -s "$OUT/fixed.gds"
 # The ENGINE_STATS payload and the trace file must be valid JSON.
