@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the framework's inner loops:
-// string encoding, canonical keys, MTCG construction, feature extraction,
+// string encoding, canonical keys and orientation, MTCG construction,
+// feature extraction (rule rects and the non-topological scalars),
 // density distance, SMO training, oracle simulation, clip extraction,
 // tracing-span overhead (disabled vs enabled), and the PR-8 hot-kernel
 // pairs (scalar oracle vs dispatched SIMD path).
@@ -28,6 +29,7 @@
 #include "engine/arena.hpp"
 #include "engine/stats.hpp"
 #include "geom/density_grid.hpp"
+#include "geom/rectset.hpp"
 #include "geom/simd.hpp"
 #include "litho/litho.hpp"
 #include "obs/trace.hpp"
@@ -63,6 +65,38 @@ void BM_CanonicalTopoKey(benchmark::State& state) {
     benchmark::DoNotOptimize(core::canonicalTopoKey(p));
 }
 BENCHMARK(BM_CanonicalTopoKey)->Arg(4)->Arg(8);
+
+// A w x w window holding `rects` random rects clipped to it: Args
+// {1200, 4} is a core, {4800, 12} a full clip (feedback features).
+core::CorePattern windowPattern(Coord w, int rects) {
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<Coord> c(0, w);
+  std::uniform_int_distribution<Coord> d(60, w / 4);
+  std::vector<Rect> raw;
+  for (int i = 0; i < rects; ++i) {
+    const Coord x = c(rng), y = c(rng);
+    raw.push_back({x, y, x + d(rng), y + d(rng)});
+  }
+  core::CorePattern p;
+  p.w = p.h = w;
+  p.rects = clipRects(raw, p.window());
+  return p;
+}
+
+void BM_CanonicalOrient(benchmark::State& state) {
+  const core::CorePattern p =
+      windowPattern(Coord(state.range(0)), int(state.range(1)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::canonicalOrient(p));
+}
+BENCHMARK(BM_CanonicalOrient)->Args({1200, 4})->Args({4800, 12});
+
+void BM_NonTopo(benchmark::State& state) {
+  const core::CorePattern p =
+      windowPattern(Coord(state.range(0)), int(state.range(1)));
+  for (auto _ : state) benchmark::DoNotOptimize(core::extractNonTopo(p));
+}
+BENCHMARK(BM_NonTopo)->Args({1200, 4})->Args({4800, 12});
 
 void BM_BuildCh(benchmark::State& state) {
   const core::CorePattern p = samplePattern(int(state.range(0)));

@@ -123,13 +123,14 @@ std::vector<RuleRect> extractRuleRects(const CorePattern& p) {
 
 NonTopoFeatures extractNonTopo(const CorePattern& p) {
   NonTopoFeatures f;
-  const BoundaryStats st = boundaryStats(p.rects);
+  const CoverGrid grid(p.rects);
+  const BoundaryStats st = grid.boundaryStats();
   f.corners = st.convexCorners + st.concaveCorners;
   f.touchPoints = st.touchPoints;
-  f.minInternal = std::max<Coord>(0, minInternalWidth(p.rects));
-  f.minExternal = std::max<Coord>(0, minExternalSpacing(p.rects, p.window()));
+  f.minInternal = std::max<Coord>(0, grid.minInternalWidth());
+  f.minExternal = std::max<Coord>(0, grid.minExternalSpacing(p.window()));
   const Area wa = p.window().area();
-  f.density = wa > 0 ? double(unionArea(p.rects)) / double(wa) : 0.0;
+  f.density = wa > 0 ? double(grid.area()) / double(wa) : 0.0;
   return f;
 }
 

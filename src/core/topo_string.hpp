@@ -18,10 +18,11 @@
 
 namespace hsd::core {
 
-/// One slice's binary run code (boundary bit + run labels), LSB-free
-/// explicit representation: bits[0] is the boundary marker.
+/// One slice's binary run code (boundary bit + run labels) in one 64-bit
+/// word: bit 0 is the boundary marker, bit i the i-th run label. Runs past
+/// the 63rd are not recorded (see pushBit).
 struct SliceCode {
-  std::uint64_t bits = 0;  ///< bit i (from MSB order below) packed LSB-first
+  std::uint64_t bits = 0;
   std::uint8_t len = 0;
 
   friend constexpr auto operator<=>(const SliceCode&,
@@ -54,15 +55,19 @@ bool sameTopology(const CorePattern& a, const CorePattern& b);
 /// Canonical topology key: the lexicographically smallest serialization of
 /// encodeStrings over all eight orientations of `p`. Two patterns have the
 /// same key iff they have the same topology (used for hash-based
-/// clustering; property-tested against sameTopology).
+/// clustering; property-tested against sameTopology). Computed from one
+/// encoding of `p`: by Theorem 1 each orientation's strings are a rotation
+/// of its side strings, forward or reversed.
 std::string canonicalTopoKey(const CorePattern& p);
 
-/// The orientation whose encoding attains the canonical key (ties broken by
-/// kAllOrients order). Feature extraction aligns all cluster members by
-/// transforming them with this orientation first.
+/// The orientation whose encoding attains the canonical key; ties go to
+/// the smallest transformed rects, then to kAllOrients order. Feature
+/// extraction aligns all cluster members by transforming them with this
+/// orientation first.
 Orient canonicalOrient(const CorePattern& p);
 
-/// Serialize directional strings for hashing / debugging.
+/// Serialize directional strings for hashing / debugging: per side, each
+/// code as hex(bits) ':' dec(len) ',', then '|' — the key text.
 std::string serializeStrings(const DirectionalStrings& s);
 
 }  // namespace hsd::core

@@ -88,36 +88,52 @@ std::vector<Rect> normalizeBands(const std::vector<Rect>& rects) {
   return out;
 }
 
-namespace {
-
-// Whether some rect covers an open neighborhood in the given quadrant of p.
-// dx/dy in {-1, +1} select the quadrant.
-bool quadrantCovered(const std::vector<Rect>& rects, const Point& p, int dx,
-                     int dy) {
+CoverGrid::CoverGrid(const std::vector<Rect>& rects)
+    : xs_(cutCoordsX(rects)), ys_(cutCoordsY(rects)) {
+  if (xs_.empty()) return;  // no rects: no cells
+  nx_ = xs_.size() - 1;
+  ny_ = ys_.size() - 1;
+  cells_.assign(nx_ * ny_, 0);
+  const auto at = [](const std::vector<Coord>& cuts, Coord v) {
+    return std::size_t(std::lower_bound(cuts.begin(), cuts.end(), v) -
+                       cuts.begin());
+  };
   for (const Rect& r : rects) {
-    const bool xok = dx > 0 ? (r.lo.x <= p.x && p.x < r.hi.x)
-                            : (r.lo.x < p.x && p.x <= r.hi.x);
-    const bool yok = dy > 0 ? (r.lo.y <= p.y && p.y < r.hi.y)
-                            : (r.lo.y < p.y && p.y <= r.hi.y);
-    if (xok && yok) return true;
+    const std::size_t i0 = at(xs_, r.lo.x), i1 = at(xs_, r.hi.x);
+    const std::size_t j1 = at(ys_, r.hi.y);
+    for (std::size_t j = at(ys_, r.lo.y); j < j1; ++j)
+      for (std::size_t i = i0; i < i1; ++i) cells_[j * nx_ + i] = 1;
   }
-  return false;
 }
 
-}  // namespace
+template <class F>
+void CoverGrid::forEachRun(bool rows, std::size_t line, F&& f) const {
+  const std::vector<Coord>& cuts = rows ? xs_ : ys_;
+  const std::size_t n = rows ? nx_ : ny_;
+  const auto on = [&](std::size_t k) {
+    return rows ? covered(k, line) : covered(line, k);
+  };
+  for (std::size_t k = 0; k < n;) {
+    if (!on(k)) {
+      ++k;
+      continue;
+    }
+    const std::size_t first = k;
+    while (k < n && on(k)) ++k;
+    f(cuts[first], cuts[k]);
+  }
+}
 
-BoundaryStats boundaryStats(const std::vector<Rect>& rects) {
+BoundaryStats CoverGrid::boundaryStats() const {
+  // The open quadrants around cut point (xs_[i], ys_[j]) are cells (i, j),
+  // (i-1, j), (i, j-1) and (i-1, j-1).
   BoundaryStats st;
-  if (rects.empty()) return st;
-  const std::vector<Coord> xs = cutCoordsX(rects);
-  const std::vector<Coord> ys = cutCoordsY(rects);
-  for (const Coord x : xs) {
-    for (const Coord y : ys) {
-      const Point p{x, y};
-      const bool ne = quadrantCovered(rects, p, +1, +1);
-      const bool nw = quadrantCovered(rects, p, -1, +1);
-      const bool se = quadrantCovered(rects, p, +1, -1);
-      const bool sw = quadrantCovered(rects, p, -1, -1);
+  for (std::size_t j = 0; j < ys_.size(); ++j) {
+    for (std::size_t i = 0; i < xs_.size(); ++i) {
+      const bool ne = covered(i, j);
+      const bool nw = i > 0 && covered(i - 1, j);
+      const bool se = j > 0 && covered(i, j - 1);
+      const bool sw = i > 0 && j > 0 && covered(i - 1, j - 1);
       const int cnt = int(ne) + int(nw) + int(se) + int(sw);
       if (cnt == 1) {
         ++st.convexCorners;
@@ -131,53 +147,61 @@ BoundaryStats boundaryStats(const std::vector<Rect>& rects) {
   return st;
 }
 
-Coord minExternalSpacing(const std::vector<Rect>& rects, const Rect& window) {
+Coord CoverGrid::minExternalSpacing(const Rect& window) const {
   Coord best = -1;
-  auto consider = [&best](Coord gap) {
-    if (gap > 0 && (best < 0 || gap < best)) best = gap;
+  // Gaps between consecutive runs of one band whose extent across the
+  // band overlaps [wlo, whi].
+  const auto scan = [this, &best](bool rows, std::size_t line, Coord lo,
+                                  Coord hi, Coord wlo, Coord whi) {
+    if (std::max(lo, wlo) >= std::min(hi, whi)) return;
+    bool any = false;
+    Coord prevHi = 0;
+    forEachRun(rows, line, [&](Coord a, Coord b) {
+      const Coord gap = a - prevHi;
+      if (any && (best < 0 || gap < best)) best = gap;
+      any = true;
+      prevHi = b;
+    });
   };
-
-  // Horizontal gaps between facing vertical edges, scanned band by band.
-  const std::vector<Coord> ys = cutCoordsY(rects);
-  for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
-    const Coord y1 = std::max(ys[i], window.lo.y);
-    const Coord y2 = std::min(ys[i + 1], window.hi.y);
-    if (y1 >= y2) continue;
-    const std::vector<Interval> iv = coveredX(rects, ys[i], ys[i + 1]);
-    for (std::size_t k = 0; k + 1 < iv.size(); ++k)
-      consider(iv[k + 1].lo - iv[k].hi);
-  }
-  // Vertical gaps between facing horizontal edges.
-  const std::vector<Coord> xs = cutCoordsX(rects);
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    const Coord x1 = std::max(xs[i], window.lo.x);
-    const Coord x2 = std::min(xs[i + 1], window.hi.x);
-    if (x1 >= x2) continue;
-    const std::vector<Interval> iv = coveredY(rects, xs[i], xs[i + 1]);
-    for (std::size_t k = 0; k + 1 < iv.size(); ++k)
-      consider(iv[k + 1].lo - iv[k].hi);
-  }
+  // Horizontal gaps between facing vertical edges, band by band, then
+  // vertical gaps between facing horizontal edges.
+  for (std::size_t j = 0; j < ny_; ++j)
+    scan(true, j, ys_[j], ys_[j + 1], window.lo.y, window.hi.y);
+  for (std::size_t i = 0; i < nx_; ++i)
+    scan(false, i, xs_[i], xs_[i + 1], window.lo.x, window.hi.x);
   return best;
 }
 
-Coord minInternalWidth(const std::vector<Rect>& rects) {
+Coord CoverGrid::minInternalWidth() const {
   Coord best = -1;
-  auto consider = [&best](Coord w) {
-    if (w > 0 && (best < 0 || w < best)) best = w;
+  const auto consider = [&best](Coord lo, Coord hi) {
+    if (best < 0 || hi - lo < best) best = hi - lo;
   };
-  const std::vector<Coord> ys = cutCoordsY(rects);
-  for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
-    if (ys[i] >= ys[i + 1]) continue;
-    for (const Interval& iv : coveredX(rects, ys[i], ys[i + 1]))
-      consider(iv.length());
-  }
-  const std::vector<Coord> xs = cutCoordsX(rects);
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    if (xs[i] >= xs[i + 1]) continue;
-    for (const Interval& iv : coveredY(rects, xs[i], xs[i + 1]))
-      consider(iv.length());
-  }
+  for (std::size_t j = 0; j < ny_; ++j) forEachRun(true, j, consider);
+  for (std::size_t i = 0; i < nx_; ++i) forEachRun(false, i, consider);
   return best;
+}
+
+Area CoverGrid::area() const {
+  Area total = 0;
+  for (std::size_t j = 0; j < ny_; ++j) {
+    Coord len = 0;
+    forEachRun(true, j, [&len](Coord lo, Coord hi) { len += hi - lo; });
+    total += Area(len) * (ys_[j + 1] - ys_[j]);
+  }
+  return total;
+}
+
+BoundaryStats boundaryStats(const std::vector<Rect>& rects) {
+  return CoverGrid(rects).boundaryStats();
+}
+
+Coord minExternalSpacing(const std::vector<Rect>& rects, const Rect& window) {
+  return CoverGrid(rects).minExternalSpacing(window);
+}
+
+Coord minInternalWidth(const std::vector<Rect>& rects) {
+  return CoverGrid(rects).minInternalWidth();
 }
 
 }  // namespace hsd

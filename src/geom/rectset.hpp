@@ -42,20 +42,56 @@ struct BoundaryStats {
   int touchPoints = 0;      ///< points where two shapes meet only at a corner
 };
 
-/// Count convex/concave corners and corner-touch points of the union of
-/// `rects`. Corner classification looks at the 4 quadrants around each
-/// candidate vertex: 1 covered quadrant = convex, 3 = concave, 2 diagonal =
-/// touch point (the paper's non-topological features #1 and #2).
+/// The union of a rect set as a grid of cells between consecutive distinct
+/// rect-edge coordinates, each cell either covered or not. Every edge lies
+/// on a cut line, so the union's corners, band-wise widths and gaps, and
+/// area all follow from the grid: build it once to ask several of them.
+class CoverGrid {
+ public:
+  explicit CoverGrid(const std::vector<Rect>& rects);
+
+  /// Count convex/concave corners and corner-touch points of the union.
+  /// Corner classification looks at the 4 quadrants around each cut point:
+  /// 1 covered quadrant = convex, 3 = concave, 2 diagonal = touch point
+  /// (the paper's non-topological features #1 and #2).
+  BoundaryStats boundaryStats() const;
+
+  /// Minimum positive horizontal or vertical distance between two facing
+  /// edges *across empty space* (external spacing), over the bands that
+  /// overlap `window`. Returns -1 when no such pair exists.
+  Coord minExternalSpacing(const Rect& window) const;
+
+  /// Minimum width of the union measured band-wise: the smallest dimension
+  /// of any maximal band segment (internal spacing between internally
+  /// facing edges, i.e. min feature width). Returns -1 for an empty set.
+  Coord minInternalWidth() const;
+
+  /// Exact area of the union (equals unionArea of the rects).
+  Area area() const;
+
+ private:
+  bool covered(std::size_t i, std::size_t j) const {
+    return i < nx_ && j < ny_ && cells_[j * nx_ + i] != 0;
+  }
+  // Calls f(lo, hi) for each maximal run of covered cells, ascending, in
+  // row `line` (rows) or column `line` (!rows).
+  template <class F>
+  void forEachRun(bool rows, std::size_t line, F&& f) const;
+
+  std::vector<Coord> xs_;
+  std::vector<Coord> ys_;
+  std::size_t nx_ = 0;  ///< cell columns: xs_.size() - 1 (0 when empty)
+  std::size_t ny_ = 0;
+  std::vector<unsigned char> cells_;  ///< cell (i, j) at j * nx_ + i
+};
+
+/// CoverGrid(rects).boundaryStats().
 BoundaryStats boundaryStats(const std::vector<Rect>& rects);
 
-/// Minimum positive horizontal or vertical distance between two facing
-/// polygon edges *across empty space* (external spacing) within `window`.
-/// Returns -1 when no such pair exists.
+/// CoverGrid(rects).minExternalSpacing(window).
 Coord minExternalSpacing(const std::vector<Rect>& rects, const Rect& window);
 
-/// Minimum width of the union measured band-wise: the smallest dimension of
-/// any maximal band segment (internal spacing between internally facing
-/// edges, i.e. min feature width). Returns -1 for an empty set.
+/// CoverGrid(rects).minInternalWidth().
 Coord minInternalWidth(const std::vector<Rect>& rects);
 
 }  // namespace hsd
