@@ -10,6 +10,10 @@ directory). Each file holds, for both sides, every metric's median,
 quartiles and number of runs, plus each seed's REPORT_DIGEST and whether
 the two sides' digests agree on every seed. The verdict itself stays with
 `compare.py compare`; this only records the numbers it judged.
+
+Exits 1, after writing every file, when a workload's digests disagree on
+some seed (a seed run on one side only counts as disagreeing) or a
+workload has logs on one side only; it names the workload and seeds.
 """
 
 import argparse
@@ -46,6 +50,7 @@ def main():
     args = ap.parse_args()
     base = load_runs(Path(args.out_dir) / "base")
     change = load_runs(Path(args.out_dir) / "change")
+    status = 0
     for workload in sorted({w for (w, _) in base} | {w for (w, _) in change}):
         doc = {"workload": workload,
                "source": "perfbench/compare.py run",
@@ -56,7 +61,17 @@ def main():
         path = Path(args.dest) / f"BENCH_{workload}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
-    return 0
+        if not db or not dc:
+            side = "change" if db else "base"
+            print(f"{workload}: no {side} logs", file=sys.stderr)
+            status = 1
+        elif db != dc:
+            seeds = sorted((s for s in db.keys() | dc.keys()
+                            if db.get(s) != dc.get(s)), key=int)
+            print(f"{workload}: report digests disagree on seeds "
+                  f"{', '.join(seeds)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -7,11 +7,14 @@
 //
 // `--json-out BENCH_hotpath.json` switches to a hand-timed mode that
 // measures each scalar/dispatched kernel pair, plus per-clip vs
-// kernel-major scoring on a 160-kernel detector (`svm_batch`), and emits
+// kernel-major scoring on a 160-kernel detector (`svm_batch`), scoring
+// every row vs each distinct row once on a duplicate-heavy batch
+// (`svm_dedup`), and emits
 // one machine-readable trajectory file (speedups stamped with git
 // describe) — the artifact bench/run_benches.sh collects.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <random>
@@ -476,6 +479,46 @@ int runJsonMode(const char* path) {
     timings.push_back({"svm_batch", perClip / double(feats.size()),
                        batched / double(feats.size()), "per_clip_ns",
                        "batch_ns"});
+  }
+  {
+    // Repeated patterns: 512 rows of which 45 % are distinct (a batch-large
+    // pipeline batch), duplicates stored as separate equal vectors. Every
+    // row scored in 32-row chunks (the pooled scorer before it deduped) vs
+    // the pooled core::scoreKernels, which scores each distinct row once.
+    // ns per input row, one thread.
+    const std::vector<core::KernelEntry> kernels = syntheticKernels();
+    std::mt19937 rng(13);
+    std::uniform_real_distribution<double> u(-0.1, 1.1);
+    constexpr std::size_t kRows = 512, kDistinct = kRows * 45 / 100;
+    std::vector<svm::FeatureVector> feats(kRows, svm::FeatureVector(125));
+    for (std::size_t i = 0; i < kDistinct; ++i)
+      for (double& e : feats[i]) e = u(rng);
+    for (std::size_t i = kDistinct; i < kRows; ++i)
+      feats[i] = feats[rng() % kDistinct];
+    std::shuffle(feats.begin(), feats.end(), rng);
+    std::vector<const svm::FeatureVector*> rows;
+    for (const auto& f : feats) rows.push_back(&f);
+    std::vector<core::KernelScore> scores(rows.size());
+    const double everyRow = bestNsPerCall(
+        [&] {
+          for (std::size_t c = 0; c < rows.size(); c += core::kScoreChunk)
+            core::scoreKernels(
+                kernels, std::span(rows).subspan(c, core::kScoreChunk),
+                core::ScoreMode::kFirstFlag, 0.0,
+                std::span(scores).subspan(c, core::kScoreChunk));
+          benchmark::DoNotOptimize(scores.data());
+        },
+        5, 2);
+    engine::RunContext ctx(1);
+    const double distinctOnce = bestNsPerCall(
+        [&] {
+          benchmark::DoNotOptimize(core::scoreKernels(
+              ctx, kernels, rows, core::ScoreMode::kFirstFlag));
+        },
+        5, 2);
+    timings.push_back({"svm_dedup", everyRow / double(kRows),
+                       distinctOnce / double(kRows), "every_row_ns",
+                       "distinct_once_ns"});
   }
 
   obs::JsonWriter json = bench::benchJson("hotpath");

@@ -503,10 +503,12 @@ std::vector<RankedReport> rankReports(const Detector& det,
         return out;
       }};
   std::vector<RankedReport> out = engine::runPipeline(ctx, reports, rank);
-  std::sort(out.begin(), out.end(),
-            [](const RankedReport& a, const RankedReport& b) {
-              return a.probability > b.probability;
-            });
+  // Stable: equal probabilities (common — repeated patterns score the
+  // same) keep the report order.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const RankedReport& a, const RankedReport& b) {
+                     return a.probability > b.probability;
+                   });
   return out;
 }
 

@@ -142,6 +142,7 @@ struct RankedReport {
 
 /// Rank reported windows by the detector's calibrated hotspot probability
 /// (descending), so downstream correction can triage the worst first.
+/// Equal probabilities keep the order of `reports`.
 std::vector<RankedReport> rankReports(const Detector& det,
                                       const GridIndex& index,
                                       const std::vector<ClipWindow>& reports,

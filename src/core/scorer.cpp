@@ -1,6 +1,8 @@
 #include "core/scorer.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 #include "engine/arena.hpp"
 
@@ -61,21 +63,45 @@ void scoreKernels(std::span<const KernelEntry> kernels,
     for (KernelScore& s : out) s.flagged = s.decision > bias;
 }
 
+namespace {
+
+/// A row's doubles as bytes: two rows are the same row exactly when these
+/// compare equal (so -0.0 != +0.0, and NaNs match only bit for bit).
+std::string_view rowBits(const svm::FeatureVector& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double)};
+}
+
+}  // namespace
+
 std::vector<KernelScore> scoreKernels(
     engine::RunContext& ctx, std::span<const KernelEntry> kernels,
     std::span<const svm::FeatureVector* const> feats, ScoreMode mode,
     double bias) {
-  std::vector<KernelScore> out(feats.size());
-  const std::size_t chunks = (feats.size() + kScoreChunk - 1) / kScoreChunk;
+  // Distinct rows in first-occurrence order; slot[i] is feats[i]'s.
+  std::vector<const svm::FeatureVector*> distinct;
+  std::vector<std::size_t> slot(feats.size());
+  {
+    std::unordered_map<std::string_view, std::size_t> seen(feats.size());
+    for (std::size_t i = 0; i < feats.size(); ++i) {
+      const auto [it, added] =
+          seen.try_emplace(rowBits(*feats[i]), distinct.size());
+      if (added) distinct.push_back(feats[i]);
+      slot[i] = it->second;
+    }
+  }
+  std::vector<KernelScore> scores(distinct.size());
+  const std::size_t chunks = (distinct.size() + kScoreChunk - 1) / kScoreChunk;
   ctx.parallelFor(
       chunks,
       [&](std::size_t c) {
         const std::size_t first = c * kScoreChunk;
-        const std::size_t len = std::min(kScoreChunk, feats.size() - first);
-        scoreKernels(kernels, feats.subspan(first, len), mode, bias,
-                     std::span<KernelScore>(out).subspan(first, len));
+        const std::size_t len = std::min(kScoreChunk, distinct.size() - first);
+        scoreKernels(kernels, std::span(distinct).subspan(first, len), mode,
+                     bias, std::span(scores).subspan(first, len));
       },
       1);
+  std::vector<KernelScore> out(feats.size());
+  for (std::size_t i = 0; i < feats.size(); ++i) out[i] = scores[slot[i]];
   return out;
 }
 

@@ -12,6 +12,12 @@
 // decision value is bit-identical to the per-pair
 // `model.decision(scaler.transform(x))` (see svm/README.md), so verdicts,
 // attributions and margins do not depend on chunking or thread count.
+//
+// Layouts repeat a few patterns, so a batch repeats feature vectors. The
+// pooled scorer scores each bitwise-distinct row once (same size, same
+// bits: -0.0 and +0.0 differ, NaNs match bit for bit) and copies its
+// score to every row that repeats it. That is exact because a row's
+// score depends only on its own bits, never on its chunk-mates.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +65,9 @@ void scoreKernels(std::span<const KernelEntry> kernels,
                   std::span<const svm::FeatureVector* const> feats,
                   ScoreMode mode, double bias, std::span<KernelScore> out);
 
-/// The parallel scorer: chunks of kScoreChunk clips on the context's
-/// pool. Results are independent of the thread count.
+/// The parallel scorer: each bitwise-distinct row once, in chunks of
+/// kScoreChunk rows on the context's pool, its score copied to every
+/// repeat. Results are independent of the thread count.
 std::vector<KernelScore> scoreKernels(
     engine::RunContext& ctx, std::span<const KernelEntry> kernels,
     std::span<const svm::FeatureVector* const> feats, ScoreMode mode,

@@ -4,9 +4,16 @@
 // extras, bias trades accuracy for extras).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <deque>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "common.hpp"
 #include "core/evaluator.hpp"
@@ -113,6 +120,25 @@ TEST(Evaluator, RankedReportsSortedAndComplete) {
   ASSERT_EQ(ranked.size(), res.reported.size());
   for (std::size_t i = 0; i + 1 < ranked.size(); ++i)
     EXPECT_GE(ranked[i].probability, ranked[i + 1].probability);
+  // Ties keep the report order. A window can be reported twice; its
+  // k-th ranked occurrence is its k-th reported one.
+  std::map<ClipWindow, std::vector<std::size_t>> at;
+  for (std::size_t i = res.reported.size(); i-- > 0;)
+    at[res.reported[i]].push_back(i);
+  std::vector<std::size_t> index;
+  for (const RankedReport& r : ranked) {
+    std::vector<std::size_t>& left = at[r.window];
+    ASSERT_FALSE(left.empty());
+    index.push_back(left.back());
+    left.pop_back();
+  }
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i + 1 < ranked.size(); ++i)
+    if (ranked[i].probability == ranked[i + 1].probability) {
+      ++ties;
+      EXPECT_LT(index[i], index[i + 1]) << "rank " << i;
+    }
+  EXPECT_GT(ties, 0u);  // repeated patterns score the same
   for (const auto& r : ranked) {
     EXPECT_GE(r.probability, 0.0);
     EXPECT_LE(r.probability, 1.0);
@@ -269,6 +295,106 @@ TEST(Scorer, MatchesThePlainPerKernelLoopAtEveryChunking) {
                              extractClip({{1, &c.index}}, c.windows[i]), 1)),
                          want))
         << "clip " << i;
+  }
+}
+
+TEST(Scorer, DuplicateRowsScoreLikeThePlainLoop) {
+  // The pooled scorer scores each bitwise-distinct row once and copies its
+  // score to the rows that repeat it. Every output row must still be the
+  // plain loop's verdict for that row's own bits.
+  const Detector& det = fixture().detector;
+  const ScoredCandidates& c = candidates();
+  const svm::FeatureVector& a = c.feats[0];
+  // Stable addresses for the rows built here.
+  std::deque<svm::FeatureVector> store;
+  const auto keep = [&store](svm::FeatureVector v) {
+    store.push_back(std::move(v));
+    return &store.back();
+  };
+  const auto with = [&a](std::size_t i, double v) {
+    svm::FeatureVector out = a;
+    out[i] = v;
+    return out;
+  };
+  const svm::FeatureVector* const copyA = keep(a);
+  const svm::FeatureVector* const posZero = keep(with(3, 0.0));
+  const svm::FeatureVector* const negZero = keep(with(3, -0.0));
+  const svm::FeatureVector* const nan1 =
+      keep(with(3, std::bit_cast<double>(std::uint64_t{0x7ff8000000000001})));
+  const svm::FeatureVector* const nan2 =
+      keep(with(3, std::bit_cast<double>(std::uint64_t{0x7ff8000000000002})));
+
+  std::vector<std::pair<const char*, std::vector<const svm::FeatureVector*>>>
+      cases;
+  cases.push_back({"same pointer", {&a, &c.feats[1], &a, &a, &c.feats[1]}});
+  {
+    // Every candidate, then a separately stored copy of each in reverse:
+    // many distinct rows across several chunks, each seen twice.
+    std::vector<const svm::FeatureVector*> rows;
+    for (const svm::FeatureVector& f : c.feats) rows.push_back(&f);
+    for (auto it = c.feats.rbegin(); it != c.feats.rend(); ++it)
+      rows.push_back(keep(*it));
+    cases.push_back({"equal copies", std::move(rows)});
+  }
+  cases.push_back({"signed zero", {posZero, negZero, negZero, posZero}});
+  cases.push_back({"nan payload", {nan1, nan2, nan1, &a, nan2}});
+  {
+    std::vector<const svm::FeatureVector*> rows;
+    for (std::size_t i = 0; i < 70; ++i) rows.push_back(i % 2 ? &a : copyA);
+    cases.push_back({"all the same", std::move(rows)});
+  }
+  {
+    std::set<std::string> seen;
+    std::vector<const svm::FeatureVector*> rows;
+    for (const svm::FeatureVector& f : c.feats)
+      if (seen.emplace(reinterpret_cast<const char*>(f.data()),
+                       f.size() * sizeof(double))
+              .second)
+        rows.push_back(&f);
+    ASSERT_GT(rows.size(), kScoreChunk);
+    cases.push_back({"no duplicates", std::move(rows)});
+  }
+
+  for (const auto& [name, rows] : cases) {
+    std::vector<KernelScore> wantFirst;
+    std::vector<double> wantMax;
+    for (const svm::FeatureVector* r : rows) {
+      wantFirst.push_back(plainFirstFlag(det, *r, 0.0));
+      wantMax.push_back(plainMax(det, *r));
+    }
+    for (const std::size_t threads : {1u, 4u}) {
+      engine::RunContext ctx(threads);
+      const std::vector<KernelScore> first =
+          scoreKernels(ctx, det.kernels, rows, ScoreMode::kFirstFlag);
+      const std::vector<KernelScore> max =
+          scoreKernels(ctx, det.kernels, rows, ScoreMode::kMax);
+      ASSERT_EQ(first.size(), rows.size());
+      ASSERT_EQ(max.size(), rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(first[i].flagged, wantFirst[i].flagged)
+            << name << " threads " << threads << " row " << i;
+        ASSERT_EQ(first[i].kernel, wantFirst[i].kernel)
+            << name << " threads " << threads << " row " << i;
+        ASSERT_TRUE(sameBits(first[i].decision, wantFirst[i].decision))
+            << name << " threads " << threads << " row " << i;
+        ASSERT_TRUE(sameBits(max[i].decision, wantMax[i]))
+            << name << " threads " << threads << " row " << i;
+        ASSERT_EQ(max[i].flagged, wantMax[i] > 0.0)
+            << name << " threads " << threads << " row " << i;
+      }
+    }
+  }
+
+  // A row of the wrong dimension still throws when it repeats.
+  const svm::FeatureVector shortRow(a.begin(), a.end() - 1);
+  const std::vector<const svm::FeatureVector*> bad{&a, &shortRow, &a,
+                                                   &shortRow};
+  for (const std::size_t threads : {1u, 4u}) {
+    engine::RunContext ctx(threads);
+    for (const ScoreMode mode : {ScoreMode::kFirstFlag, ScoreMode::kMax})
+      EXPECT_THROW(scoreKernels(ctx, det.kernels, bad, mode),
+                   std::invalid_argument)
+          << "threads " << threads;
   }
 }
 
