@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the framework's inner loops:
-// string encoding, canonical keys and orientation, MTCG construction,
+// string encoding, canonical keys and orientation, MTCG construction
+// (core- and full-clip-size),
 // feature extraction (rule rects and the non-topological scalars),
 // density distance, SMO training, oracle simulation, clip extraction,
 // tracing-span overhead (disabled vs enabled), and the PR-8 hot-kernel
@@ -107,6 +108,19 @@ void BM_BuildCh(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCh)->Arg(4)->Arg(8)->Arg(16);
 
+// Full-clip-size MTCGs: a 4.8 um window with 12 rects.
+void BM_BuildChFullClip(benchmark::State& state) {
+  const core::CorePattern p = windowPattern(4800, 12);
+  for (auto _ : state) benchmark::DoNotOptimize(core::buildCh(p));
+}
+BENCHMARK(BM_BuildChFullClip);
+
+void BM_BuildCv(benchmark::State& state) {
+  const core::CorePattern p = windowPattern(4800, 12);
+  for (auto _ : state) benchmark::DoNotOptimize(core::buildCv(p));
+}
+BENCHMARK(BM_BuildCv);
+
 void BM_FeatureVector(benchmark::State& state) {
   const core::CorePattern p = samplePattern(int(state.range(0)));
   const core::FeatureParams fp;
@@ -114,6 +128,16 @@ void BM_FeatureVector(benchmark::State& state) {
     benchmark::DoNotOptimize(core::buildFeatureVector(p, fp));
 }
 BENCHMARK(BM_FeatureVector)->Arg(4)->Arg(8)->Arg(16);
+
+// The feedback kernel's full-clip vector: 4.8 um window, 12 rects, with
+// the 8 x 8 density grid appended.
+void BM_FeatureVectorFullClip(benchmark::State& state) {
+  const core::CorePattern p = windowPattern(4800, 12);
+  const core::FeatureParams fp{.densityGridN = 8};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::buildFeatureVector(p, fp));
+}
+BENCHMARK(BM_FeatureVectorFullClip);
 
 void BM_DensityDistance(benchmark::State& state) {
   const core::CorePattern a = samplePattern(6);

@@ -39,8 +39,8 @@ void extractInternal(const Mtcg& g, std::vector<RuleRect>& out) {
     if (!t.isBlock) continue;
     if (g.boundaryTouches(i) > 1) continue;
     bool allSpace = true;
-    for (const std::size_t j : g.out[i]) allSpace &= !g.tiles[j].isBlock;
-    for (const std::size_t j : g.in[i]) allSpace &= !g.tiles[j].isBlock;
+    for (const std::size_t j : g.out(i)) allSpace &= !g.tiles[j].isBlock;
+    for (const std::size_t j : g.in(i)) allSpace &= !g.tiles[j].isBlock;
     if (allSpace && g.degree(i) > 0)
       out.push_back(makeRule(FeatKind::kInternal, t.box, g.window));
   }
@@ -54,8 +54,8 @@ void extractExternal(const Mtcg& g, std::vector<RuleRect>& out) {
     if (g.boundaryTouches(i) > 1) continue;
     if (g.degree(i) != 2) continue;
     bool allBlock = true;
-    for (const std::size_t j : g.out[i]) allBlock &= g.tiles[j].isBlock;
-    for (const std::size_t j : g.in[i]) allBlock &= g.tiles[j].isBlock;
+    for (const std::size_t j : g.out(i)) allBlock &= g.tiles[j].isBlock;
+    for (const std::size_t j : g.in(i)) allBlock &= g.tiles[j].isBlock;
     if (allBlock)
       out.push_back(makeRule(FeatKind::kExternal, t.box, g.window));
   }
@@ -100,8 +100,10 @@ bool positionLess(const RuleRect& a, const RuleRect& b) {
 }  // namespace
 
 std::vector<RuleRect> extractRuleRects(const CorePattern& p) {
-  const Mtcg ch = buildCh(p);
-  const Mtcg cv = buildCv(p);
+  return extractRuleRects(buildCh(p), buildCv(p));
+}
+
+std::vector<RuleRect> extractRuleRects(const Mtcg& ch, const Mtcg& cv) {
   std::vector<RuleRect> out;
   extractInternal(ch, out);
   extractInternal(cv, out);
@@ -122,8 +124,13 @@ std::vector<RuleRect> extractRuleRects(const CorePattern& p) {
 }
 
 NonTopoFeatures extractNonTopo(const CorePattern& p) {
+  engine::ArenaScope scope(engine::threadScratch());
+  engine::ArenaResource mr(scope.arena());
+  return extractNonTopo(p, CoverGrid(p.rects, p.window(), &mr));
+}
+
+NonTopoFeatures extractNonTopo(const CorePattern& p, const CoverGrid& grid) {
   NonTopoFeatures f;
-  const CoverGrid grid(p.rects);
   const BoundaryStats st = grid.boundaryStats();
   f.corners = st.convexCorners + st.concaveCorners;
   f.touchPoints = st.touchPoints;
@@ -139,7 +146,15 @@ svm::FeatureVector buildFeatureVector(const CorePattern& pat,
   const CorePattern p =
       fp.canonicalize ? pat.transformed(canonicalOrient(pat)) : pat;
 
-  const std::vector<RuleRect> rules = extractRuleRects(p);
+  // One grid of the canonical pattern answers the tilings, both MTCGs and
+  // the non-topological features. It and the density raster live in
+  // thread-local arena scratch (no per-clip heap allocation), rewound on
+  // return.
+  engine::ArenaScope scope(engine::threadScratch());
+  engine::ArenaResource mr(scope.arena());
+  const CoverGrid grid(p.rects, p.window(), &mr);
+  const std::vector<RuleRect> rules =
+      extractRuleRects(buildCh(p, grid), buildCv(p, grid));
   svm::FeatureVector v;
   v.reserve(fp.dim());
 
@@ -164,7 +179,7 @@ svm::FeatureVector buildFeatureVector(const CorePattern& pat,
   emitKind(FeatKind::kDiagonal, fp.maxDiagonal);
   emitKind(FeatKind::kSegment, fp.maxSegment);
 
-  const NonTopoFeatures nt = extractNonTopo(p);
+  const NonTopoFeatures nt = extractNonTopo(p, grid);
   v.push_back(double(nt.corners));
   v.push_back(double(nt.touchPoints));
   v.push_back(double(nt.minInternal));
@@ -172,10 +187,8 @@ svm::FeatureVector buildFeatureVector(const CorePattern& pat,
   v.push_back(nt.density);
 
   if (fp.densityGridN > 0) {
-    // Rasterize into thread-local arena scratch instead of constructing a
-    // DensityGrid (whose pixel vector would be a fresh heap allocation on
-    // every clip); the scope rewinds the scratch before returning.
-    engine::ArenaScope scope(engine::threadScratch());
+    // Rasterize into the scratch instead of constructing a DensityGrid
+    // (whose pixel vector would be a fresh heap allocation on every clip).
     const std::span<double> g =
         scope.arena().allocSpan<double>(fp.densityGridN * fp.densityGridN);
     rasterizeDensity(p.rects, p.window(), fp.densityGridN, fp.densityGridN,

@@ -44,6 +44,8 @@ struct RuleRect {
 /// Extract all rule rectangles of `p` from its Ch and Cv MTCGs, in a
 /// deterministic order (kind, then position).
 std::vector<RuleRect> extractRuleRects(const CorePattern& p);
+/// The same from p's two graphs, ch = buildCh(p) and cv = buildCv(p).
+std::vector<RuleRect> extractRuleRects(const Mtcg& ch, const Mtcg& cv);
 
 /// The five non-topological features of Fig. 7(e).
 struct NonTopoFeatures {
@@ -55,6 +57,8 @@ struct NonTopoFeatures {
 };
 
 NonTopoFeatures extractNonTopo(const CorePattern& p);
+/// The same from a grid of p's rects (with or without p's window).
+NonTopoFeatures extractNonTopo(const CorePattern& p, const CoverGrid& grid);
 
 /// Feature-vector layout configuration.
 struct FeatureParams {

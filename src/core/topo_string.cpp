@@ -5,7 +5,7 @@
 #include <charconv>
 #include <string_view>
 
-#include "geom/interval.hpp"
+#include "engine/arena.hpp"
 #include "geom/rectset.hpp"
 
 namespace hsd::core {
@@ -23,88 +23,51 @@ void pushBit(SliceCode& c, bool one) {
   ++c.len;
 }
 
-// Run labels of a slice, reading from coordinate 0 upward: the merged
-// covered intervals within [0, extent] alternate with space runs.
-// Returns labels in ascending-coordinate order (no boundary bit).
-std::vector<bool> runLabels(const std::vector<Interval>& covered,
-                            Coord extent) {
-  std::vector<bool> runs;
-  Coord cursor = 0;
-  for (const Interval& iv : covered) {
-    const Coord lo = std::max<Coord>(iv.lo, 0);
-    const Coord hi = std::min(iv.hi, extent);
-    if (hi <= lo) continue;
-    if (lo > cursor) runs.push_back(false);
-    runs.push_back(true);
-    cursor = hi;
-  }
-  if (cursor < extent || runs.empty()) runs.push_back(false);
-  return runs;
-}
-
-SliceCode makeCode(const std::vector<bool>& runs, bool reversed) {
-  SliceCode c;
-  pushBit(c, true);  // boundary marker
-  if (reversed) {
-    for (auto it = runs.rbegin(); it != runs.rend(); ++it) pushBit(c, *it);
-  } else {
-    for (const bool b : runs) pushBit(c, b);
-  }
-  return c;
-}
-
-// Distinct slice cut coordinates: polygon edges plus the window bounds.
-std::vector<Coord> cutsX(const CorePattern& p) {
-  std::vector<Coord> xs{0, p.w};
-  for (const Rect& r : p.rects) {
-    xs.push_back(r.lo.x);
-    xs.push_back(r.hi.x);
-  }
-  std::sort(xs.begin(), xs.end());
-  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
-  return xs;
-}
-
-std::vector<Coord> cutsY(const CorePattern& p) {
-  std::vector<Coord> ys{0, p.h};
-  for (const Rect& r : p.rects) {
-    ys.push_back(r.lo.y);
-    ys.push_back(r.hi.y);
-  }
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
-  return ys;
-}
-
 }  // namespace
 
 DirectionalStrings encodeStrings(const CorePattern& p) {
+  // One grid of the pattern with the window bounds as cut lines: its
+  // in-window columns are the vertical slices, its rows the horizontal
+  // ones, and a slice's runs are its maximal runs of equal cells.
+  engine::ArenaScope scope(engine::threadScratch());
+  engine::ArenaResource mr(scope.arena());
+  const CoverGrid g(p.rects, p.window(), &mr);
+  const CoverGrid::Span& w = g.windowCells();
+
+  // The code of column (vertical) or row `line`: the boundary bit, then its
+  // run labels read upward/rightward, or downward/leftward when reversed.
+  const auto code = [&](bool vertical, std::size_t line, bool reversed) {
+    const std::size_t lo = vertical ? w.j0 : w.i0;
+    const std::size_t n = (vertical ? w.j1 : w.i1) - lo;
+    SliceCode c;
+    pushBit(c, true);  // boundary marker
+    bool prev = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t at = lo + (reversed ? n - 1 - k : k);
+      const bool on = vertical ? g.covered(line, at) : g.covered(at, line);
+      if (k == 0 || on != prev) pushBit(c, on);
+      prev = on;
+    }
+    if (n == 0) pushBit(c, false);  // a window without extent: one space
+    return c;
+  };
+
   DirectionalStrings s;
-  const std::vector<Coord> xs = cutsX(p);
-  const std::vector<Coord> ys = cutsY(p);
-
-  // Vertical slices (cuts at x) serve the bottom and top strings.
-  std::vector<std::vector<bool>> vRuns;
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    if (xs[i] < 0 || xs[i + 1] > p.w || xs[i] >= xs[i + 1]) continue;
-    vRuns.push_back(runLabels(coveredY(p.rects, xs[i], xs[i + 1]), p.h));
-  }
-  for (const auto& runs : vRuns)  // bottom: slices left->right, runs up
-    s.bottom.push_back(makeCode(runs, /*reversed=*/false));
-  for (auto it = vRuns.rbegin(); it != vRuns.rend(); ++it)  // top: right->left
-    s.top.push_back(makeCode(*it, /*reversed=*/true));
-
-  // Horizontal slices (cuts at y) serve the left and right strings.
-  std::vector<std::vector<bool>> hRuns;
-  for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
-    if (ys[i] < 0 || ys[i + 1] > p.h || ys[i] >= ys[i + 1]) continue;
-    hRuns.push_back(runLabels(coveredX(p.rects, ys[i], ys[i + 1]), p.w));
-  }
-  for (const auto& runs : hRuns)  // right: slices bottom->top, runs leftward
-    s.right.push_back(makeCode(runs, /*reversed=*/true));
-  for (auto it = hRuns.rbegin(); it != hRuns.rend(); ++it)  // left: top->down
-    s.left.push_back(makeCode(*it, /*reversed=*/false));
-
+  s.bottom.reserve(w.i1 - w.i0);
+  s.top.reserve(w.i1 - w.i0);
+  s.right.reserve(w.j1 - w.j0);
+  s.left.reserve(w.j1 - w.j0);
+  // Vertical slices serve the bottom string (left->right, runs up) and the
+  // top string (right->left, runs down).
+  for (std::size_t i = w.i0; i < w.i1; ++i)
+    s.bottom.push_back(code(true, i, false));
+  for (std::size_t i = w.i1; i-- > w.i0;) s.top.push_back(code(true, i, true));
+  // Horizontal slices serve the right string (bottom->top, runs leftward)
+  // and the left string (top->bottom, runs rightward).
+  for (std::size_t j = w.j0; j < w.j1; ++j)
+    s.right.push_back(code(false, j, true));
+  for (std::size_t j = w.j1; j-- > w.j0;)
+    s.left.push_back(code(false, j, false));
   return s;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <span>
 #include <type_traits>
 
@@ -89,6 +90,26 @@ class ArenaScope {
  private:
   Arena& arena_;
   Arena::Mark mark_;
+};
+
+/// A std::pmr view of an arena, so pmr containers (e.g. CoverGrid's cell
+/// storage) can carve their buffers out of it. Deallocation is a no-op:
+/// the memory comes back when the enclosing ArenaScope rewinds, so every
+/// container built on it must die inside that scope.
+class ArenaResource final : public std::pmr::memory_resource {
+ public:
+  explicit ArenaResource(Arena& a) : arena_(a) {}
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    return arena_.allocate(bytes, align);
+  }
+  void do_deallocate(void*, std::size_t, std::size_t) override {}
+  bool do_is_equal(const std::pmr::memory_resource& o) const noexcept override {
+    return this == &o;
+  }
+
+  Arena& arena_;
 };
 
 /// The calling thread's scratch arena (one per thread, lazily created;

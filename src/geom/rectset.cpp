@@ -18,7 +18,7 @@ std::vector<Rect> clipRects(const std::vector<Rect>& rects,
 
 namespace {
 
-// Distinct y (or x) cut coordinates of a rect set.
+// Distinct y cut coordinates of a rect set.
 std::vector<Coord> cutCoordsY(const std::vector<Rect>& rects) {
   std::vector<Coord> ys;
   ys.reserve(rects.size() * 2);
@@ -29,18 +29,6 @@ std::vector<Coord> cutCoordsY(const std::vector<Rect>& rects) {
   std::sort(ys.begin(), ys.end());
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
   return ys;
-}
-
-std::vector<Coord> cutCoordsX(const std::vector<Rect>& rects) {
-  std::vector<Coord> xs;
-  xs.reserve(rects.size() * 2);
-  for (const Rect& r : rects) {
-    xs.push_back(r.lo.x);
-    xs.push_back(r.hi.x);
-  }
-  std::sort(xs.begin(), xs.end());
-  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
-  return xs;
 }
 
 }  // namespace
@@ -89,14 +77,37 @@ std::vector<Rect> normalizeBands(const std::vector<Rect>& rects) {
 }
 
 CoverGrid::CoverGrid(const std::vector<Rect>& rects)
-    : xs_(cutCoordsX(rects)), ys_(cutCoordsY(rects)) {
-  if (xs_.empty()) return;  // no rects: no cells
+    : CoverGrid(rects, nullptr, std::pmr::get_default_resource()) {}
+
+CoverGrid::CoverGrid(const std::vector<Rect>& rects, const Rect& window,
+                     std::pmr::memory_resource* mr)
+    : CoverGrid(rects, &window, mr) {}
+
+CoverGrid::CoverGrid(const std::vector<Rect>& rects, const Rect* window,
+                     std::pmr::memory_resource* mr)
+    : xs_(mr), ys_(mr), cells_(mr) {
+  const auto cuts = [&](std::pmr::vector<Coord>& cs, bool x) {
+    cs.reserve(rects.size() * 2 + 2);
+    for (const Rect& r : rects) {
+      cs.push_back(x ? r.lo.x : r.lo.y);
+      cs.push_back(x ? r.hi.x : r.hi.y);
+    }
+    if (window != nullptr) {
+      cs.push_back(x ? window->lo.x : window->lo.y);
+      cs.push_back(x ? window->hi.x : window->hi.y);
+    }
+    std::sort(cs.begin(), cs.end());
+    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+  };
+  cuts(xs_, true);
+  cuts(ys_, false);
+  if (xs_.empty()) return;  // no rects and no window: no cells
   nx_ = xs_.size() - 1;
   ny_ = ys_.size() - 1;
   cells_.assign(nx_ * ny_, 0);
-  const auto at = [](const std::vector<Coord>& cuts, Coord v) {
-    return std::size_t(std::lower_bound(cuts.begin(), cuts.end(), v) -
-                       cuts.begin());
+  const auto at = [](const std::pmr::vector<Coord>& cs, Coord v) {
+    return std::size_t(std::lower_bound(cs.begin(), cs.end(), v) -
+                       cs.begin());
   };
   for (const Rect& r : rects) {
     const std::size_t i0 = at(xs_, r.lo.x), i1 = at(xs_, r.hi.x);
@@ -104,11 +115,15 @@ CoverGrid::CoverGrid(const std::vector<Rect>& rects)
     for (std::size_t j = at(ys_, r.lo.y); j < j1; ++j)
       for (std::size_t i = i0; i < i1; ++i) cells_[j * nx_ + i] = 1;
   }
+  window_ = window == nullptr
+                ? Span{0, nx_, 0, ny_}
+                : Span{at(xs_, window->lo.x), at(xs_, window->hi.x),
+                       at(ys_, window->lo.y), at(ys_, window->hi.y)};
 }
 
 template <class F>
 void CoverGrid::forEachRun(bool rows, std::size_t line, F&& f) const {
-  const std::vector<Coord>& cuts = rows ? xs_ : ys_;
+  const std::pmr::vector<Coord>& cuts = rows ? xs_ : ys_;
   const std::size_t n = rows ? nx_ : ny_;
   const auto on = [&](std::size_t k) {
     return rows ? covered(k, line) : covered(line, k);

@@ -4,6 +4,7 @@
 // extraction.
 #pragma once
 
+#include <memory_resource>
 #include <vector>
 
 #include "geom/interval.hpp"
@@ -46,9 +47,37 @@ struct BoundaryStats {
 /// rect-edge coordinates, each cell either covered or not. Every edge lies
 /// on a cut line, so the union's corners, band-wise widths and gaps, and
 /// area all follow from the grid: build it once to ask several of them.
+///
+/// Built with a window, the window's bounds are cut lines too, and the
+/// cells inside the window are those the tilings, the MTCGs and the slice
+/// strings read (a rect reaching outside the window covers the in-window
+/// cells its clipped part covers). Extra cut lines change no answer: a
+/// corner, run, gap or area reads the same with or without them.
+///
+/// The window constructor takes the memory resource of the grid's storage
+/// (heap by default); per-clip callers pass an engine::ArenaResource over
+/// the thread's scratch arena.
 class CoverGrid {
  public:
   explicit CoverGrid(const std::vector<Rect>& rects);
+  CoverGrid(const std::vector<Rect>& rects, const Rect& window,
+            std::pmr::memory_resource* mr = std::pmr::get_default_resource());
+
+  /// Cell-index span of a grid region: columns [i0, i1), rows [j0, j1).
+  struct Span {
+    std::size_t i0 = 0, i1 = 0, j0 = 0, j1 = 0;
+  };
+  /// The cells inside the window (all cells when built without one).
+  const Span& windowCells() const { return window_; }
+
+  /// Cut line coordinates: column i spans [x(i), x(i + 1)], row j spans
+  /// [y(j), y(j + 1)].
+  Coord x(std::size_t i) const { return xs_[i]; }
+  Coord y(std::size_t j) const { return ys_[j]; }
+  /// Whether cell (i, j) is covered; false outside the grid.
+  bool covered(std::size_t i, std::size_t j) const {
+    return i < nx_ && j < ny_ && cells_[j * nx_ + i] != 0;
+  }
 
   /// Count convex/concave corners and corner-touch points of the union.
   /// Corner classification looks at the 4 quadrants around each cut point:
@@ -70,19 +99,19 @@ class CoverGrid {
   Area area() const;
 
  private:
-  bool covered(std::size_t i, std::size_t j) const {
-    return i < nx_ && j < ny_ && cells_[j * nx_ + i] != 0;
-  }
+  CoverGrid(const std::vector<Rect>& rects, const Rect* window,
+            std::pmr::memory_resource* mr);
   // Calls f(lo, hi) for each maximal run of covered cells, ascending, in
   // row `line` (rows) or column `line` (!rows).
   template <class F>
   void forEachRun(bool rows, std::size_t line, F&& f) const;
 
-  std::vector<Coord> xs_;
-  std::vector<Coord> ys_;
+  std::pmr::vector<Coord> xs_;
+  std::pmr::vector<Coord> ys_;
   std::size_t nx_ = 0;  ///< cell columns: xs_.size() - 1 (0 when empty)
   std::size_t ny_ = 0;
-  std::vector<unsigned char> cells_;  ///< cell (i, j) at j * nx_ + i
+  std::pmr::vector<unsigned char> cells_;  ///< cell (i, j) at j * nx_ + i
+  Span window_;
 };
 
 /// CoverGrid(rects).boundaryStats().

@@ -2,118 +2,111 @@
 
 #include <algorithm>
 
-#include "geom/interval.hpp"
-#include "geom/rectset.hpp"
-
 namespace hsd {
 
 namespace {
 
-// Merge vertically adjacent tiles with identical x-span and type.
-std::vector<Tile> mergeVertically(std::vector<Tile> tiles) {
-  std::sort(tiles.begin(), tiles.end(), [](const Tile& a, const Tile& b) {
-    if (a.box.lo.x != b.box.lo.x) return a.box.lo.x < b.box.lo.x;
-    if (a.box.hi.x != b.box.hi.x) return a.box.hi.x < b.box.hi.x;
-    if (a.isBlock != b.isBlock) return a.isBlock < b.isBlock;
-    return a.box.lo.y < b.box.lo.y;
-  });
-  std::vector<Tile> out;
-  for (const Tile& t : tiles) {
-    if (!out.empty()) {
-      Tile& p = out.back();
-      if (p.box.lo.x == t.box.lo.x && p.box.hi.x == t.box.hi.x &&
-          p.isBlock == t.isBlock && p.box.hi.y == t.box.lo.y) {
-        p.box.hi.y = t.box.hi.y;
-        continue;
+// Tiles `g`'s window cells along rows (horizontal) or columns: each line's
+// maximal runs of equal coverage, a run continuing the previous line's
+// tile when that tile has the same span and type. Boxes are numbered in
+// creation order, i.e. by (line, position along the line); `tiles` is left
+// for finish().
+CellTiling tileLines(const CoverGrid& g, bool horizontal,
+                     std::pmr::memory_resource* mr) {
+  using Box = CellTiling::Box;
+  const CoverGrid::Span& w = g.windowCells();
+  CellTiling t(mr);
+  t.cols = std::uint32_t(w.i1 - w.i0);
+  t.rows = std::uint32_t(w.j1 - w.j0);
+  t.at.resize(std::size_t(t.cols) * t.rows);
+  const std::uint32_t lines = horizontal ? t.rows : t.cols;
+  const std::uint32_t along = horizontal ? t.cols : t.rows;
+  // Index into `at` of cell k of line l.
+  const auto cell = [&](std::uint32_t l, std::uint32_t k) {
+    return horizontal ? std::size_t(l) * t.cols + k
+                      : std::size_t(k) * t.cols + l;
+  };
+  const auto covered = [&](std::uint32_t l, std::uint32_t k) {
+    return horizontal ? g.covered(w.i0 + k, w.j0 + l)
+                      : g.covered(w.i0 + l, w.j0 + k);
+  };
+  for (std::uint32_t l = 0; l < lines; ++l) {
+    for (std::uint32_t k = 0; k < along;) {
+      const bool block = covered(l, k);
+      const std::uint32_t first = k;
+      while (++k < along && covered(l, k) == block) {
       }
+      std::uint32_t id = std::uint32_t(t.boxes.size());
+      if (l > 0) {
+        const std::uint32_t prev = t.at[cell(l - 1, first)];
+        Box& b = t.boxes[prev];
+        if ((horizontal ? b.i0 == first && b.i1 == k
+                        : b.j0 == first && b.j1 == k) &&
+            b.isBlock == block) {
+          id = prev;
+          (horizontal ? b.j1 : b.i1) = l + 1;
+        }
+      }
+      if (id == t.boxes.size())
+        t.boxes.push_back(horizontal ? Box{first, k, l, l + 1, block}
+                                     : Box{l, l + 1, first, k, block});
+      for (std::uint32_t m = first; m < k; ++m) t.at[cell(l, m)] = id;
     }
-    out.push_back(t);
   }
-  return out;
+  return t;
 }
 
-// Merge horizontally adjacent tiles with identical y-span and type.
-std::vector<Tile> mergeHorizontally(std::vector<Tile> tiles) {
-  std::sort(tiles.begin(), tiles.end(), [](const Tile& a, const Tile& b) {
-    if (a.box.lo.y != b.box.lo.y) return a.box.lo.y < b.box.lo.y;
-    if (a.box.hi.y != b.box.hi.y) return a.box.hi.y < b.box.hi.y;
-    if (a.isBlock != b.isBlock) return a.isBlock < b.isBlock;
-    return a.box.lo.x < b.box.lo.x;
-  });
-  std::vector<Tile> out;
-  for (const Tile& t : tiles) {
-    if (!out.empty()) {
-      Tile& p = out.back();
-      if (p.box.lo.y == t.box.lo.y && p.box.hi.y == t.box.hi.y &&
-          p.isBlock == t.isBlock && p.box.hi.x == t.box.lo.x) {
-        p.box.hi.x = t.box.hi.x;
-        continue;
-      }
-    }
-    out.push_back(t);
-  }
-  return out;
+// Fills `tiles` from the boxes: the window-local cell indices mapped back
+// to the grid's cut coordinates.
+void finish(CellTiling& t, const CoverGrid& g) {
+  const CoverGrid::Span& w = g.windowCells();
+  t.tiles.reserve(t.boxes.size());
+  for (const CellTiling::Box& b : t.boxes)
+    t.tiles.push_back({Rect{Point{g.x(w.i0 + b.i0), g.y(w.j0 + b.j0)},
+                            Point{g.x(w.i0 + b.i1), g.y(w.j0 + b.j1)}},
+                       b.isBlock});
 }
 
 }  // namespace
 
-std::vector<Tile> horizontalTiling(const std::vector<Rect>& blocksIn,
-                                   const Rect& window) {
-  const std::vector<Rect> blocks = clipRects(blocksIn, window);
-  // Cut lines: every block edge y plus the window bounds.
-  std::vector<Coord> ys{window.lo.y, window.hi.y};
-  for (const Rect& r : blocks) {
-    ys.push_back(r.lo.y);
-    ys.push_back(r.hi.y);
-  }
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
-
-  std::vector<Tile> tiles;
-  for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
-    const Coord y1 = ys[i];
-    const Coord y2 = ys[i + 1];
-    if (y1 < window.lo.y || y2 > window.hi.y || y1 >= y2) continue;
-    const std::vector<Interval> cov = coveredX(blocks, y1, y2);
-    for (const Interval& iv : cov) {
-      const Coord lo = std::max(iv.lo, window.lo.x);
-      const Coord hi = std::min(iv.hi, window.hi.x);
-      if (lo < hi) tiles.push_back({Rect{lo, y1, hi, y2}, true});
-    }
-    for (const Interval& iv :
-         complementIntervals(cov, {window.lo.x, window.hi.x}))
-      tiles.push_back({Rect{iv.lo, y1, iv.hi, y2}, false});
-  }
-  return mergeVertically(std::move(tiles));
+CellTiling horizontalCells(const CoverGrid& g,
+                           std::pmr::memory_resource* mr) {
+  // Rows are scanned bottom-up and runs left to right, and a tile is
+  // numbered when its first run is met: already (lo.y, lo.x) order.
+  CellTiling t = tileLines(g, true, mr);
+  finish(t, g);
+  return t;
 }
 
-std::vector<Tile> verticalTiling(const std::vector<Rect>& blocksIn,
-                                 const Rect& window) {
-  const std::vector<Rect> blocks = clipRects(blocksIn, window);
-  std::vector<Coord> xs{window.lo.x, window.hi.x};
-  for (const Rect& r : blocks) {
-    xs.push_back(r.lo.x);
-    xs.push_back(r.hi.x);
+CellTiling verticalCells(const CoverGrid& g, std::pmr::memory_resource* mr) {
+  CellTiling t = tileLines(g, false, mr);
+  // Column-major numbering is (lo.x, lo.y). Renumber into (lo.y, lo.x) by
+  // a counting sort on lo.y: it is stable, and tiles with equal lo.y were
+  // numbered in lo.x order.
+  const std::size_t n = t.boxes.size();
+  std::pmr::vector<std::uint32_t> next(t.rows + 1, 0, mr);
+  for (const CellTiling::Box& b : t.boxes) ++next[b.j0 + 1];
+  for (std::uint32_t j = 1; j <= t.rows; ++j) next[j] += next[j - 1];
+  std::pmr::vector<std::uint32_t> to(n, mr);  // creation number -> rank
+  std::pmr::vector<CellTiling::Box> boxes(n, mr);
+  for (std::size_t k = 0; k < n; ++k) {
+    to[k] = next[t.boxes[k].j0]++;
+    boxes[to[k]] = t.boxes[k];
   }
-  std::sort(xs.begin(), xs.end());
-  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+  t.boxes.swap(boxes);
+  for (std::uint32_t& c : t.at) c = to[c];
+  finish(t, g);
+  return t;
+}
 
-  std::vector<Tile> tiles;
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    const Coord x1 = xs[i];
-    const Coord x2 = xs[i + 1];
-    if (x1 < window.lo.x || x2 > window.hi.x || x1 >= x2) continue;
-    const std::vector<Interval> cov = coveredY(blocks, x1, x2);
-    for (const Interval& iv : cov) {
-      const Coord lo = std::max(iv.lo, window.lo.y);
-      const Coord hi = std::min(iv.hi, window.hi.y);
-      if (lo < hi) tiles.push_back({Rect{x1, lo, x2, hi}, true});
-    }
-    for (const Interval& iv :
-         complementIntervals(cov, {window.lo.y, window.hi.y}))
-      tiles.push_back({Rect{x1, iv.lo, x2, iv.hi}, false});
-  }
-  return mergeHorizontally(std::move(tiles));
+std::vector<Tile> horizontalTiling(const std::vector<Rect>& blocks,
+                                   const Rect& window) {
+  return horizontalCells(CoverGrid(blocks, window)).tiles;
+}
+
+std::vector<Tile> verticalTiling(const std::vector<Rect>& blocks,
+                                 const Rect& window) {
+  return verticalCells(CoverGrid(blocks, window)).tiles;
 }
 
 namespace {

@@ -17,7 +17,7 @@ CorePattern pattern(Coord w, Coord h, std::vector<Rect> rects) {
 
 std::size_t edgeCount(const Mtcg& g) {
   std::size_t n = 0;
-  for (const auto& v : g.out) n += v.size();
+  for (std::size_t i = 0; i < g.tiles.size(); ++i) n += g.out(i).size();
   return n;
 }
 
@@ -41,8 +41,8 @@ TEST(Mtcg, CenteredBlockCh) {
   for (std::size_t i = 0; i < g.tiles.size(); ++i)
     if (g.tiles[i].isBlock) blockIdx = i;
   ASSERT_LT(blockIdx, g.tiles.size());
-  EXPECT_EQ(g.in[blockIdx].size(), 1u);
-  EXPECT_EQ(g.out[blockIdx].size(), 1u);
+  EXPECT_EQ(g.in(blockIdx).size(), 1u);
+  EXPECT_EQ(g.out(blockIdx).size(), 1u);
   EXPECT_EQ(g.boundaryTouches(blockIdx), 0);
 }
 
@@ -57,7 +57,7 @@ TEST(Mtcg, ChEdgesAreLeftToRight) {
   // One band: space | block | space.
   ASSERT_EQ(g.tiles.size(), 3u);
   for (std::size_t i = 0; i < g.tiles.size(); ++i)
-    for (const std::size_t j : g.out[i])
+    for (const std::size_t j : g.out(i))
       EXPECT_LT(g.tiles[i].box.lo.x, g.tiles[j].box.lo.x);
 }
 
@@ -108,8 +108,8 @@ TEST(Mtcg, EdgesRequireProjectionOverlap) {
       buildCh(pattern(100, 100, {{0, 0, 20, 20}, {40, 60, 60, 80}}));
   for (std::size_t i = 0; i < g.tiles.size(); ++i) {
     if (!g.tiles[i].isBlock) continue;
-    for (const std::size_t j : g.out[i]) EXPECT_FALSE(g.tiles[j].isBlock);
-    for (const std::size_t j : g.in[i]) EXPECT_FALSE(g.tiles[j].isBlock);
+    for (const std::size_t j : g.out(i)) EXPECT_FALSE(g.tiles[j].isBlock);
+    for (const std::size_t j : g.in(i)) EXPECT_FALSE(g.tiles[j].isBlock);
   }
 }
 
@@ -121,6 +121,33 @@ TEST(Mtcg, BoundaryTouchCounts) {
     else
       EXPECT_EQ(g.boundaryTouches(i), 3);  // top, left, right
   }
+}
+
+// A zero-area corner region is blocked only by a same-type tile whose
+// interior crosses it (see Mtcg::diagonals): here two blocks share the
+// x = 30 edge coordinate 50 apart, and a third block across x = 30 between
+// them removes the diagonal.
+TEST(Mtcg, ZeroAreaCornerDiagonal) {
+  const auto blockDiagonal = [](const Mtcg& g, const Rect& a, const Rect& b) {
+    for (const auto& [i, j] : g.diagonals)
+      if (g.tiles[i].isBlock &&
+          ((g.tiles[i].box == a && g.tiles[j].box == b) ||
+           (g.tiles[i].box == b && g.tiles[j].box == a)))
+        return true;
+    return false;
+  };
+  const Rect a{0, 0, 30, 20}, b{30, 70, 60, 100};
+  EXPECT_TRUE(blockDiagonal(buildCh(pattern(100, 100, {a, b})), a, b));
+  // A block beside the segment (ending at x = 30) does not cross it.
+  EXPECT_TRUE(blockDiagonal(
+      buildCh(pattern(100, 100, {a, {10, 40, 30, 50}, b})), a, b));
+  EXPECT_FALSE(blockDiagonal(
+      buildCh(pattern(100, 100, {a, {10, 40, 50, 50}, b})), a, b));
+  // The same along a shared y edge coordinate.
+  const Rect c{0, 0, 20, 30}, d{70, 30, 100, 60};
+  EXPECT_TRUE(blockDiagonal(buildCh(pattern(100, 100, {c, d})), c, d));
+  EXPECT_FALSE(blockDiagonal(
+      buildCh(pattern(100, 100, {c, {40, 10, 50, 50}, d})), c, d));
 }
 
 }  // namespace
