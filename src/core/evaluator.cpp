@@ -78,21 +78,19 @@ struct EvalStages {
   engine::Stage<EvalItem, ClipWindow> feedback;
 };
 
-/// `prefix` namespaces the stage/cache *stats* names ("tile<k>/" in tiled
-/// runs, "" monolithic). The verdict cache key keeps the canonical
-/// kVerdictStage hash either way — content hashes are translation
+/// `tile` is the tile the stage and cache stats are recorded under. The
+/// verdict cache key has no tile: content hashes are translation
 /// invariant, so tiled and monolithic runs (and different tiles) share
 /// one verdict cache.
 EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
                           const EvalParams& p,
-                          const std::string& prefix = {}) {
+                          std::size_t tile = engine::kUntiled) {
   EvalStages s;
   const std::uint64_t cfg = verdictConfig(det, p);
-  const std::string cacheName = prefix + "eval/verdict";
   s.clip = engine::Stage<ClipWindow, EvalItem>{
-      prefix + "eval/clip",
-      [&layers, cfg, cacheName](engine::RunContext& ctx,
-                                std::vector<ClipWindow>&& in) {
+      "eval/clip",
+      [&layers, cfg, tile](engine::RunContext& ctx,
+                           std::vector<ClipWindow>&& in) {
         engine::StageCache* const cache = ctx.cache();
         std::vector<EvalItem> out(in.size());
         std::atomic<std::size_t> hits{0};
@@ -112,11 +110,12 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
           }
         });
         if (cache != nullptr)
-          ctx.stats().recordCache(cacheName, hits, misses, 0);
+          ctx.stats().recordCache("eval/verdict", hits, misses, 0, tile);
         return out;
-      }};
+      },
+      tile};
   s.features = engine::Stage<EvalItem, EvalItem>{
-      prefix + "eval/features",
+      "eval/features",
       [&det](engine::RunContext& ctx, std::vector<EvalItem>&& in) {
         ctx.parallelFor(in.size(), [&](std::size_t i) {
           if (in[i].verdict >= 0) return;  // cached: nothing to compute
@@ -125,11 +124,12 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
               det.params.features);
         });
         return std::move(in);
-      }};
+      },
+      tile};
   s.kernels = engine::Stage<EvalItem, EvalItem>{
-      prefix + "eval/svm",
-      [&det, bias = p.decisionBias, cacheName](engine::RunContext& ctx,
-                                               std::vector<EvalItem>&& in) {
+      "eval/svm",
+      [&det, bias = p.decisionBias, tile](engine::RunContext& ctx,
+                                          std::vector<EvalItem>&& in) {
         engine::StageCache* const cache = ctx.cache();
         obs::ModelStatsRecorder* const ms = ctx.modelStats();
         const Coord half = det.params.clip.coreSide / 2;
@@ -167,16 +167,17 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
           keep[pending[j]] = sc.flagged;  // verdict stays -1: feedback decides
         });
         if (cache != nullptr)
-          ctx.stats().recordCache(cacheName, 0, 0, evictions);
+          ctx.stats().recordCache("eval/verdict", 0, 0, evictions, tile);
         std::vector<EvalItem> out;
         out.reserve(in.size());
         for (std::size_t i = 0; i < in.size(); ++i)
           if (keep[i]) out.push_back(std::move(in[i]));
         return out;
-      }};
+      },
+      tile};
   s.feedback = engine::Stage<EvalItem, ClipWindow>{
-      prefix + "eval/feedback",
-      [&det, useFeedback = p.useFeedback, cacheName](
+      "eval/feedback",
+      [&det, useFeedback = p.useFeedback, tile](
           engine::RunContext& ctx, std::vector<EvalItem>&& in) {
         engine::StageCache* const cache = ctx.cache();
         obs::ModelStatsRecorder* const ms = ctx.modelStats();
@@ -217,13 +218,14 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
           if (hot) tmp[i] = it.win;
         });
         if (cache != nullptr)
-          ctx.stats().recordCache(cacheName, 0, 0, evictions);
+          ctx.stats().recordCache("eval/verdict", 0, 0, evictions, tile);
         std::vector<ClipWindow> out;
         out.reserve(in.size());
         for (std::optional<ClipWindow>& o : tmp)
           if (o.has_value()) out.push_back(*o);
         return out;
-      }};
+      },
+      tile};
   return s;
 }
 
@@ -301,21 +303,6 @@ TiledLayout prepareTiledLayout(const Layout& layout, LayerId layer,
   return t;
 }
 
-void declareTileStages(engine::EngineStats& stats, const TiledLayout& tiled,
-                       bool withCache) {
-  static const char* const kStages[] = {
-      "extract/screen", "extract/candidates", "eval/clip",
-      "eval/features",  "eval/svm",           "eval/feedback"};
-  for (const TiledLayout::Work& w : tiled.work) {
-    const std::string prefix = "tile" + std::to_string(w.tileId) + "/";
-    for (const char* const s : kStages) stats.declare(prefix + s);
-    if (withCache) {
-      stats.declareCache(prefix + "extract/screen");
-      stats.declareCache(prefix + "eval/verdict");
-    }
-  }
-}
-
 TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
                             std::size_t workIndex, const EvalParams& p,
                             engine::RunContext& ctx) {
@@ -343,18 +330,18 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
   for (const std::size_t i : ids) slice.push_back(tiled.index.rects()[i]);
   const GridIndex local(std::move(slice), p.extract.clip.clipSide);
 
-  const std::string prefix = "tile" + std::to_string(w.tileId) + "/";
   TileEvalResult out;
   engine::Stage<Point, ClipWindow> screen =
-      screenStage(local, p.extract, prefix + "extract/screen");
+      screenStage(local, p.extract, w.tileId);
   engine::Stage<ClipWindow, ClipWindow> tap{
-      prefix + "extract/candidates",
+      "extract/candidates",
       [&out](engine::RunContext&, std::vector<ClipWindow>&& b) {
         out.candidateClips += b.size();
         return std::move(b);
-      }};
+      },
+      w.tileId};
   const LayerIndex layers{{det.params.layer, &local}};
-  EvalStages s = makeEvalStages(det, layers, p, prefix);
+  EvalStages s = makeEvalStages(det, layers, p, w.tileId);
 
   std::vector<Point> anchors;
   anchors.reserve(w.anchors.size());
@@ -411,7 +398,6 @@ EvalResult evaluateLayoutTiled(const Detector& det, const Layout& layout,
   if (l == nullptr || l->empty()) return {};
   ctx.throwIfCancelled();
   const TiledLayout tiled = prepareTiledLayout(layout, det.params.layer, p);
-  declareTileStages(ctx.stats(), tiled, ctx.cache() != nullptr);
   ctx.log(obs::LogLevel::kInfo, "core", "tiled eval start",
           {"tiles", tiled.work.size()}, {"anchors", tiled.anchorCount});
 

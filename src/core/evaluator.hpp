@@ -95,12 +95,6 @@ struct TiledLayout {
 TiledLayout prepareTiledLayout(const Layout& layout, LayerId layer,
                                const EvalParams& p);
 
-/// Pin every per-tile stage slot ("tile<k>/...") in tile order so the
-/// ENGINE_STATS key order is deterministic no matter how tiles are
-/// scheduled across threads or contexts.
-void declareTileStages(engine::EngineStats& stats, const TiledLayout& tiled,
-                       bool withCache);
-
 /// Hits and counters of one evaluated tile.
 struct TileEvalResult {
   std::vector<engine::TileHit> hits;
@@ -109,7 +103,8 @@ struct TileEvalResult {
 
 /// Evaluate one work item (tiled.work[workIndex]) on `ctx`: builds a
 /// local index over the tile's halo-expanded geometry and streams the
-/// tile's anchors through the full stage pipeline under "tile<k>/" names.
+/// tile's anchors through the full stage pipeline, its stats recorded
+/// under the tile's id.
 /// Safe to call concurrently for different work items.
 TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
                             std::size_t workIndex, const EvalParams& p,

@@ -89,10 +89,10 @@ bool passesScreen(const GridIndex& index, const ClipWindow& win,
 
 engine::Stage<Point, ClipWindow> screenStage(const GridIndex& index,
                                              const ExtractParams& p,
-                                             std::string statsName) {
-  return {statsName,
-          [&index, &p, statsName](engine::RunContext& ctx,
-                                  std::vector<Point>&& in) {
+                                             std::size_t tile) {
+  return {"extract/screen",
+          [&index, &p, tile](engine::RunContext& ctx,
+                             std::vector<Point>&& in) {
             engine::StageCache* const cache = ctx.cache();
             std::vector<std::optional<ClipWindow>> tmp(in.size());
             if (cache == nullptr) {
@@ -101,8 +101,8 @@ engine::Stage<Point, ClipWindow> screenStage(const GridIndex& index,
                 if (passesScreen(index, win, p)) tmp[i] = win;
               });
             } else {
-              // Canonical stage hash, NOT statsName: tiled (namespaced)
-              // and monolithic runs must share screen cache entries.
+              // No tile in the key: tiled and monolithic runs share
+              // screen cache entries.
               constexpr std::uint64_t kStage = hashString("extract/screen");
               const std::uint64_t cfg = p.fingerprint();
               std::atomic<std::size_t> hits{0};
@@ -124,14 +124,16 @@ engine::Stage<Point, ClipWindow> screenStage(const GridIndex& index,
                                     std::memory_order_relaxed);
                 if (pass) tmp[i] = win;
               });
-              ctx.stats().recordCache(statsName, hits, misses, evictions);
+              ctx.stats().recordCache("extract/screen", hits, misses,
+                                      evictions, tile);
             }
             std::vector<ClipWindow> out;
             out.reserve(in.size());
             for (std::optional<ClipWindow>& o : tmp)
               if (o.has_value()) out.push_back(*o);
             return out;
-          }};
+          },
+          tile};
 }
 
 std::vector<Point> candidateAnchors(const GridIndex& index, Coord coreSide) {

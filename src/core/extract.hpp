@@ -56,15 +56,14 @@ bool passesScreen(const GridIndex& index, const ClipWindow& win,
 /// The streaming "extract/screen" stage: anchors in, surviving windows
 /// out. Cache-aware — when the running context has a StageCache attached,
 /// screen verdicts are keyed on (stage, p.fingerprint(), window content)
-/// and hit/miss/evict counts land under `statsName` in EngineStats.
-/// `statsName` only renames the observability slot (the tiled evaluator
-/// namespaces it "tile<k>/extract/screen"); the cache key is always the
-/// canonical "extract/screen" stage hash, so tiled and monolithic runs
-/// share screen verdict entries. `index` and `p` are captured by
-/// reference and must outlive the stage.
+/// and hit/miss/evict counts land under "extract/screen" in EngineStats.
+/// `tile` only says which tile the stats are recorded under; the cache
+/// key has no tile, so tiled and monolithic runs share screen verdict
+/// entries. `index` and `p` are captured by reference and must outlive
+/// the stage.
 engine::Stage<Point, ClipWindow> screenStage(
     const GridIndex& index, const ExtractParams& p,
-    std::string statsName = "extract/screen");
+    std::size_t tile = engine::kUntiled);
 
 /// Candidate clip windows of `layout` on `layer` (deduplicated by core
 /// anchor). The returned windows are screened but not yet classified.

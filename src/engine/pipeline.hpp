@@ -25,7 +25,8 @@ namespace hsd::engine {
 /// One named pipeline stage: consumes a batch of In, produces a batch of
 /// Out (any fan-in/fan-out; filters shrink, expanders grow). The run
 /// callable itself is invoked serially per batch — intra-batch parallelism
-/// is the stage's own business (see mapStage).
+/// is the stage's own business (see mapStage). `tile` is the tile its
+/// invocations are recorded under in EngineStats.
 template <typename In, typename Out>
 struct Stage {
   using in_type = In;
@@ -33,6 +34,7 @@ struct Stage {
 
   std::string name;
   std::function<std::vector<Out>(RunContext&, std::vector<In>&&)> run;
+  std::size_t tile = kUntiled;
 };
 
 /// 1:1 parallel map stage: out[i] = fn(in[i]). Output order equals input
@@ -83,7 +85,8 @@ auto applyStages(RunContext& ctx, std::vector<In>&& batch, S& stage,
   ctx.throwIfCancelled();
   std::vector<typename S::out_type> out;
   {
-    StageTimer timer(ctx.stats(), stage.name, batch.size(), ctx.tracer());
+    StageTimer timer(ctx.stats(), stage.name, batch.size(), ctx.tracer(),
+                     stage.tile);
     out = stage.run(ctx, std::move(batch));
   }
   return applyStages(ctx, std::move(out), rest...);

@@ -1,16 +1,25 @@
 // Per-stage instrumentation registry: every pipeline stage (and any code
 // that wants coarse phase timing) records (calls, items, wall seconds)
-// under a stage name. One EngineStats lives in each RunContext, so a whole
-// detection run — extraction, evaluation, removal, training — is observable
-// from a single object and dumpable as JSON for the bench harness.
+// under a stage name and a tile — a tile id in tiled runs, kUntiled
+// otherwise. Stage-cache counters (hits, misses, evictions) live in a
+// second table of the same shape. One EngineStats lives in each
+// RunContext, so a whole detection run — extraction, evaluation, removal,
+// training — is observable from a single object and dumpable as JSON for
+// the bench harness.
 //
-// Stage and cache entries are reported in *registration order* (first
-// record wins the slot), not sorted by name, so ENGINE_STATS JSON lines
-// and golden-report diffs stay stable as stages are added or renamed.
+// JSON key order is a property of the table, not of thread timing: first
+// the per-tile entries ("tile<k>/<stage>"), tiles in id order and stages
+// in first-record order within each tile; then one entry per stage name,
+// summed over every tile and the untiled records, in first-record order
+// (not sorted by name, so ENGINE_STATS lines stay stable as stages are
+// added or renamed). An untiled run has no per-tile entries: its JSON is
+// just the per-stage entries.
 #pragma once
 
 #include <cstddef>
 #include <chrono>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -25,12 +34,23 @@ class JsonWriter;
 
 namespace hsd::engine {
 
+/// The tile of a record made outside any tile (monolithic runs, removal,
+/// training).
+inline constexpr std::size_t kUntiled =
+    std::numeric_limits<std::size_t>::max();
+
 /// Accumulated counters of one named stage.
 struct StageStats {
   std::size_t calls = 0;    ///< number of batch invocations
   std::size_t items = 0;    ///< total items processed
   double seconds = 0.0;     ///< total wall time inside the stage
 
+  StageStats& operator+=(const StageStats& o) {
+    calls += o.calls;
+    items += o.items;
+    seconds += o.seconds;
+    return *this;
+  }
   friend constexpr auto operator<=>(const StageStats&,
                                     const StageStats&) = default;
 };
@@ -43,68 +63,74 @@ struct CacheStats {
   std::size_t misses = 0;
   std::size_t evictions = 0;
 
+  CacheStats& operator+=(const CacheStats& o) {
+    hits += o.hits;
+    misses += o.misses;
+    evictions += o.evictions;
+    return *this;
+  }
   friend constexpr auto operator<=>(const CacheStats&,
                                     const CacheStats&) = default;
 };
 
-/// Thread-safe stage-name -> StageStats registry (plus per-stage cache
-/// counters). Iteration order of snapshots and JSON is registration order.
-///
-/// Tiled runs record the same logical stage once per tile under
-/// namespaced names ("tile<k>/extract/screen", "tile<k>/eval/svm", ...)
-/// so per-tile timings never collide. Consumers that want the monolithic
-/// view use `rollup`/`cacheRollup` (per-tile counters summed under the
-/// plain stage name), and `toJson` appends those aggregates after the raw
-/// entries — existing ENGINE_STATS consumers keep seeing "extract/screen"
-/// whether or not the run was tiled.
+/// Counters keyed by (stage name, tile). Not thread-safe: EngineStats
+/// guards its tables with one mutex.
+template <typename Counters>
+class CounterTable {
+ public:
+  void add(const std::string& name, std::size_t tile, const Counters& c);
+  /// Add every counter of `other`; its names keep their relative order.
+  void add(const CounterTable& other);
+  /// `name` summed over every tile and the untiled records.
+  Counters rollup(const std::string& name) const;
+  /// One roll-up per stage name, in first-record order.
+  std::vector<std::pair<std::string, Counters>> rollups() const;
+  /// Per-tile entries as "tile<k>/<name>", then rollups(), each passed to
+  /// `entry(key, counters)`.
+  template <typename F>
+  void forEachEntry(F&& entry) const;
+  void clear();
+
+ private:
+  /// Id of `name`, registering it on first sight.
+  std::size_t idOf(const std::string& name);
+
+  std::vector<std::string> names_;  ///< first-record order
+  std::unordered_map<std::string, std::size_t> ids_;
+  /// tile -> (name id, counters) in first-record order within the tile.
+  std::map<std::size_t, std::vector<std::pair<std::size_t, Counters>>>
+      rows_;
+};
+
+/// Thread-safe (stage, tile) -> StageStats registry, plus the per-stage
+/// cache counters. Tiles record concurrently into one registry.
 class EngineStats {
  public:
   /// Add one invocation of `stage` covering `items` items in `seconds`.
-  void record(const std::string& stage, std::size_t items, double seconds);
+  void record(const std::string& stage, std::size_t items, double seconds,
+              std::size_t tile = kUntiled);
 
   /// Add stage-cache lookup/eviction deltas for `stage`.
   void recordCache(const std::string& stage, std::size_t hits,
-                   std::size_t misses, std::size_t evictions);
-
-  /// Pin a registration slot for `stage` without recording anything.
-  /// The tiled evaluator declares every per-tile stage name up front, in
-  /// tile order, so the JSON key order stays deterministic no matter
-  /// which tile's worker records first.
-  void declare(const std::string& stage);
-  void declareCache(const std::string& stage);
+                   std::size_t misses, std::size_t evictions,
+                   std::size_t tile = kUntiled);
 
   /// Fold another registry's counters into this one (serving fans one
   /// request's tiles across pooled contexts and merges their stats back
-  /// into the request's primary context). Names merge into existing slots
-  /// or register fresh ones in `other`'s order.
+  /// into the request's primary context).
   void mergeFrom(const EngineStats& other);
 
-  /// Copy of the current registry, in registration order.
-  std::vector<std::pair<std::string, StageStats>> snapshot() const;
-
-  /// Cache counters of every cached stage, in registration order.
-  std::vector<std::pair<std::string, CacheStats>> cacheSnapshot() const;
-
-  /// Stats of one stage (zeros when the stage never ran).
-  StageStats stage(const std::string& name) const;
-
-  /// Cache counters of one stage (zeros when never recorded).
-  CacheStats cache(const std::string& name) const;
-
-  /// Aggregated view across tiles: the exact-name counters plus every
-  /// "tile<k>/<name>" instance summed in. Equals `stage(name)` for
-  /// monolithic runs.
+  /// `name` summed over every tile and the untiled records (zeros when
+  /// the stage never ran).
   StageStats rollup(const std::string& name) const;
   CacheStats cacheRollup(const std::string& name) const;
 
+  /// Every cached stage's roll-up, in first-record order.
+  std::vector<std::pair<std::string, CacheStats>> cacheRollups() const;
+
   /// JSON object: {"stage": {"calls": N, "items": N, "seconds": S}, ...,
-  /// "cache/stage": {"hits": N, "misses": N, "evictions": N}, ...}.
-  /// Keys appear in registration order; suitable for appending to
-  /// BENCH_*.json trackers and for byte-stable ENGINE_STATS diffs.
-  /// When tile-namespaced stages are present, their roll-ups (summed
-  /// under the plain stage name, first-tile-appearance order) follow the
-  /// raw entries, so existing consumers keep their keys. Monolithic runs
-  /// emit exactly the pre-tiling format.
+  /// "cache/stage": {"hits": N, "misses": N, "evictions": N}, ...}, in
+  /// the key order described at the top of this file.
   std::string toJson() const;
   /// The same entries as members of the object `w` has open (how
   /// ENGINE_STATS puts the model fingerprint first).
@@ -114,10 +140,8 @@ class EngineStats {
 
  private:
   mutable std::mutex mu_;
-  std::vector<std::pair<std::string, StageStats>> stages_;
-  std::unordered_map<std::string, std::size_t> stageIndex_;
-  std::vector<std::pair<std::string, CacheStats>> caches_;
-  std::unordered_map<std::string, std::size_t> cacheIndex_;
+  CounterTable<StageStats> stages_;
+  CounterTable<CacheStats> caches_;
 };
 
 /// RAII timer: records one invocation into `stats` on destruction.
@@ -125,15 +149,18 @@ class EngineStats {
 /// that only learn their output size at the end). With a non-null
 /// `tracer` (pass RunContext::tracer()) each invocation additionally
 /// lands in the trace as one "stage"-category span carrying the item
-/// count — one span per batch invocation.
+/// count (and, for a tiled stage, the tile) — one span per batch
+/// invocation.
 class StageTimer {
  public:
   StageTimer(EngineStats& stats, std::string stage, std::size_t items,
-             obs::TraceRecorder* tracer = nullptr)
+             obs::TraceRecorder* tracer = nullptr,
+             std::size_t tile = kUntiled)
       : stats_(stats),
         stage_(std::move(stage)),
         items_(items),
         tracer_(tracer),
+        tile_(tile),
         t0_(std::chrono::steady_clock::now()) {}
 
   StageTimer(const StageTimer&) = delete;
@@ -148,9 +175,11 @@ class StageTimer {
     done_ = true;
     const auto t1 = std::chrono::steady_clock::now();
     stats_.record(stage_, items_,
-                  std::chrono::duration<double>(t1 - t0_).count());
+                  std::chrono::duration<double>(t1 - t0_).count(), tile_);
     if (tracer_ != nullptr)
-      tracer_->recordSpan(stage_, "stage", t0_, t1, {"items", items_});
+      tracer_->recordSpan(stage_, "stage", t0_, t1, {"items", items_},
+                          tile_ == kUntiled ? obs::TraceArg{}
+                                            : obs::TraceArg{"tile", tile_});
   }
 
   ~StageTimer() { stop(); }
@@ -160,6 +189,7 @@ class StageTimer {
   std::string stage_;
   std::size_t items_;
   obs::TraceRecorder* tracer_;
+  std::size_t tile_;
   std::chrono::steady_clock::time_point t0_;
   bool done_ = false;
 };

@@ -1,6 +1,8 @@
 #include "layout/hierarchy.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace hsd {
 
@@ -96,17 +98,39 @@ void flattenCell(const CellLibrary& lib, const Cell& cell,
   }
 }
 
-std::size_t countCell(const CellLibrary& lib, const Cell& cell, int depth) {
+/// a + b and a * b, saturating at SIZE_MAX instead of wrapping.
+std::size_t addSat(std::size_t a, std::size_t b) {
+  std::size_t r = 0;
+  return __builtin_add_overflow(a, b, &r)
+             ? std::numeric_limits<std::size_t>::max()
+             : r;
+}
+std::size_t mulSat(std::size_t a, std::size_t b) {
+  std::size_t r = 0;
+  return __builtin_mul_overflow(a, b, &r)
+             ? std::numeric_limits<std::size_t>::max()
+             : r;
+}
+
+/// Flat polygon count of `cell`, saturating at SIZE_MAX. Memoized per
+/// cell, so a sub-cell shared by many instances is counted once and the
+/// cost is linear in the hierarchy, not in its expansion.
+std::size_t countCell(const CellLibrary& lib, const Cell& cell, int depth,
+                      std::unordered_map<const Cell*, std::size_t>& memo) {
   if (depth > 64)
     throw std::runtime_error("CellLibrary: depth > 64 (cycle?)");
+  if (const auto it = memo.find(&cell); it != memo.end()) return it->second;
   std::size_t n = 0;
-  for (const auto& [layer, polys] : cell.geometry()) n += polys.size();
+  for (const auto& [layer, polys] : cell.geometry())
+    n = addSat(n, polys.size());
   for (const Instance& inst : cell.instances()) {
     const Cell* child = lib.findCell(inst.cellName);
     if (child == nullptr)
       throw std::runtime_error("CellLibrary: missing cell " + inst.cellName);
-    n += inst.cols * inst.rows * countCell(lib, *child, depth + 1);
+    n = addSat(n, mulSat(mulSat(inst.cols, inst.rows),
+                         countCell(lib, *child, depth + 1, memo)));
   }
+  memo.emplace(&cell, n);
   return n;
 }
 
@@ -124,7 +148,8 @@ Layout CellLibrary::flatten() const {
 std::size_t CellLibrary::flatPolygonCount() const {
   const Cell* topCell = findCell(top_);
   if (topCell == nullptr) return 0;
-  return countCell(*this, *topCell, 0);
+  std::unordered_map<const Cell*, std::size_t> memo;
+  return countCell(*this, *topCell, 0, memo);
 }
 
 }  // namespace hsd

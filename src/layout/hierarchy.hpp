@@ -88,7 +88,8 @@ class CellLibrary {
   /// Throws std::runtime_error on missing cells or reference cycles.
   Layout flatten() const;
 
-  /// Total flat polygon count (without materializing the geometry).
+  /// Total flat polygon count (without materializing the geometry),
+  /// saturating at SIZE_MAX; linear in the number of cells and instances.
   std::size_t flatPolygonCount() const;
 
  private:

@@ -47,6 +47,16 @@ bool numericParam(const net::HttpRequest& req, const char* name, double& out,
   return true;
 }
 
+/// A tiling query parameter must be a whole number in [0, 2^53] (the
+/// range a double holds exactly): anything else would be an overflowing
+/// or truncating conversion to Coord/std::size_t. Returns false with
+/// `err` set.
+bool wholeParam(const char* name, double v, std::string& err) {
+  if (v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v)) return true;
+  err = std::string("'") + name + "' must be a whole number in [0, 2^53]";
+  return false;
+}
+
 /// Media type of the request body with any ";charset=..." suffix and
 /// surrounding whitespace stripped, lower-cased. Empty when absent.
 std::string mediaType(const net::HttpRequest& req) {
@@ -80,17 +90,14 @@ bool wantsProfile(const net::HttpRequest& req) {
 /// serving model's fingerprint.
 std::string buildProfileJson(const ServeResult& sr, std::uint64_t wireId,
                              const std::string& modelId) {
-  std::uint64_t hits = 0, misses = 0;
-  for (const auto& [stage, c] : sr.cacheStats) {
-    hits += c.hits;
-    misses += c.misses;
-  }
+  const engine::CacheStats total = sr.cacheTotal();
   obs::JsonWriter w;
   w.beginObject().field("wireId", wireId).field("status", toString(sr.status));
   if (sr.trace.valid()) w.field("trace", obs::formatTraceId(sr.trace));
   w.field("queueSeconds", sr.queueSeconds).field("runSeconds", sr.runSeconds);
   w.field("arenaReservedBytes", sr.arenaReservedBytes);
-  w.key("cache").beginObject().field("hits", hits).field("misses", misses);
+  w.key("cache").beginObject().field("hits", total.hits);
+  w.field("misses", total.misses);
   w.endObject().key("stages").raw(sr.statsJson.empty() ? "{}" : sr.statsJson);
   w.field("model", modelId).endObject();
   return w.str();
@@ -199,7 +206,10 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
       !numericParam(req, "deadline-ms", deadlineMs, err) ||
       !numericParam(req, "tile-size", tileSize, err) ||
       !numericParam(req, "halo", halo, err) ||
-      !numericParam(req, "tile-threads", tileThreads, err))
+      !numericParam(req, "tile-threads", tileThreads, err) ||
+      !wholeParam("tile-size", tileSize, err) ||
+      !wholeParam("halo", halo, err) ||
+      !wholeParam("tile-threads", tileThreads, err))
     return errorResponse(400, err);
   if (deadlineMs < 0.0) {
     // The header form loses to the query param; both are optional.
@@ -264,7 +274,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   ep.useFeedback = feedback != 0.0;
   ep.tiling.tileSize = Coord(tileSize);
   ep.tiling.halo = Coord(halo);
-  ep.tiling.tileThreads = std::size_t(std::max(0.0, tileThreads));
+  ep.tiling.tileThreads = std::size_t(tileThreads);
   if (ep.tiling.enabled() && ep.tiling.halo != 0 &&
       ep.tiling.halo < engine::minTileHalo(detector_.params.clip))
     // Surface the tiling-exactness violation as a client error here;
@@ -335,11 +345,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   std::ostringstream body;
   body.imbue(std::locale::classic());
   gds::writeWindowList(body, sr.result.reported, detector_.params.clip);
-  std::uint64_t hits = 0, misses = 0;
-  for (const auto& [stage, c] : sr.cacheStats) {
-    hits += c.hits;
-    misses += c.misses;
-  }
+  const engine::CacheStats total = sr.cacheTotal();
   net::HttpResponse res;
   res.status = 200;
   res.body = body.str();
@@ -348,8 +354,8 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
                   std::to_string(sr.result.candidateClips))
       .withHeader("X-Flagged-Before-Removal",
                   std::to_string(sr.result.flaggedBeforeRemoval))
-      .withHeader("X-Cache-Hits", std::to_string(hits))
-      .withHeader("X-Cache-Misses", std::to_string(misses));
+      .withHeader("X-Cache-Hits", std::to_string(total.hits))
+      .withHeader("X-Cache-Misses", std::to_string(total.misses));
   if (wantsProfile(req)) {
     std::string profile = buildProfileJson(sr, wireId, modelId_);
     res.withHeader("X-Profile", profile);

@@ -39,6 +39,12 @@ engine::CacheStats ServeResult::cache(const std::string& stage) const {
   return {};
 }
 
+engine::CacheStats ServeResult::cacheTotal() const {
+  engine::CacheStats total;
+  for (const auto& [name, c] : cacheStats) total += c;
+  return total;
+}
+
 void CancelSource::cancel() {
   cancelled_.store(true, std::memory_order_release);
   // If a run is bound right now, raise its cooperative flag so the
@@ -330,7 +336,7 @@ ServeResult DetectionServer::process(Request& req) {
   res.runSeconds = secondsSince(t0, t1);
   res.arenaReservedBytes = engine::arenaReservedBytes() - arena0;
   res.statsJson = ctx->stats().toJson();
-  res.cacheStats = ctx->stats().cacheSnapshot();
+  res.cacheStats = ctx->stats().cacheRollups();
   pool_->checkin(ctx);
   inflight_->dec();
   runHist_->observe(res.runSeconds, req.trace);
@@ -354,12 +360,6 @@ core::EvalResult DetectionServer::runTiled(Request& req,
   primary.throwIfCancelled();
   const core::TiledLayout tiled = core::prepareTiledLayout(
       *req.layout, req.det->params.layer, req.params);
-  // Declared up front on the primary registry: helper-context counters
-  // merge into pre-pinned slots, so the per-request ENGINE_STATS key
-  // order never depends on which context finished which tile first.
-  core::declareTileStages(primary.stats(), tiled,
-                          primary.cache() != nullptr);
-
   const std::size_t n = tiled.work.size();
   std::size_t wantExtras = n > 0 ? n - 1 : 0;
   if (req.params.tiling.tileThreads > 0)
@@ -438,14 +438,9 @@ void DetectionServer::finish(Request& req, ServeResult res) {
   statusTotal_[statusIndex(res.status)]->inc();
   // Per-request cache counters are deltas (the pooled context's stats are
   // wiped between requests), so summing them here yields server totals.
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& [stage, c] : res.cacheStats) {
-    hits += c.hits;
-    misses += c.misses;
-  }
-  if (hits > 0) cacheHits_->inc(hits);
-  if (misses > 0) cacheMisses_->inc(misses);
+  const engine::CacheStats total = res.cacheTotal();
+  if (total.hits > 0) cacheHits_->inc(total.hits);
+  if (total.misses > 0) cacheMisses_->inc(total.misses);
   if (req.callback) {
     try {
       req.callback(res);

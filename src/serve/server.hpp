@@ -113,6 +113,7 @@ struct ServeResult {
   /// caller passed none).
   obs::TraceId trace;
   std::string statsJson;  ///< per-request EngineStats JSON dump
+  /// Per-stage cache counters summed over tiles (cacheRollups()).
   std::vector<std::pair<std::string, engine::CacheStats>> cacheStats;
   double queueSeconds = 0.0;  ///< submit -> dequeue
   double runSeconds = 0.0;    ///< dequeue -> completion (0 if never ran)
@@ -124,6 +125,8 @@ struct ServeResult {
   bool ok() const { return status == RequestStatus::kOk; }
   /// Per-request cache counters of one stage (zeros when never recorded).
   engine::CacheStats cache(const std::string& stage) const;
+  /// Per-request cache counters summed over every stage.
+  engine::CacheStats cacheTotal() const;
 };
 
 /// Bounded blocking pool of pre-warmed RunContexts. checkout() blocks

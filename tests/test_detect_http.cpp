@@ -295,6 +295,18 @@ TEST(DetectHttp, MalformedInputsGet400) {
   // Bad numeric query parameter, rejected before any parsing work.
   EXPECT_EQ(postLayout(w, "/detect?bias=wat", asciiLayoutBody()).status,
             400);
+  // Tiling parameters must be whole numbers in [0, 2^53]: huge values
+  // would overflow the integer conversion, fractions and negatives would
+  // silently run untiled.
+  for (const char* target :
+       {"/detect?tile-size=1e300", "/detect?tile-threads=1e300",
+        "/detect?halo=1e300", "/detect?tile-size=0.5",
+        "/detect?tile-size=-1", "/detect?tile-threads=-1",
+        "/detect?tile-size=9007199254740994"}) {
+    const net::HttpResult r = postLayout(w, target, asciiLayoutBody());
+    EXPECT_EQ(r.status, 400) << target;
+    EXPECT_NE(r.body.find("whole number"), std::string::npos) << r.body;
+  }
   // Undersized halo: the tiling-exactness violation is a client error.
   const net::HttpResult halo =
       postLayout(w, "/detect?tile-size=8000&halo=100", asciiLayoutBody());

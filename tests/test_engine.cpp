@@ -132,11 +132,11 @@ TEST(EngineStats, RecordsAndDumpsJson) {
   stats.record("alpha", 10, 0.5);
   stats.record("alpha", 5, 0.25);
   stats.record("beta", 1, 0.125);
-  const StageStats a = stats.stage("alpha");
+  const StageStats a = stats.rollup("alpha");
   EXPECT_EQ(a.calls, 2u);
   EXPECT_EQ(a.items, 15u);
   EXPECT_DOUBLE_EQ(a.seconds, 0.75);
-  EXPECT_EQ(stats.stage("missing"), StageStats{});
+  EXPECT_EQ(stats.rollup("missing"), StageStats{});
 
   const std::string json = stats.toJson();
   EXPECT_NE(json.find("\"alpha\": {\"calls\": 2, \"items\": 15"),
@@ -146,7 +146,7 @@ TEST(EngineStats, RecordsAndDumpsJson) {
   EXPECT_EQ(json.back(), '}');
 
   stats.clear();
-  EXPECT_TRUE(stats.snapshot().empty());
+  EXPECT_EQ(stats.toJson(), "{}");
 }
 
 TEST(EngineStats, JsonAndSnapshotsFollowRegistrationOrder) {
@@ -159,15 +159,11 @@ TEST(EngineStats, JsonAndSnapshotsFollowRegistrationOrder) {
   stats.recordCache("mu", 2, 1, 0);
   stats.recordCache("kappa", 1, 1, 0);
 
-  const auto snap = stats.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "zeta");
-  EXPECT_EQ(snap[1].first, "alpha");
-  const auto cacheSnap = stats.cacheSnapshot();
+  const auto cacheSnap = stats.cacheRollups();
   ASSERT_EQ(cacheSnap.size(), 2u);
   EXPECT_EQ(cacheSnap[0].first, "mu");
   EXPECT_EQ(cacheSnap[1].first, "kappa");
-  EXPECT_EQ(stats.cache("mu").hits, 2u);
+  EXPECT_EQ(stats.cacheRollup("mu").hits, 2u);
 
   const std::string json = stats.toJson();
   EXPECT_LT(json.find("\"zeta\""), json.find("\"alpha\""));
@@ -203,9 +199,9 @@ TEST(Pipeline, ComposesStagesInOrderPerBatch) {
   const std::vector<std::string> want{"first:4", "second:4", "first:4",
                                       "second:4", "first:2", "second:2"};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(ctx.stats().stage("first").calls, 3u);
-  EXPECT_EQ(ctx.stats().stage("first").items, 10u);
-  EXPECT_EQ(ctx.stats().stage("second").calls, 3u);
+  EXPECT_EQ(ctx.stats().rollup("first").calls, 3u);
+  EXPECT_EQ(ctx.stats().rollup("first").items, 10u);
+  EXPECT_EQ(ctx.stats().rollup("second").calls, 3u);
 }
 
 TEST(Pipeline, MapAndFilterStagesKeepOrder) {
@@ -257,7 +253,7 @@ TEST(Pipeline, EmptyInputRunsNoStages) {
   RunContext ctx(2);
   auto id = mapStage<int>("id", [](const int& v) { return v; });
   EXPECT_TRUE(runPipeline(ctx, std::vector<int>{}, id).empty());
-  EXPECT_EQ(ctx.stats().stage("id").calls, 0u);
+  EXPECT_EQ(ctx.stats().rollup("id").calls, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -313,12 +309,12 @@ TEST(EngineDeterminism, StagedPipelineEmitsStats) {
   for (const char* stage :
        {"extract/screen", "extract/candidates", "eval/clip", "eval/features",
         "eval/svm", "eval/feedback", "eval/removal"}) {
-    EXPECT_GT(ctx.stats().stage(stage).calls, 0u) << stage;
+    EXPECT_GT(ctx.stats().rollup(stage).calls, 0u) << stage;
   }
-  EXPECT_EQ(ctx.stats().stage("extract/candidates").items,
+  EXPECT_EQ(ctx.stats().rollup("extract/candidates").items,
             res.candidateClips);
-  EXPECT_EQ(ctx.stats().stage("eval/svm").items,
-            ctx.stats().stage("eval/clip").items);
+  EXPECT_EQ(ctx.stats().rollup("eval/svm").items,
+            ctx.stats().rollup("eval/clip").items);
 }
 
 TEST(EngineDeterminism, CancelledEvaluationThrows) {
@@ -373,7 +369,7 @@ TEST(EngineDeterminism, TrainerStatsAndSharedContext) {
   EXPECT_FALSE(det.kernels.empty());
   for (const char* stage :
        {"train/classify", "train/features", "train/kernels", "train/platt"}) {
-    EXPECT_GT(ctx.stats().stage(stage).calls, 0u) << stage;
+    EXPECT_GT(ctx.stats().rollup(stage).calls, 0u) << stage;
   }
 }
 

@@ -2,7 +2,9 @@
 // flattening (instances, arrays, nesting), and GDSII hierarchy round trip.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "gds/gdsii.hpp"
 #include "geom/rectset.hpp"
@@ -96,6 +98,36 @@ TEST(CellLibrary, MissingCellThrows) {
   top.addInstance({"NOPE", {}, 1, 1, {}, {}});
   EXPECT_THROW(lib.flatten(), std::runtime_error);
   EXPECT_THROW(lib.flatPolygonCount(), std::runtime_error);
+}
+
+TEST(CellLibrary, FlatCountOfSharedChainIsLinearNotExponential) {
+  // C<i> places C<i-1> twice: 2^60 flat polygons from 61 cells. Without
+  // memoization the count would take 2^60 calls.
+  CellLibrary lib;
+  lib.addCell("C0").addRect(1, {0, 0, 10, 10});
+  for (int i = 1; i <= 60; ++i) {
+    Cell& c = lib.addCell("C" + std::to_string(i));
+    const std::string child = "C" + std::to_string(i - 1);
+    c.addInstance({child, {}, 1, 1, {}, {}});
+    c.addInstance({child, {Orient::R0, {20, 0}}, 1, 1, {}, {}});
+  }
+  lib.setTop("C60");
+  EXPECT_EQ(lib.flatPolygonCount(), std::size_t(1) << 60);
+}
+
+TEST(CellLibrary, FlatCountSaturatesInsteadOfWrapping) {
+  // Three nested 30000 x 30000 AREFs: 30000^6 ~ 7e26 polygons, past
+  // SIZE_MAX, which the count must report instead of a wrapped value.
+  CellLibrary lib;
+  lib.addCell("A0").addRect(1, {0, 0, 10, 10});
+  for (int i = 1; i <= 3; ++i)
+    lib.addCell("A" + std::to_string(i))
+        .addInstance({"A" + std::to_string(i - 1), {}, 30000, 30000,
+                      {20, 0}, {0, 20}});
+  lib.setTop("A3");
+  EXPECT_EQ(lib.flatPolygonCount(), std::numeric_limits<std::size_t>::max());
+  lib.setTop("A2");  // 30000^4 = 8.1e17 still fits
+  EXPECT_EQ(lib.flatPolygonCount(), std::size_t(810000000000000000ull));
 }
 
 TEST(CellLibrary, CycleDetected) {

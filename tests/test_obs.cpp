@@ -243,6 +243,7 @@ std::string tracedPipelineRun(std::size_t threads) {
         if (v % 2 == 0) return v;
         return std::nullopt;
       });
+  keepEven.tile = 3;  // a tiled stage: plain span name, tile as an arg
   const auto out = engine::runPipeline(ctx, std::move(items), square,
                                        keepEven);
   EXPECT_EQ(out.size(), 50u);
@@ -255,6 +256,10 @@ TEST(TraceRecorder, StageSpansAreByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(serial.empty());
   // 100 items in batches of 16 -> 7 batches x 2 stages = 14 spans.
   EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 14);
+  EXPECT_NE(serial.find("obs/keep_even|items=16|tile=3\n"), std::string::npos)
+      << serial;
+  EXPECT_NE(serial.find("obs/square|items=16\n"), std::string::npos)
+      << serial;
   EXPECT_EQ(serial, parallel);
 }
 

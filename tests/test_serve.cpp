@@ -84,34 +84,45 @@ TEST(DetectionServer, ConcurrentSubmissionsByteIdenticalToSerial) {
 }
 
 TEST(DetectionServer, RepeatedLayoutHitsSharedCacheAcrossRequests) {
-  ServerConfig cfg;
-  cfg.workers = 1;  // strict order: first populates, second must hit
-  cfg.threadsPerContext = 2;
-  DetectionServer server(cfg);
-  const ServeResult first =
-      server.submit(fx().detector, fx().test.layout, core::EvalParams{}).get();
-  const ServeResult second =
-      server.submit(fx().detector, fx().test.layout, core::EvalParams{}).get();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
+  // Untiled, then tiled: a tiled request's per-stage cache counters are
+  // summed over its tiles.
+  core::EvalParams tiled;
+  tiled.tiling.tileSize = 8000;
+  for (const core::EvalParams& params : {core::EvalParams{}, tiled}) {
+    SCOPED_TRACE(params.tiling.enabled() ? "tiled" : "untiled");
+    ServerConfig cfg;
+    cfg.workers = 1;  // strict order: first populates, second must hit
+    cfg.threadsPerContext = 2;
+    DetectionServer server(cfg);
+    const ServeResult first =
+        server.submit(fx().detector, fx().test.layout, params).get();
+    const ServeResult second =
+        server.submit(fx().detector, fx().test.layout, params).get();
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
 
-  // Per-request counters: the cold request misses, the warm one serves
-  // every window from the shared cache and recomputes nothing.
-  EXPECT_GT(first.cache("eval/verdict").misses, 0u);
-  EXPECT_EQ(first.cache("eval/verdict").hits, 0u);
-  EXPECT_EQ(second.cache("eval/verdict").misses, 0u);
-  EXPECT_GT(second.cache("eval/verdict").hits, 0u);
-  EXPECT_EQ(second.cache("extract/screen").misses, 0u);
-  EXPECT_GT(second.cache("extract/screen").hits, 0u);
-  EXPECT_EQ(tests::canonicalReport(second.result), baselineReport());
+    // Per-request counters: the cold request misses, the warm one serves
+    // every window from the shared cache and recomputes nothing.
+    EXPECT_GT(first.cache("eval/verdict").misses, 0u);
+    EXPECT_EQ(first.cache("eval/verdict").hits, 0u);
+    EXPECT_EQ(second.cache("eval/verdict").misses, 0u);
+    EXPECT_GT(second.cache("eval/verdict").hits, 0u);
+    EXPECT_EQ(second.cache("extract/screen").misses, 0u);
+    EXPECT_GT(second.cache("extract/screen").hits, 0u);
+    EXPECT_EQ(second.cacheTotal().hits,
+              second.cache("eval/verdict").hits +
+                  second.cache("extract/screen").hits);
+    EXPECT_EQ(tests::canonicalReport(second.result), baselineReport());
 
-  // Aggregate view: cross-request hits show up in stats and the JSON.
-  const DetectionServer::Stats s = server.stats();
-  EXPECT_GT(s.cache.hits, 0u);
-  const std::string json = server.statsJson();
-  const std::size_t hitRate = json.find("\"hitRate\": ");
-  ASSERT_NE(hitRate, std::string::npos) << json;
-  EXPECT_GT(std::strtod(json.c_str() + hitRate + 11, nullptr), 0.0) << json;
+    // Aggregate view: cross-request hits show up in stats and the JSON.
+    const DetectionServer::Stats s = server.stats();
+    EXPECT_GT(s.cache.hits, 0u);
+    const std::string json = server.statsJson();
+    const std::size_t hitRate = json.find("\"hitRate\": ");
+    ASSERT_NE(hitRate, std::string::npos) << json;
+    EXPECT_GT(std::strtod(json.c_str() + hitRate + 11, nullptr), 0.0)
+        << json;
+  }
 }
 
 TEST(DetectionServer, CacheDisabledStillServesIdenticalResults) {

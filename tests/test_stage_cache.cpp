@@ -173,8 +173,8 @@ CountedRun countedEval(std::shared_ptr<StageCache> cache, const Layout& layout,
   if (cache) ctx.attachCache(std::move(cache));
   CountedRun run;
   run.result = core::evaluateLayout(fx().detector, layout, p, ctx);
-  run.screen = ctx.stats().cache("extract/screen");
-  run.verdict = ctx.stats().cache("eval/verdict");
+  run.screen = ctx.stats().cacheRollup("extract/screen");
+  run.verdict = ctx.stats().cacheRollup("eval/verdict");
   run.statsJson = ctx.stats().toJson();
   return run;
 }

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -168,24 +170,25 @@ TEST(ReportMergerUnit, DropsNonOwnedDuplicatesAndSortsBySequence) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineStats tile namespacing: roll-ups and JSON aggregates.
+// EngineStats keyed by (stage, tile): roll-ups and JSON key order.
 
 TEST(EngineStatsTiling, RollupSumsTileNamespacedEntries) {
   EngineStats s;
-  s.record("tile0/eval/svm", 10, 0.25);
-  s.record("tile12/eval/svm", 5, 0.5);
-  s.record("eval/svm", 1, 0.125);          // plain entry folds in too
-  s.record("tile0/extract/screen", 3, 0.0625);
-  s.record("tileX/eval/svm", 99, 9.0);     // not a tile namespace: ignored
-  s.record("tile/eval/svm", 99, 9.0);      // no digits: ignored
+  s.record("eval/svm", 10, 0.25, 0);
+  s.record("eval/svm", 5, 0.5, 12);
+  s.record("eval/svm", 1, 0.125);  // an untiled record folds in too
+  s.record("extract/screen", 3, 0.0625, 0);
+  // A name is only a name: a tile-like spelling is not parsed as a tile.
+  s.record("tile0/eval/svm", 99, 9.0);
 
   const StageStats r = s.rollup("eval/svm");
   EXPECT_EQ(r.calls, 3u);
   EXPECT_EQ(r.items, 16u);
   EXPECT_DOUBLE_EQ(r.seconds, 0.875);
+  EXPECT_EQ(s.rollup("missing"), StageStats{});
 
-  s.recordCache("tile0/eval/verdict", 4, 2, 0);
-  s.recordCache("tile1/eval/verdict", 1, 3, 1);
+  s.recordCache("eval/verdict", 4, 2, 0, 0);
+  s.recordCache("eval/verdict", 1, 3, 1, 1);
   const CacheStats c = s.cacheRollup("eval/verdict");
   EXPECT_EQ(c.hits, 5u);
   EXPECT_EQ(c.misses, 5u);
@@ -193,19 +196,29 @@ TEST(EngineStatsTiling, RollupSumsTileNamespacedEntries) {
 }
 
 TEST(EngineStatsTiling, ToJsonAppendsAggregatesAfterRawEntries) {
+  // Per-tile entries in tile-id order (not record order), then one
+  // roll-up per stage in first-record order; the cache section repeats
+  // the pattern. A stage recorded tiled and untiled is written once.
   EngineStats s;
-  s.record("tile0/eval/svm", 2, 0.0);
-  s.record("tile1/eval/svm", 3, 0.0);
-  const std::string json = s.toJson();
-  const auto raw0 = json.find("\"tile0/eval/svm\"");
-  const auto raw1 = json.find("\"tile1/eval/svm\"");
-  const auto agg = json.find("\"eval/svm\"");
-  ASSERT_NE(raw0, std::string::npos);
-  ASSERT_NE(raw1, std::string::npos);
-  ASSERT_NE(agg, std::string::npos);
-  EXPECT_LT(raw0, raw1);
-  EXPECT_LT(raw1, agg);  // roll-up follows the raw per-tile entries
-  EXPECT_NE(json.find("\"items\": 5"), std::string::npos);
+  s.record("eval/svm", 3, 0.0, 1);
+  s.record("eval/clip", 1, 0.0, 1);
+  s.record("eval/svm", 2, 0.0, 0);
+  s.record("eval/svm", 4, 0.0);
+  s.record("eval/removal", 6, 0.0);
+  s.recordCache("eval/verdict", 1, 2, 0, 1);
+  s.recordCache("eval/verdict", 3, 0, 1, 0);
+  EXPECT_EQ(s.toJson(),
+            R"({"tile0/eval/svm": {"calls": 1, "items": 2, "seconds": 0}, )"
+            R"("tile1/eval/svm": {"calls": 1, "items": 3, "seconds": 0}, )"
+            R"("tile1/eval/clip": {"calls": 1, "items": 1, "seconds": 0}, )"
+            R"("eval/svm": {"calls": 3, "items": 9, "seconds": 0}, )"
+            R"("eval/clip": {"calls": 1, "items": 1, "seconds": 0}, )"
+            R"("eval/removal": {"calls": 1, "items": 6, "seconds": 0}, )"
+            R"("cache/tile0/eval/verdict": )"
+            R"({"hits": 3, "misses": 0, "evictions": 1}, )"
+            R"("cache/tile1/eval/verdict": )"
+            R"({"hits": 1, "misses": 2, "evictions": 0}, )"
+            R"("cache/eval/verdict": {"hits": 4, "misses": 2, "evictions": 1}})");
 }
 
 TEST(EngineStatsTiling, MonolithicJsonHasNoAggregates) {
@@ -221,22 +234,25 @@ TEST(EngineStatsTiling, MonolithicJsonHasNoAggregates) {
 
 TEST(EngineStatsTiling, MergeFromFoldsIntoExistingSlots) {
   EngineStats a;
-  a.declare("tile0/eval/svm");
-  a.declare("tile1/eval/svm");
-  a.record("tile0/eval/svm", 2, 0.5);
+  a.record("eval/svm", 2, 0.5, 0);
 
   EngineStats b;
-  b.record("tile1/eval/svm", 7, 0.25);
-  b.recordCache("tile1/eval/verdict", 3, 1, 0);
-  a.mergeFrom(b);
+  b.record("eval/svm", 7, 0.25, 1);
+  b.recordCache("eval/verdict", 3, 1, 0, 1);
+  EngineStats merged;
+  merged.mergeFrom(a);
+  merged.mergeFrom(b);
 
-  EXPECT_EQ(a.stage("tile1/eval/svm").items, 7u);
-  EXPECT_EQ(a.cache("tile1/eval/verdict").hits, 3u);
-  // Declared order is preserved: tile0 still reports before tile1.
-  const auto snap = a.snapshot();
-  ASSERT_GE(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "tile0/eval/svm");
-  EXPECT_EQ(snap[1].first, "tile1/eval/svm");
+  EXPECT_EQ(merged.rollup("eval/svm").items, 9u);
+  EXPECT_EQ(merged.cacheRollup("eval/verdict").hits, 3u);
+  // Tile order is the table's, not the merge order's.
+  EngineStats reversed;
+  reversed.mergeFrom(b);
+  reversed.mergeFrom(a);
+  EXPECT_EQ(reversed.toJson(), merged.toJson());
+  const std::string json = merged.toJson();
+  EXPECT_LT(json.find("\"tile0/eval/svm\""),
+            json.find("\"tile1/eval/svm\""));
 }
 
 // ---------------------------------------------------------------------------
@@ -457,6 +473,58 @@ TEST(ServeTiled, ConcurrentTiledRequestsStayIdentical) {
     EXPECT_EQ(r.result.reported, first.result.reported) << "request " << i;
   }
   server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Stats determinism: the JSON's key sequence and counters do not depend on
+// the thread count or on how serving spreads tiles over contexts.
+
+/// `json` with every "seconds" value blanked: what must be deterministic.
+std::string withoutSeconds(const std::string& json) {
+  static const std::regex kSeconds(R"("seconds": [^,}]+)");
+  return std::regex_replace(json, kSeconds, "\"seconds\": _");
+}
+
+/// True when no key of the (flat) stats JSON appears twice.
+bool keysUnique(const std::string& json) {
+  static const std::regex kKey(R"re("([^"]+)": \{)re");
+  std::set<std::string> seen;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), kKey);
+       it != std::sregex_iterator(); ++it)
+    if (!seen.insert((*it)[1].str()).second) return false;
+  return !seen.empty();
+}
+
+TEST(TiledStats, KeysAndCountersIndependentOfThreadsAndContexts) {
+  // No cache: cache hit counts legitimately depend on which tile reaches
+  // a shared window first; stage calls and items do not.
+  const core::EvalParams tp = tiledParams(6000);
+  std::string reference;
+  for (const std::size_t threads : {std::size_t(1), std::size_t(8)}) {
+    RunContext ctx(threads);
+    core::evaluateLayout(fx().detector, fx().test.layout, tp, ctx);
+    const std::string json = withoutSeconds(ctx.stats().toJson());
+    EXPECT_TRUE(keysUnique(json)) << json;
+    if (reference.empty()) reference = json;
+    EXPECT_EQ(json, reference) << "threads=" << threads;
+  }
+  ASSERT_NE(reference.find("\"tile0/eval/svm\""), std::string::npos);
+  ASSERT_NE(reference.find("\"tile1/eval/svm\""), std::string::npos);
+
+  for (const std::size_t contexts : {std::size_t(1), std::size_t(4)}) {
+    serve::ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.contexts = contexts;
+    cfg.threadsPerContext = 2;
+    cfg.enableCache = false;
+    serve::DetectionServer server(cfg);
+    const serve::ServeResult r =
+        server.submit(fx().detector, fx().test.layout, tp).get();
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(withoutSeconds(r.statsJson), reference)
+        << "contexts=" << contexts;
+    server.shutdown();
+  }
 }
 
 }  // namespace

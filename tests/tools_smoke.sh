@@ -36,13 +36,24 @@ python3 -c 'import json,sys; [json.loads(l) for l in sys.stdin if l.strip()]' \
 grep -q '"eval done"' "$OUT/detect_log.jsonl"
 "$BIN/tools/hsd_score" "$OUT/report.txt" "$OUT/golden_hotspots.txt" --layout "$OUT/layout.gds" | grep -q accuracy
 # Tiled detection must emit a report byte-identical to the untiled one
-# (the deterministic-merge contract), with per-tile stage namespaces plus
-# plain-name roll-ups in the ENGINE_STATS JSON.
+# (the deterministic-merge contract), with per-tile "tile<k>/<stage>"
+# entries plus one roll-up per stage in the ENGINE_STATS JSON: every key
+# once, and each roll-up the sum of its tiles.
 "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/report_tiled.txt" \
   --tile-size 8000 --threads 2 | tee "$OUT/detect_tiled.out"
 cmp "$OUT/report.txt" "$OUT/report_tiled.txt"
 grep '^ENGINE_STATS ' "$OUT/detect_tiled.out" | sed 's/^ENGINE_STATS //' \
-  | python3 -m json.tool > /dev/null
+  | python3 -c '
+import json, re, sys
+pairs = json.load(sys.stdin, object_pairs_hook=lambda p: p)
+keys = [k for k, _ in pairs]
+assert len(keys) == len(set(keys)), "duplicate ENGINE_STATS keys"
+stats = dict(pairs)
+tiles = [dict(v)["items"] for k, v in pairs
+         if re.fullmatch(r"tile[0-9]+/eval/svm", k)]
+assert len(tiles) > 1, "expected several tile<k>/eval/svm entries"
+assert dict(stats["eval/svm"])["items"] == sum(tiles), "eval/svm roll-up"
+'
 grep -q '"tile0/extract/screen"' "$OUT/detect_tiled.out"
 grep -q '"eval/svm"' "$OUT/detect_tiled.out"
 # An undersized halo must hard-error, not silently degrade.

@@ -17,7 +17,8 @@
 // --trace-out records the whole run as Chrome trace-event JSON (per-batch
 // stage spans, parallelFor chunk spans) — open it in Perfetto or
 // chrome://tracing. The ENGINE_STATS line is the per-stage timing JSON
-// (per-tile "tile<k>/..." entries plus plain-name roll-ups when tiled),
+// (when tiled: per-tile "tile<k>/<stage>" entries, then each stage summed
+// over all tiles under its plain name),
 // led by "model": the model fingerprint as 16 hex digits.
 //
 // --log-out records structured engine logs (eval/tile milestones) as
