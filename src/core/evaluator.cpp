@@ -1,13 +1,15 @@
 #include "core/evaluator.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <thread>
 #include <utility>
 
 #include "core/scorer.hpp"
@@ -246,6 +248,31 @@ EvalResult finishEval(const GridIndex& index, std::vector<ClipWindow> hits,
   return res;
 }
 
+/// The one streaming pipeline from anchors to hits, for the monolithic run
+/// and for every tile: screen over `index`, a tally of the screen
+/// survivors into `candidates`, then clip, features, svm and feedback,
+/// all recorded under `tile`. Extraction chains straight into scoring,
+/// so the candidate list never materializes.
+std::vector<ClipWindow> scanAnchors(const Detector& det,
+                                    const GridIndex& index,
+                                    std::vector<Point> anchors,
+                                    const EvalParams& p,
+                                    engine::RunContext& ctx, std::size_t tile,
+                                    std::size_t& candidates) {
+  engine::Stage<Point, ClipWindow> screen = screenStage(index, p.extract, tile);
+  engine::Stage<ClipWindow, ClipWindow> tap{
+      "extract/candidates",
+      [&candidates](engine::RunContext&, std::vector<ClipWindow>&& b) {
+        candidates += b.size();
+        return std::move(b);
+      },
+      tile};
+  const LayerIndex layers{{det.params.layer, &index}};
+  EvalStages s = makeEvalStages(det, layers, p, tile);
+  return engine::runPipeline(ctx, std::move(anchors), screen, tap, s.clip,
+                             s.features, s.kernels, s.feedback);
+}
+
 }  // namespace
 
 std::uint64_t EvalParams::fingerprint() const {
@@ -307,7 +334,6 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
                             std::size_t workIndex, const EvalParams& p,
                             engine::RunContext& ctx) {
   const TiledLayout::Work& w = tiled.work[workIndex];
-  const engine::TileSpec spec = tiled.plan.tile(w.tileId);
   ctx.throwIfCancelled();
   // Re-install the context's request id: during serve-side tile fan-out
   // this runs on a *borrowed* helper context's pool workers, whose
@@ -323,7 +349,8 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
   // expanded region, so each window's rect set — and hence its screen
   // verdict, content hash, features and kernel scores, all of which are
   // query-order independent — equals the monolithic run's.
-  std::vector<std::size_t> ids = tiled.index.query(spec.expanded);
+  std::vector<std::size_t> ids =
+      tiled.index.query(tiled.plan.tile(w.tileId).expanded);
   std::sort(ids.begin(), ids.end());
   std::vector<Rect> slice;
   slice.reserve(ids.size());
@@ -331,43 +358,91 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
   const GridIndex local(std::move(slice), p.extract.clip.clipSide);
 
   TileEvalResult out;
-  engine::Stage<Point, ClipWindow> screen =
-      screenStage(local, p.extract, w.tileId);
-  engine::Stage<ClipWindow, ClipWindow> tap{
-      "extract/candidates",
-      [&out](engine::RunContext&, std::vector<ClipWindow>&& b) {
-        out.candidateClips += b.size();
-        return std::move(b);
-      },
-      w.tileId};
-  const LayerIndex layers{{det.params.layer, &local}};
-  EvalStages s = makeEvalStages(det, layers, p, w.tileId);
-
   std::vector<Point> anchors;
   anchors.reserve(w.anchors.size());
   for (const auto& [seq, a] : w.anchors) anchors.push_back(a);
-  const std::vector<ClipWindow> hits =
-      engine::runPipeline(ctx, std::move(anchors), screen, tap, s.clip,
-                          s.features, s.kernels, s.feedback);
+  const std::vector<ClipWindow> hits = scanAnchors(
+      det, local, std::move(anchors), p, ctx, w.tileId, out.candidateClips);
 
-  // Tag each hit with its global sequence number via the anchor inverse
-  // of anchorWindow: core.lo + coreSide/2 (exact in integer dbu).
-  std::unordered_map<Point, std::uint64_t> seqOf;
-  seqOf.reserve(w.anchors.size());
-  for (const auto& [seq, a] : w.anchors) seqOf.emplace(a, seq);
+  // Tag each hit with its global sequence number. Every stage keeps its
+  // input order, so hits come in owned-anchor order and one forward walk
+  // finds each hit's anchor by the inverse of anchorWindow: core.lo +
+  // coreSide/2 (exact in integer dbu).
   const Coord half = p.extract.clip.coreSide / 2;
+  auto owned = w.anchors.begin();
   out.hits.reserve(hits.size());
   for (const ClipWindow& win : hits) {
     const Point a{win.core.lo.x + half, win.core.lo.y + half};
-    const auto it = seqOf.find(a);
-    if (it == seqOf.end())
+    while (owned != w.anchors.end() && owned->second != a) ++owned;
+    if (owned == w.anchors.end())
       throw std::logic_error(
           "evaluateTile: hit window does not invert to an owned anchor");
-    out.hits.push_back({it->second, a, win});
+    out.hits.push_back({owned->first, win});
   }
   ctx.log(obs::LogLevel::kDebug, "core", "tile eval done", {"tile", w.tileId},
           {"hits", out.hits.size()});
   return out;
+}
+
+std::vector<TileEvalResult> evaluateTiles(
+    const Detector& det, const TiledLayout& tiled, const EvalParams& p,
+    std::span<engine::RunContext* const> contexts) {
+  if (contexts.empty())
+    throw std::invalid_argument("evaluateTiles: no context to run on");
+  const std::size_t n = tiled.work.size();
+  std::vector<TileEvalResult> tiles(n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written once, by the thread that set failed
+  // The first error becomes the result; any error stops all claiming and
+  // interrupts the helpers' in-flight tiles. contexts[0] is left alone:
+  // the caller owns it and may reuse it.
+  const auto fail = [&] {
+    if (!failed.exchange(true)) error = std::current_exception();
+    for (engine::RunContext* const c : contexts.subspan(1))
+      c->requestCancel();
+  };
+  // `loops` claim loops on one context, writing index-stable result slots
+  // so the outcome never depends on which loop claims which tile. Several
+  // loops run on the context's pool, so each tile's stages run inline on
+  // the loop's worker; a single loop runs on the calling thread, whose
+  // stages may then use the whole pool.
+  const auto run = [&](engine::RunContext& c, std::size_t loops) {
+    try {
+      c.parallelFor(
+          loops,
+          [&](std::size_t) {
+            try {
+              for (std::size_t i = next++; !failed && i < n; i = next++)
+                tiles[i] = evaluateTile(det, tiled, i, p, c);
+            } catch (...) {
+              fail();
+            }
+          },
+          1);
+    } catch (...) {
+      fail();  // a cancelled context's parallelFor starts no loop
+    }
+  };
+
+  // Claim loops per context, contexts[0] first, until the cap is spent.
+  std::size_t left =
+      p.tiling.tileThreads == 0 ? n : std::min(n, p.tiling.tileThreads);
+  const std::size_t own = std::min(contexts[0]->threadCount(), left);
+  left -= own;
+  std::vector<std::thread> helpers;
+  for (engine::RunContext* const c : contexts.subspan(1)) {
+    const std::size_t loops = std::min(c->threadCount(), left);
+    if (loops == 0) break;
+    left -= loops;
+    helpers.emplace_back([&run, c, loops] { run(*c, loops); });
+  }
+  run(*contexts[0], own);
+  for (std::thread& h : helpers) h.join();
+  for (engine::RunContext* const c : contexts.subspan(1))
+    contexts[0]->stats().mergeFrom(c->stats());
+  if (error) std::rethrow_exception(error);
+  return tiles;
 }
 
 EvalResult finishTiledEval(const TiledLayout& tiled,
@@ -375,52 +450,24 @@ EvalResult finishTiledEval(const TiledLayout& tiled,
                            const EvalParams& p, engine::RunContext& ctx,
                            std::chrono::steady_clock::time_point t0) {
   EvalResult res;
-  engine::ReportMerger merger(tiled.plan);
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    res.candidateClips += tiles[i].candidateClips;
-    merger.add(tiled.work[i].tileId, std::move(tiles[i].hits));
+  std::vector<engine::TileHit> hits;
+  for (const TileEvalResult& t : tiles) {
+    res.candidateClips += t.candidateClips;
+    hits.insert(hits.end(), t.hits.begin(), t.hits.end());
   }
+  // Anchor sequence numbers are unique (one owner per anchor), so this
+  // sort reproduces the monolithic hit stream whatever the tile order.
+  std::ranges::sort(hits, {}, &engine::TileHit::seq);
+  std::vector<ClipWindow> merged;
+  merged.reserve(hits.size());
+  for (const engine::TileHit& h : hits) merged.push_back(h.win);
   // Removal runs *globally* over the merged, monolithic-order hit stream
   // against the global index: it is order-dependent (sequential prune)
   // and seam-crossing (gravity shifts, covering merges), so running it
   // per tile would change reports.
-  return finishEval(tiled.index, merger.finish(), p, ctx, std::move(res),
+  return finishEval(tiled.index, std::move(merged), p, ctx, std::move(res),
                     t0);
 }
-
-namespace {
-
-EvalResult evaluateLayoutTiled(const Detector& det, const Layout& layout,
-                               const EvalParams& p,
-                               engine::RunContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Layer* l = layout.findLayer(det.params.layer);
-  if (l == nullptr || l->empty()) return {};
-  ctx.throwIfCancelled();
-  const TiledLayout tiled = prepareTiledLayout(layout, det.params.layer, p);
-  ctx.log(obs::LogLevel::kInfo, "core", "tiled eval start",
-          {"tiles", tiled.work.size()}, {"anchors", tiled.anchorCount});
-
-  // Coarse tile-grain fan-out: each worker claims a tile and runs its
-  // whole stage chain (nested stage parallelFor runs inline), so
-  // different tiles sit in different stages concurrently — extraction on
-  // one tile overlaps scoring on another. tileThreads caps the fan-out
-  // by chunking consecutive tiles.
-  const std::size_t n = tiled.work.size();
-  std::vector<TileEvalResult> tiles(n);
-  std::size_t grain = 1;
-  if (p.tiling.tileThreads > 0 && n > p.tiling.tileThreads)
-    grain = (n + p.tiling.tileThreads - 1) / p.tiling.tileThreads;
-  ctx.parallelFor(
-      n, [&](std::size_t i) { tiles[i] = evaluateTile(det, tiled, i, p, ctx); },
-      grain);
-  EvalResult res = finishTiledEval(tiled, std::move(tiles), p, ctx, t0);
-  ctx.log(obs::LogLevel::kInfo, "core", "tiled eval done",
-          {"reports", res.reported.size()}, {"candidates", res.candidateClips});
-  return res;
-}
-
-}  // namespace
 
 EvalResult evaluateLayout(const Detector& det, const Layout& layout,
                           const EvalParams& p, engine::RunContext& ctx) {
@@ -429,34 +476,32 @@ EvalResult evaluateLayout(const Detector& det, const Layout& layout,
   // spans and log records all correlate without touching any signature.
   const obs::ScopedTraceId traceScope(
       ctx.traceId().valid() ? ctx.traceId() : obs::currentTraceId());
-  if (p.tiling.enabled()) return evaluateLayoutTiled(det, layout, p, ctx);
   const auto t0 = std::chrono::steady_clock::now();
   const Layer* l = layout.findLayer(det.params.layer);
   if (l == nullptr || l->empty()) return {};
   // Phase-boundary check: index construction is serial and can dominate a
   // short deadline; fail fast before paying for it.
   ctx.throwIfCancelled();
+  if (p.tiling.enabled()) {
+    const TiledLayout tiled = prepareTiledLayout(layout, det.params.layer, p);
+    ctx.log(obs::LogLevel::kInfo, "core", "tiled eval start",
+            {"tiles", tiled.work.size()}, {"anchors", tiled.anchorCount});
+    engine::RunContext* const contexts[] = {&ctx};
+    EvalResult res = finishTiledEval(
+        tiled, evaluateTiles(det, tiled, p, contexts), p, ctx, t0);
+    ctx.log(obs::LogLevel::kInfo, "core", "tiled eval done",
+            {"reports", res.reported.size()},
+            {"candidates", res.candidateClips});
+    return res;
+  }
   const GridIndex index(l->rects(), p.extract.clip.clipSide);
   ctx.log(obs::LogLevel::kInfo, "core", "eval start",
           {"rects", index.rects().size()});
 
   EvalResult res;
-  const LayerIndex layers{{det.params.layer, &index}};
-
-  // One streaming pipeline from anchors to hits: extraction chains
-  // straight into scoring, so the candidate list never materializes.
-  engine::Stage<Point, ClipWindow> screen = screenStage(index, p.extract);
-  // Counter stage: tallies extraction survivors as they stream past.
-  engine::Stage<ClipWindow, ClipWindow> tap{
-      "extract/candidates",
-      [&res](engine::RunContext&, std::vector<ClipWindow>&& b) {
-        res.candidateClips += b.size();
-        return std::move(b);
-      }};
-  EvalStages s = makeEvalStages(det, layers, p);
-  std::vector<ClipWindow> hits = engine::runPipeline(
-      ctx, candidateAnchors(index, p.extract.clip.coreSide), screen, tap,
-      s.clip, s.features, s.kernels, s.feedback);
+  std::vector<ClipWindow> hits =
+      scanAnchors(det, index, candidateAnchors(index, p.extract.clip.coreSide),
+                  p, ctx, engine::kUntiled, res.candidateClips);
   EvalResult out = finishEval(index, std::move(hits), p, ctx, std::move(res), t0);
   ctx.log(obs::LogLevel::kInfo, "core", "eval done",
           {"reports", out.reported.size()}, {"candidates", out.candidateClips});

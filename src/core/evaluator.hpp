@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,10 +68,10 @@ EvalResult evaluateLayout(const Detector& det, const Layout& layout,
 // --- Tiled evaluation -----------------------------------------------
 // evaluateLayout dispatches through these when p.tiling.enabled(). They
 // are public so the serving layer can fan one request's tiles across
-// several pooled contexts: prepare once, evaluate each tile on whatever
-// context is free, merge once. Determinism contract: the merge output
-// never depends on which context ran which tile, in what order, or with
-// how many threads.
+// several pooled contexts: prepare once, evaluateTiles over the request's
+// context plus whatever helpers it borrowed, finish once. Determinism
+// contract: the merge output never depends on which context ran which
+// tile, in what order, or with how many threads.
 
 /// The per-request tiling plan: the global geometry index, the tile grid,
 /// and the monolithic anchor stream partitioned to tiles by the ownership
@@ -105,14 +106,31 @@ struct TileEvalResult {
 /// local index over the tile's halo-expanded geometry and streams the
 /// tile's anchors through the full stage pipeline, its stats recorded
 /// under the tile's id.
-/// Safe to call concurrently for different work items.
+/// Safe to call concurrently for different work items; evaluateTiles is
+/// the scheduler that does.
 TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
                             std::size_t workIndex, const EvalParams& p,
                             engine::RunContext& ctx);
 
-/// Ownership-dedup merge (engine::ReportMerger) followed by the *global*
-/// redundant-clip removal pass — removal is order-dependent, so it runs
-/// once over the merged monolithic-order hit stream, never per tile.
+/// Evaluate every work item of `tiled`, one result slot per item (in work
+/// order). contexts[0] is the caller's context; any further entries are
+/// borrowed helpers, each driven from a std::thread of its own. All
+/// contexts claim tiles from one shared index: a context with T threads
+/// runs up to T claim loops through its own parallelFor (the stages of
+/// each tile then run inline), a one-thread context claims on the thread
+/// driving it. p.tiling.tileThreads caps the claim loops across all
+/// contexts. The first error stops all claiming, cancels every helper
+/// (never contexts[0], which the caller may reuse) and is rethrown once
+/// every context is idle. Helper stats are folded into contexts[0]
+/// before returning or throwing.
+std::vector<TileEvalResult> evaluateTiles(
+    const Detector& det, const TiledLayout& tiled, const EvalParams& p,
+    std::span<engine::RunContext* const> contexts);
+
+/// Merge of every tile's hits in global anchor-sequence order followed by
+/// the *global* redundant-clip removal pass — removal is order-dependent,
+/// so it runs once over the merged monolithic-order hit stream, never per
+/// tile.
 /// `t0` is the evaluation start, so evalSeconds covers prepare + tiles +
 /// merge.
 EvalResult finishTiledEval(const TiledLayout& tiled,

@@ -36,6 +36,10 @@ struct CancelledError : std::runtime_error {
 class RunContext {
  public:
   static constexpr std::size_t kDefaultBatchSize = 512;
+  /// Largest thread count a command-line flag may ask for: the tools
+  /// check --threads, --workers and --contexts against it (with
+  /// wholeNumber, engine/tiler.hpp) before any context is built.
+  static constexpr std::size_t kMaxThreads = 1024;
 
   /// `threads` == 0 selects hardware_concurrency; 1 means fully serial
   /// (no worker threads are ever spawned). The pool itself is created

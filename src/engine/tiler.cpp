@@ -1,10 +1,27 @@
 #include "engine/tiler.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace hsd::engine {
+
+std::uint64_t wholeNumber(const char* field, double v, double max) {
+  if (v >= 0.0 && v <= max && v == std::floor(v)) return std::uint64_t(v);
+  throw std::invalid_argument(std::string("'") + field +
+                              "' must be a whole number in [0, " +
+                              std::to_string(std::uint64_t(max)) + "]");
+}
+
+TilingParams makeTilingParams(double tileSize, double halo,
+                              double tileThreads) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  TilingParams t;
+  t.tileSize = Coord(wholeNumber("tile-size", tileSize, kExact));
+  t.halo = Coord(wholeNumber("halo", halo, kExact));
+  t.tileThreads = wholeNumber("tile-threads", tileThreads, kExact);
+  return t;
+}
 
 TilePlan TilePlan::make(const Rect& bounds, const TilingParams& params,
                         const ClipParams& clip) {
@@ -23,48 +40,6 @@ TilePlan TilePlan::make(const Rect& bounds, const TilingParams& params,
   plan.grid_ = GridTiling::over(bounds, params.tileSize);
   plan.halo_ = halo;
   return plan;
-}
-
-void ReportMerger::add(std::size_t tileId, std::vector<TileHit> hits) {
-  std::size_t dropped = 0;
-  // Ownership dedup outside the lock: a hit survives only in the stream
-  // of the tile owning its anchor, so redundant halo-region evaluation
-  // (the distributed path evaluates seam anchors on both sides) can
-  // never double-report.
-  std::vector<TileHit> owned;
-  owned.reserve(hits.size());
-  for (TileHit& h : hits) {
-    if (plan_->ownerOf(h.anchor) == tileId)
-      owned.push_back(std::move(h));
-    else
-      ++dropped;
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  hits_.insert(hits_.end(), std::make_move_iterator(owned.begin()),
-               std::make_move_iterator(owned.end()));
-  dropped_ += dropped;
-}
-
-std::vector<ClipWindow> ReportMerger::finish() {
-  std::vector<TileHit> hits;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    hits.swap(hits_);
-  }
-  // Anchor sequence numbers are unique (one candidate window per anchor,
-  // one owner per anchor), so sorting by seq reproduces the monolithic
-  // stream order exactly regardless of tile completion order.
-  std::sort(hits.begin(), hits.end(),
-            [](const TileHit& a, const TileHit& b) { return a.seq < b.seq; });
-  std::vector<ClipWindow> out;
-  out.reserve(hits.size());
-  for (const TileHit& h : hits) out.push_back(h.win);
-  return out;
-}
-
-std::size_t ReportMerger::droppedNonOwned() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 }  // namespace hsd::engine

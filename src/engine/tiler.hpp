@@ -1,5 +1,4 @@
-// Spatial tiling plan and deterministic report merge for tiled layout
-// evaluation.
+// Spatial tiling plan for tiled layout evaluation.
 //
 // A TilePlan partitions a layout bounding box into grid tiles (ids from
 // geom's GridTiling — row-major, deterministic) and expands each tile by a
@@ -11,18 +10,18 @@
 // verdicts at seams, which is the one failure mode this layer exists to
 // prevent.
 //
-// Ownership rule: a hotspot belongs to the tile that owns its anchor's
-// canonical corner (GridTiling::ownerOf — half-open seams, one owner per
-// point). ReportMerger enforces it: hits whose anchor the contributing
-// tile does not own are dropped (halo-region duplicates from redundant
-// evaluation), survivors are ordered by the global anchor sequence number
-// — byte-identical to the monolithic evaluation stream no matter how many
-// tiles ran, in what order, on how many threads.
+// Ownership rule: every candidate anchor belongs to exactly one tile, the
+// one owning its canonical corner (GridTiling::ownerOf — half-open seams,
+// one owner per point), and only that tile evaluates it. The halo only
+// widens the geometry a tile sees, never the anchors it scores, so no hit
+// is ever produced twice. Each hit carries the anchor's position in the
+// monolithic anchor stream (TileHit::seq); sorting all tiles' hits by it
+// reproduces the monolithic stream no matter how many tiles ran, in what
+// order, on how many threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "geom/tiling.hpp"
@@ -39,12 +38,27 @@ struct TilingParams {
   /// Halo width in dbu; 0 means "auto" (minTileHalo of the clip params).
   /// Anything below the minimum is a hard error at plan time.
   Coord halo = 0;
-  /// Cap on concurrently evaluated tiles (0 = no cap beyond the context's
-  /// thread count). Serving uses it to bound pooled-context fan-out.
+  /// The most tiles in flight at once, across every context evaluating
+  /// them (0 = no cap). It only bounds work: the threads that run the
+  /// tiles are the contexts' own.
   std::size_t tileThreads = 0;
 
   bool enabled() const { return tileSize > 0; }
 };
+
+/// `v` as an integer when it is a whole number in [0, max]; otherwise
+/// throws std::invalid_argument naming `field`. Guards every conversion
+/// of an untrusted double (a CLI flag, a query parameter) to a count or a
+/// coordinate, where an out-of-range value would be an overflowing
+/// conversion and a fraction would be silently truncated.
+std::uint64_t wholeNumber(const char* field, double v, double max);
+
+/// TilingParams from untrusted doubles: each must be a whole number in
+/// [0, 2^53] (the range a double holds exactly), else
+/// std::invalid_argument naming the field ("tile-size", "halo" or
+/// "tile-threads").
+TilingParams makeTilingParams(double tileSize, double halo,
+                              double tileThreads);
 
 /// Smallest halo that keeps tiled evaluation exact: the farthest a clip
 /// window reaches from its anchor — the ambit ring plus (rounded-up) half
@@ -90,38 +104,10 @@ class TilePlan {
 };
 
 /// One per-tile hit: the global anchor sequence number (position in the
-/// monolithic candidateAnchors stream), the anchor's canonical corner,
-/// and the flagged window.
+/// monolithic candidateAnchors stream) and the flagged window.
 struct TileHit {
   std::uint64_t seq = 0;
-  Point anchor;
   ClipWindow win;
-};
-
-/// Canonical merge of per-tile hit streams. Thread-safe add; finish()
-/// applies the ownership dedup and emits windows in global anchor-sequence
-/// order — the exact order the monolithic pipeline would have produced.
-class ReportMerger {
- public:
-  explicit ReportMerger(const TilePlan& plan) : plan_(&plan) {}
-
-  /// Fold in one tile's hits. Hits whose anchor `tileId` does not own are
-  /// dropped (halo-region duplicates); callable concurrently from tile
-  /// tasks.
-  void add(std::size_t tileId, std::vector<TileHit> hits);
-
-  /// Ownership-deduplicated windows sorted by anchor sequence. Consumes
-  /// the accumulated hits.
-  std::vector<ClipWindow> finish();
-
-  /// Number of non-owned (halo-duplicate) hits dropped so far.
-  std::size_t droppedNonOwned() const;
-
- private:
-  const TilePlan* plan_;
-  mutable std::mutex mu_;
-  std::vector<TileHit> hits_;
-  std::size_t dropped_ = 0;
 };
 
 }  // namespace hsd::engine

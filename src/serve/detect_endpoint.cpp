@@ -12,6 +12,7 @@
 #include <locale>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/evaluator.hpp"
@@ -45,16 +46,6 @@ bool numericParam(const net::HttpRequest& req, const char* name, double& out,
     return false;
   }
   return true;
-}
-
-/// A tiling query parameter must be a whole number in [0, 2^53] (the
-/// range a double holds exactly): anything else would be an overflowing
-/// or truncating conversion to Coord/std::size_t. Returns false with
-/// `err` set.
-bool wholeParam(const char* name, double v, std::string& err) {
-  if (v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v)) return true;
-  err = std::string("'") + name + "' must be a whole number in [0, 2^53]";
-  return false;
 }
 
 /// Media type of the request body with any ";charset=..." suffix and
@@ -112,20 +103,10 @@ DetectionEndpoint::DetectionEndpoint(DetectionServer& server,
   modelId_ = obs::hex64(detector_.fingerprint());
   metrics_ = std::make_shared<obs::MetricsRegistry>();
   // Registration order is exposition order — keep it stable.
-  const auto statusCounter = [this](const char* code) {
-    return &metrics_->counter("hsd_detect_requests_total",
-                              "Wire detection responses by HTTP status",
-                              {{"status", code}});
-  };
-  status200_ = statusCounter("200");
-  status400_ = statusCounter("400");
-  status415_ = statusCounter("415");
-  status429_ = statusCounter("429");
-  status499_ = statusCounter("499");
-  status500_ = statusCounter("500");
-  status503_ = statusCounter("503");
-  status504_ = statusCounter("504");
-  statusOther_ = statusCounter("other");
+  for (std::size_t i = 0; i < statusTotal_.size(); ++i)
+    statusTotal_[i] = &metrics_->counter(
+        "hsd_detect_requests_total", "Wire detection responses by HTTP status",
+        {{"status", kStatusLabels[i]}});
   inflight_ = &metrics_->gauge("hsd_detect_inflight",
                                "Wire detection requests inside the handler");
   requestBytes_ = &metrics_->counter("hsd_detect_request_bytes_total",
@@ -147,17 +128,10 @@ void DetectionEndpoint::mount(net::HttpServer& http) {
 }
 
 void DetectionEndpoint::countStatus(int status) {
-  switch (status) {
-    case 200: status200_->inc(); break;
-    case 400: status400_->inc(); break;
-    case 415: status415_->inc(); break;
-    case 429: status429_->inc(); break;
-    case 499: status499_->inc(); break;
-    case 500: status500_->inc(); break;
-    case 503: status503_->inc(); break;
-    case 504: status504_->inc(); break;
-    default: statusOther_->inc(); break;
-  }
+  // The search skips "other", so a code without a label ends there.
+  const auto it = std::find(kStatusLabels.begin(), kStatusLabels.end() - 1,
+                            std::to_string(status));
+  statusTotal_[std::size_t(it - kStatusLabels.begin())]->inc();
 }
 
 net::HttpResponse DetectionEndpoint::handle(const net::HttpRequest& req) {
@@ -206,11 +180,18 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
       !numericParam(req, "deadline-ms", deadlineMs, err) ||
       !numericParam(req, "tile-size", tileSize, err) ||
       !numericParam(req, "halo", halo, err) ||
-      !numericParam(req, "tile-threads", tileThreads, err) ||
-      !wholeParam("tile-size", tileSize, err) ||
-      !wholeParam("halo", halo, err) ||
-      !wholeParam("tile-threads", tileThreads, err))
+      !numericParam(req, "tile-threads", tileThreads, err))
     return errorResponse(400, err);
+  engine::TilingParams tiling;
+  try {
+    tiling = engine::makeTilingParams(tileSize, halo, tileThreads);
+    // The plan's own halo floor check: an undersized halo is a client
+    // error here, where the engine would turn it into a 500.
+    if (tiling.enabled())
+      engine::TilePlan::make(Rect{}, tiling, detector_.params.clip);
+  } catch (const std::invalid_argument& e) {
+    return errorResponse(400, e.what());
+  }
   if (deadlineMs < 0.0) {
     // The header form loses to the query param; both are optional.
     if (const std::string* h = req.header("x-deadline-ms")) {
@@ -272,17 +253,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   ep.decisionBias = bias;
   ep.useRemoval = removal != 0.0;
   ep.useFeedback = feedback != 0.0;
-  ep.tiling.tileSize = Coord(tileSize);
-  ep.tiling.halo = Coord(halo);
-  ep.tiling.tileThreads = std::size_t(tileThreads);
-  if (ep.tiling.enabled() && ep.tiling.halo != 0 &&
-      ep.tiling.halo < engine::minTileHalo(detector_.params.clip))
-    // Surface the tiling-exactness violation as a client error here;
-    // letting it reach the engine would turn it into a 500.
-    return errorResponse(
-        400, "halo " + std::to_string(ep.tiling.halo) +
-                 " below exactness minimum " +
-                 std::to_string(engine::minTileHalo(detector_.params.clip)));
+  ep.tiling = tiling;
 
   std::optional<std::chrono::steady_clock::duration> timeout;
   if (deadlineMs > 0.0)
@@ -373,11 +344,9 @@ void DetectionEndpoint::rememberProfile(std::string profileJson) {
 std::string DetectionEndpoint::statsJson() const {
   obs::JsonWriter w;
   w.beginObject().key("responses").beginObject();
-  w.field("200", status200_->value()).field("400", status400_->value());
-  w.field("415", status415_->value()).field("429", status429_->value());
-  w.field("499", status499_->value()).field("500", status500_->value());
-  w.field("503", status503_->value()).field("504", status504_->value());
-  w.field("other", statusOther_->value()).endObject();
+  for (std::size_t i = 0; i < statusTotal_.size(); ++i)
+    w.field(kStatusLabels[i], statusTotal_[i]->value());
+  w.endObject();
   w.field("inflight", inflight_->value());
   w.field("requestBytes", requestBytes_->value());
   w.field("responseBytes", responseBytes_->value());

@@ -44,6 +44,7 @@
 // request's CancelSource), 503 (draining), 504 (deadline exceeded).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -133,15 +134,11 @@ class DetectionEndpoint {
   std::deque<std::string> recentProfiles_;
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* status200_ = nullptr;
-  obs::Counter* status400_ = nullptr;
-  obs::Counter* status415_ = nullptr;
-  obs::Counter* status429_ = nullptr;
-  obs::Counter* status499_ = nullptr;
-  obs::Counter* status500_ = nullptr;
-  obs::Counter* status503_ = nullptr;
-  obs::Counter* status504_ = nullptr;
-  obs::Counter* statusOther_ = nullptr;
+  /// Status labels of the response counters, in exposition order: one
+  /// per HTTP code counted on its own, then "other" for every other code.
+  static constexpr std::array<const char*, 9> kStatusLabels{
+      "200", "400", "415", "429", "499", "500", "503", "504", "other"};
+  std::array<obs::Counter*, kStatusLabels.size()> statusTotal_{};
   obs::Gauge* inflight_ = nullptr;
   obs::Counter* requestBytes_ = nullptr;
   obs::Counter* responseBytes_ = nullptr;

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 #include "obs/json.hpp"
@@ -355,67 +354,36 @@ ServeResult DetectionServer::process(Request& req) {
 core::EvalResult DetectionServer::runTiled(Request& req,
                                            engine::RunContext& primary) {
   const auto t0 = std::chrono::steady_clock::now();
-  const Layer* l = req.layout->findLayer(req.det->params.layer);
-  if (l == nullptr || l->empty()) return {};
-  primary.throwIfCancelled();
+  // A missing or empty layer yields a plan without work: no helper is
+  // borrowed and the result is empty.
   const core::TiledLayout tiled = core::prepareTiledLayout(
       *req.layout, req.det->params.layer, req.params);
-  const std::size_t n = tiled.work.size();
-  std::size_t wantExtras = n > 0 ? n - 1 : 0;
+  // Borrow idle contexts until every tile that may run at once has a
+  // thread; never block, so fan-out cannot deadlock the fleet.
+  std::size_t want = tiled.work.size();
   if (req.params.tiling.tileThreads > 0)
-    wantExtras = std::min(wantExtras, req.params.tiling.tileThreads - 1);
-  std::vector<engine::RunContext*> extras;
-  while (extras.size() < wantExtras) {
+    want = std::min(want, req.params.tiling.tileThreads);
+  std::vector<engine::RunContext*> contexts{&primary};
+  for (std::size_t covered = primary.threadCount(); covered < want;) {
     engine::RunContext* const c = pool_->tryCheckout();
-    if (c == nullptr) break;  // pool busy: the primary context suffices
+    if (c == nullptr) break;  // pool busy: the contexts so far suffice
     c->setTraceId(req.trace);  // borrowed helpers join the correlation
     if (req.deadline) c->setDeadline(*req.deadline);
-    extras.push_back(c);
+    contexts.push_back(c);
+    covered += c->threadCount();
   }
-
-  // Shared tile queue: every participating context claims the next
-  // un-started tile. Index-stable result slots keep the outcome
-  // independent of claim order; the merge re-sorts by anchor sequence.
-  std::vector<core::TileEvalResult> tiles(n);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> abort{false};
-  std::mutex errMu;
-  std::exception_ptr firstError;
-  const auto drain = [&](engine::RunContext& c) {
-    // Helper threads have no ambient trace id of their own — adopt the
-    // request's so tile spans/logs off the borrowed contexts correlate.
-    const obs::ScopedTraceId traceScope(c.traceId());
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        tiles[i] = core::evaluateTile(*req.det, tiled, i, req.params, c);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(errMu);
-          if (!firstError) firstError = std::current_exception();
-        }
-        abort.store(true, std::memory_order_relaxed);
-        // Interrupt the other contexts' in-flight tiles promptly; every
-        // context is reset at checkin, so cancellation doesn't leak.
-        primary.requestCancel();
-        for (engine::RunContext* const e : extras) e->requestCancel();
-        return;
-      }
-    }
+  const auto checkinHelpers = [&] {
+    for (std::size_t k = 1; k < contexts.size(); ++k)
+      pool_->checkin(contexts[k]);
   };
-  std::vector<std::thread> helpers;
-  helpers.reserve(extras.size());
-  for (engine::RunContext* const e : extras)
-    helpers.emplace_back([&drain, e] { drain(*e); });
-  drain(primary);
-  for (std::thread& h : helpers) h.join();
-  for (engine::RunContext* const e : extras) {
-    primary.stats().mergeFrom(e->stats());
-    pool_->checkin(e);
+  std::vector<core::TileEvalResult> tiles;
+  try {
+    tiles = core::evaluateTiles(*req.det, tiled, req.params, contexts);
+  } catch (...) {
+    checkinHelpers();
+    throw;
   }
-  if (firstError) std::rethrow_exception(firstError);
+  checkinHelpers();
   return core::finishTiledEval(tiled, std::move(tiles), req.params, primary,
                                t0);
 }

@@ -22,11 +22,14 @@
 // Tiled requests (params.tiling enabled) additionally fan their tiles
 // across the pool: the worker borrows idle contexts *non-blockingly*
 // (tryCheckout — the request always progresses on its own context, so
-// tile fan-out can never deadlock the fleet), each borrowed context
-// drains tiles from a shared queue, and the deterministic merge makes
-// the reports byte-identical to an untiled run. The shared StageCache is
-// keyed on translation-invariant content hashes, so warm tiles skip
-// recompute whichever context — or request — computed them first.
+// tile fan-out can never deadlock the fleet) until every tile that may
+// run at once (tiling.tileThreads) has a thread, hands its own context
+// and the helpers to core::evaluateTiles — the one tile scheduler — and
+// checks the helpers back in whatever happened. The sequence-ordered
+// merge makes the reports byte-identical to an untiled run. The shared
+// StageCache is keyed on translation-invariant content hashes, so warm
+// tiles skip recompute whichever context — or request — computed them
+// first.
 #pragma once
 
 #include <chrono>
@@ -301,10 +304,10 @@ class DetectionServer {
 
   void workerLoop(std::size_t workerIndex);
   ServeResult process(Request& req);
-  /// Tiled request path: prepare the plan on `primary`, fan tiles across
-  /// borrowed pool contexts, merge deterministically, run removal
-  /// globally. Helper stats fold back into `primary` so the per-request
-  /// statsJson covers every tile.
+  /// Tiled request path: prepare the plan, run core::evaluateTiles on
+  /// `primary` plus the idle pool contexts it can borrow, check them back
+  /// in, merge and run removal globally. evaluateTiles folds helper stats
+  /// into `primary`, so the per-request statsJson covers every tile.
   core::EvalResult runTiled(Request& req, engine::RunContext& primary);
   void finish(Request& req, ServeResult res);
   void registerMetrics();

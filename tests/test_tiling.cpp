@@ -1,21 +1,26 @@
 // Tiling-layer tests (ctest label: tile). Three layers of coverage:
 //
-//  1. GridTiling / TilePlan / ReportMerger unit behavior: row-major ids,
-//     half-open seam ownership (total and unique), halo floor hard errors
-//     (anything below ambit + half core refuses to plan — a halo of just
-//     the ambit is NOT enough), ownership dedup and sequence-ordered
-//     merge.
+//  1. GridTiling / TilePlan unit behavior: row-major ids, half-open seam
+//     ownership (total and unique), halo floor hard errors (anything
+//     below ambit + half core refuses to plan — a halo of just the ambit
+//     is NOT enough), and the whole-number check on tiling numbers.
 //  2. Tiled evaluateLayout() vs the monolithic path: byte-identical
 //     reports (canonicalReport) and identical counters at threads=1 and
 //     8, across tile sizes from "clip spans four tiles" to "one tile
 //     holds everything", on seam-aligned geometry and on layouts with
 //     empty tiles; a warm shared cache serves tiled runs from entries a
-//     monolithic run populated (same keys in both modes).
+//     monolithic run populated (same keys in both modes). The sequence
+//     merge is what makes these pass: tile-id order is not anchor order.
+//     core::evaluateTiles leaves the caller's context reusable when a
+//     helper fails.
 //  3. Tiled requests through serve::DetectionServer: fan-out across the
 //     context pool returns results byte-identical to untiled requests,
-//     and repeated tiled submissions hit the shared cache.
+//     repeated tiled submissions hit the shared cache, and a fan-out cut
+//     short by its deadline returns every borrowed context.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <regex>
 #include <set>
@@ -30,6 +35,8 @@
 #include "engine/stats.hpp"
 #include "engine/tiler.hpp"
 #include "geom/tiling.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_id.hpp"
 #include "serve/server.hpp"
 
 namespace hsd::engine {
@@ -141,32 +148,34 @@ TEST(TilePlanUnit, ExpandedRegionIsOwnedInflatedByHalo) {
 }
 
 // ---------------------------------------------------------------------------
-// ReportMerger: ownership dedup + global anchor-sequence order.
+// Tiling numbers from untrusted doubles (CLI flags, query parameters).
 
-TEST(ReportMergerUnit, DropsNonOwnedDuplicatesAndSortsBySequence) {
-  TilingParams tp;
-  tp.tileSize = 4000;
-  const TilePlan plan = TilePlan::make(Rect{0, 0, 8000, 8000}, tp, kClip);
-  ASSERT_EQ(plan.tileCount(), 4u);
+TEST(TilingNumbers, WholeNumbersInRangeBuildParams) {
+  const TilingParams t = makeTilingParams(8000, 2600, 3);
+  EXPECT_EQ(t.tileSize, 8000);
+  EXPECT_EQ(t.halo, 2600);
+  EXPECT_EQ(t.tileThreads, 3u);
+  EXPECT_EQ(makeTilingParams(9007199254740992.0, 0, 0).tileSize,
+            Coord(9007199254740992LL));
+  EXPECT_EQ(wholeNumber("threads", 1024, 1024), 1024u);
+}
 
-  const Point a0{1000, 1000};  // owned by tile 0
-  const Point a1{5000, 1000};  // owned by tile 1
-  ASSERT_EQ(plan.ownerOf(a0), 0u);
-  ASSERT_EQ(plan.ownerOf(a1), 1u);
-
-  ReportMerger merger(plan);
-  // Tile 1 reports its own hit plus a halo duplicate of tile 0's anchor;
-  // tile 0 reports its hit late and out of sequence order.
-  merger.add(1, {{7, a1, tests::at(a1.x, a1.y)},
-                 {3, a0, tests::at(a0.x, a0.y)}});
-  merger.add(0, {{3, a0, tests::at(a0.x, a0.y)}});
-
-  EXPECT_EQ(merger.droppedNonOwned(), 1u);
-  const std::vector<ClipWindow> out = merger.finish();
-  ASSERT_EQ(out.size(), 2u);
-  // Sequence order, not arrival order: seq 3 before seq 7.
-  EXPECT_EQ(out[0], tests::at(a0.x, a0.y));
-  EXPECT_EQ(out[1], tests::at(a1.x, a1.y));
+TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
+  const auto message = [](double size, double halo, double threads) {
+    try {
+      makeTilingParams(size, halo, threads);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const double bad : {0.5, -1.0, 1e300, 9007199254740994.0})
+    EXPECT_NE(message(bad, 0, 0).find("'tile-size'"), std::string::npos)
+        << bad;
+  EXPECT_NE(message(0, -2, 0).find("'halo'"), std::string::npos);
+  EXPECT_NE(message(0, 0, 2.5).find("'tile-threads'"), std::string::npos);
+  EXPECT_THROW(wholeNumber("threads", 1025, 1024), std::invalid_argument);
+  EXPECT_THROW(wholeNumber("threads", -1, 1024), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +410,36 @@ TEST(TiledEval, WarmTiledRunIsByteIdenticalAndAllHits) {
   EXPECT_GT(ctx.stats().cacheRollup("eval/verdict").hits, 0u);
 }
 
+TEST(TiledEval, HelperErrorLeavesTheCallersContextReusable) {
+  const core::EvalParams tp = tiledParams(6000);
+  const core::TiledLayout tiled =
+      core::prepareTiledLayout(fx().test.layout, fx().detector.params.layer, tp);
+  ASSERT_GT(tiled.work.size(), 1u);
+
+  // The helper fails before it claims a tile: the error reaches the
+  // caller, but the caller's context is never cancelled on its behalf.
+  RunContext primary(1);
+  RunContext failing(1);
+  failing.requestCancel();
+  RunContext* const withFailingHelper[] = {&primary, &failing};
+  EXPECT_THROW(core::evaluateTiles(fx().detector, tiled, tp, withFailingHelper),
+               CancelledError);
+  EXPECT_FALSE(primary.cancelRequested());
+  const core::EvalResult mono = runEval(fx().test.layout, {}, 1);
+  EXPECT_EQ(core::evaluateLayout(fx().detector, fx().test.layout, tp, primary)
+                .reported,
+            mono.reported);
+
+  // An error on the caller's context interrupts every helper.
+  RunContext cancelled(1);
+  RunContext helper(1);
+  cancelled.requestCancel();
+  RunContext* const withFailingCaller[] = {&cancelled, &helper};
+  EXPECT_THROW(core::evaluateTiles(fx().detector, tiled, tp, withFailingCaller),
+               CancelledError);
+  EXPECT_TRUE(helper.cancelRequested());
+}
+
 // ---------------------------------------------------------------------------
 // Serving: tiled requests fan across the pool, results stay identical.
 
@@ -451,6 +490,15 @@ TEST(ServeTiled, SingleContextPoolStillCompletesTiledRequests) {
   const serve::ServeResult untiled = fut2.get();
   ASSERT_TRUE(untiled.ok()) << untiled.error;
   EXPECT_EQ(r.result.reported, untiled.result.reported);
+
+  // No geometry on the detector's layer: a plan without work, an empty
+  // report, no error.
+  const Layout empty;
+  const serve::ServeResult none =
+      server.submit(fx().detector, empty, tiledParams(6000)).get();
+  ASSERT_TRUE(none.ok()) << none.error;
+  EXPECT_TRUE(none.result.reported.empty());
+  EXPECT_EQ(none.result.candidateClips, 0u);
   server.shutdown();
 }
 
@@ -473,6 +521,58 @@ TEST(ServeTiled, ConcurrentTiledRequestsStayIdentical) {
     EXPECT_EQ(r.result.reported, first.result.reported) << "request " << i;
   }
   server.shutdown();
+}
+
+TEST(ServeTiled, DeadlineMidFanOutReturnsEveryBorrowedContext) {
+  serve::ServerConfig cfg;
+  cfg.workers = 3;
+  cfg.contexts = 3;  // a tiled request borrows both idle contexts
+  cfg.enableCache = false;  // the timed run must not be cut short by hits
+  cfg.tracer = std::make_shared<obs::TraceRecorder>();
+  auto server = std::make_unique<serve::DetectionServer>(cfg);
+  const core::EvalParams tp = tiledParams(3000);
+
+  // A deadline at a fifth of a full tiled run lands during the fan-out.
+  const serve::ServeResult full =
+      server->submit(fx().detector, fx().test.layout, tp).get();
+  ASSERT_TRUE(full.ok()) << full.error;
+  const auto deadline =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(full.runSeconds / 5));
+  const serve::ServeResult timedOut =
+      server->submit(fx().detector, fx().test.layout, tp, deadline).get();
+  EXPECT_EQ(timedOut.status, serve::RequestStatus::kTimeout)
+      << serve::toString(timedOut.status);
+
+  // The helpers went back to the pool: a lone tiled request borrows them
+  // again, so its tiles run on more threads than the worker's own.
+  const obs::TraceId probeId = obs::makeTraceId();
+  const serve::ServeResult probe =
+      server
+          ->submit(fx().detector, fx().test.layout, tp, {}, nullptr, nullptr,
+                   probeId)
+          .get();
+  ASSERT_TRUE(probe.ok()) << probe.error;
+  std::set<std::uint32_t> tids;
+  for (const auto& se : cfg.tracer->snapshot())
+    if (se.event.trace == probeId) tids.insert(se.tid);
+  EXPECT_GE(tids.size(), 2u) << "no helper context was borrowed";
+
+  // Three requests at once, tiled and untiled, all complete.
+  std::vector<std::future<serve::ServeResult>> futs;
+  for (const bool tiledRun : {true, false, true})
+    futs.push_back(server->submit(fx().detector, fx().test.layout,
+                                  tiledRun ? tp : core::EvalParams{}));
+  for (auto& f : futs) {
+    if (f.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+      (void)server.release();  // its stuck worker would hang the destructor
+      FAIL() << "a request never completed";
+    }
+    const serve::ServeResult r = f.get();
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.result.reported, full.result.reported);
+  }
+  server->shutdown();
 }
 
 // ---------------------------------------------------------------------------

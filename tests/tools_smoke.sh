@@ -63,6 +63,30 @@ if "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/bad.txt" \
   exit 1
 fi
 grep -q 'halo' "$OUT/halo_err.txt"
+# Tiling numbers must be whole numbers in range: an overflowing, a
+# fractional or a negative value exits non-zero naming its flag, and no
+# report is written (before the check, 1e300 and 0.5 ran untiled).
+for bad in tile-size:1e300 tile-size:0.5 tile-size:-1 tile-threads:2.5; do
+  flag=${bad%%:*}
+  value=${bad#*:}
+  if "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" \
+    "$OUT/bad_number.txt" "--$flag" "$value" 2>"$OUT/number_err.txt"; then
+    echo "hsd_detect --$flag $value unexpectedly succeeded" >&2
+    exit 1
+  fi
+  grep -q "'$flag'" "$OUT/number_err.txt"
+  if [ -e "$OUT/bad_number.txt" ]; then
+    echo "hsd_detect --$flag $value wrote a report" >&2
+    exit 1
+  fi
+done
+# A thread count beyond 1024 is refused before any thread starts.
+if "$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/layout.gds" \
+  --threads 5000 2>"$OUT/threads_err.txt"; then
+  echo "hsd_serve --threads 5000 unexpectedly succeeded" >&2
+  exit 1
+fi
+grep -q "'threads'" "$OUT/threads_err.txt"
 # A hostile model file (line 5, the kernel count, claims far more kernels
 # than its bytes hold) must fail typed under an address-space limit, not
 # with bad_alloc.

@@ -13,6 +13,8 @@
 // merged — the report is byte-identical to an untiled run. --halo
 // overrides the halo width (default: the exactness minimum, ambit + half
 // core; smaller values hard-error). --tile-threads caps concurrent tiles.
+// The tiling flags must be whole numbers in [0, 2^53] and --threads one
+// in [0, 1024]; anything else exits 2 naming the flag.
 //
 // --trace-out records the whole run as Chrome trace-event JSON (per-batch
 // stage spans, parallelFor chunk spans) — open it in Perfetto or
@@ -35,6 +37,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/evaluator.hpp"
@@ -82,6 +85,23 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  // Numbers that become counts or coordinates are checked before any
+  // work: a fraction, a negative or an overflowing value is a usage
+  // error naming its flag, never a silent truncation.
+  core::EvalParams ep;
+  std::size_t threads = 0;
+  try {
+    ep.tiling = engine::makeTilingParams(
+        argDouble(argc, argv, "--tile-size", 0.0),
+        argDouble(argc, argv, "--halo", 0.0),
+        argDouble(argc, argv, "--tile-threads", 0.0));
+    threads = engine::wholeNumber("threads",
+                                  argDouble(argc, argv, "--threads", 0.0),
+                                  engine::RunContext::kMaxThreads);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   try {
     std::ifstream ms(argv[1]);
     if (!ms) {
@@ -91,19 +111,13 @@ int main(int argc, char** argv) {
     const core::Detector det = core::Detector::load(ms);
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
-    core::EvalParams ep;
     ep.extract.clip = det.params.clip;
     ep.removal.clip = det.params.clip;
     ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
     ep.useRemoval = !hasFlag(argc, argv, "--no-removal");
     ep.useFeedback = !hasFlag(argc, argv, "--no-feedback");
-    ep.tiling.tileSize = Coord(argDouble(argc, argv, "--tile-size", 0.0));
-    ep.tiling.halo = Coord(argDouble(argc, argv, "--halo", 0.0));
-    ep.tiling.tileThreads =
-        std::size_t(argDouble(argc, argv, "--tile-threads", 0.0));
 
-    engine::RunContext ctx(
-        std::size_t(argDouble(argc, argv, "--threads", 0.0)));
+    engine::RunContext ctx(threads);
     const char* traceOut = argString(argc, argv, "--trace-out", nullptr);
     std::shared_ptr<obs::TraceRecorder> tracer;
     if (traceOut != nullptr) {

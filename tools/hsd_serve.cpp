@@ -26,7 +26,9 @@
 // borrow, so fan-out can never deadlock the pool) and merges the
 // per-tile hits deterministically — reportsIdentical must stay true, and
 // repeated requests hit the shared cache tile by tile. --halo/
-// --tile-threads as in hsd_detect.
+// --tile-threads as in hsd_detect. --workers, --contexts and --threads
+// must be whole numbers in [0, 1024] and the tiling flags whole numbers
+// in [0, 2^53]; anything else exits 2 naming the flag.
 //
 // With --deadline-ms, requests whose deadline expires resolve to a typed
 // timeout result (counted under "timeout") — the process never crashes on
@@ -75,6 +77,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +151,28 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  // Counts and coordinates are checked before any work: a fraction, a
+  // negative or an overflowing value is a usage error naming its flag,
+  // never a silent truncation or an absurd thread request.
+  serve::ServerConfig cfg;
+  core::EvalParams ep;
+  try {
+    constexpr double kMax = engine::RunContext::kMaxThreads;
+    cfg.workers =
+        engine::wholeNumber("workers", argDouble(argc, argv, "--workers", 4),
+                            kMax);
+    cfg.contexts = engine::wholeNumber(
+        "contexts", argDouble(argc, argv, "--contexts", 0), kMax);
+    cfg.threadsPerContext = engine::wholeNumber(
+        "threads", argDouble(argc, argv, "--threads", 2), kMax);
+    ep.tiling = engine::makeTilingParams(
+        argDouble(argc, argv, "--tile-size", 0.0),
+        argDouble(argc, argv, "--halo", 0.0),
+        argDouble(argc, argv, "--tile-threads", 0.0));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   try {
     std::ifstream ms(argv[1]);
     if (!ms) {
@@ -159,11 +184,6 @@ int main(int argc, char** argv) {
 
     const std::size_t requests =
         std::size_t(argDouble(argc, argv, "--requests", 8));
-    serve::ServerConfig cfg;
-    cfg.workers = std::size_t(argDouble(argc, argv, "--workers", 4));
-    cfg.contexts = std::size_t(argDouble(argc, argv, "--contexts", 0));
-    cfg.threadsPerContext =
-        std::size_t(argDouble(argc, argv, "--threads", 2));
     cfg.enableCache = !hasFlag(argc, argv, "--no-cache");
     const double deadlineMs = argDouble(argc, argv, "--deadline-ms", 0.0);
     const char* traceOut = argString(argc, argv, "--trace-out", nullptr);
@@ -210,13 +230,8 @@ int main(int argc, char** argv) {
 
     installSignalHandlers();
 
-    core::EvalParams ep;
     ep.extract.clip = det.params.clip;
     ep.removal.clip = det.params.clip;
-    ep.tiling.tileSize = Coord(argDouble(argc, argv, "--tile-size", 0.0));
-    ep.tiling.halo = Coord(argDouble(argc, argv, "--halo", 0.0));
-    ep.tiling.tileThreads =
-        std::size_t(argDouble(argc, argv, "--tile-threads", 0.0));
 
     serve::DetectionServer server(cfg);
 
