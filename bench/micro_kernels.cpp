@@ -3,8 +3,9 @@
 // (core- and full-clip-size),
 // feature extraction (rule rects and the non-topological scalars),
 // density distance, SMO training, oracle simulation, clip extraction,
-// tracing-span overhead (disabled vs enabled), and the PR-8 hot-kernel
-// pairs (scalar oracle vs dispatched SIMD path).
+// model load (Detector::load of a saved detector), tracing-span
+// overhead (disabled vs enabled), and the hot-kernel pairs (scalar
+// oracle vs dispatched SIMD path).
 //
 // `--json-out BENCH_hotpath.json` switches to a hand-timed mode that
 // measures each scalar/dispatched kernel pair, plus per-clip vs
@@ -18,8 +19,10 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <random>
 #include <span>
+#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -29,6 +32,7 @@
 #include "core/mtcg.hpp"
 #include "core/scorer.hpp"
 #include "core/topo_string.hpp"
+#include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "engine/arena.hpp"
 #include "engine/stats.hpp"
@@ -236,6 +240,42 @@ void BM_Classify(benchmark::State& state) {
     benchmark::DoNotOptimize(core::classifyPatterns(pats, cp));
 }
 BENCHMARK(BM_Classify)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
+
+// Model load: a detector trained once on an ICCAD-2012-like suite entry
+// (0 = benchmark1, ~1.4 MB of model text; 2 = benchmark3, ~4.4 MB) and
+// saved, then Detector::load from an istringstream of that text — the
+// set-up cost hsd_detect and hsd_serve pay per model.
+const std::string& savedDetector(std::size_t suiteIndex) {
+  static std::map<std::size_t, std::string> texts;
+  std::string& text = texts[suiteIndex];
+  if (text.empty()) {
+    const data::BenchmarkSpec spec = data::iccad2012LikeSuite()[suiteIndex];
+    data::GeneratorParams gp;
+    gp.dims = spec.node32 ? data::ProcessDims::node32()
+                          : data::ProcessDims::node28();
+    gp.seed = spec.seed;
+    const gds::ClipSet clips =
+        data::generateTrainingSet(gp, spec.targets, spec.name);
+    core::TrainParams tp;
+    tp.clip = clips.params;
+    engine::RunContext ctx(0);
+    std::ostringstream os;
+    core::trainDetector(clips.clips, tp, ctx).save(os);
+    text = os.str();
+  }
+  return text;
+}
+
+void BM_DetectorLoad(benchmark::State& state) {
+  const std::string& text = savedDetector(std::size_t(state.range(0)));
+  for (auto _ : state) {
+    std::istringstream is(text);
+    benchmark::DoNotOptimize(core::Detector::load(is));
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(text.size()));
+}
+BENCHMARK(BM_DetectorLoad)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // PR-8 hot-kernel pairs: each dispatched kernel against the scalar path it

@@ -379,11 +379,11 @@ void saveScaler(std::ostream& os, const svm::Scaler& s) {
   os << '\n';
 }
 
-svm::Scaler loadScaler(std::istream& is) {
-  std::size_t d = 0;
-  if (!(is >> d)) throw std::runtime_error("Detector::load: truncated");
-  std::vector<double> lo = svm::readDoubles(is, d, "Detector::load");
-  std::vector<double> hi = svm::readDoubles(is, d, "Detector::load");
+svm::Scaler loadScaler(svm::TextCursor& in) {
+  const std::size_t d = in.count(2);  // d mins, then d maxs
+  std::vector<double> lo(d), hi(d);
+  in.reals(lo);
+  in.reals(hi);
   return svm::Scaler(std::move(lo), std::move(hi));
 }
 
@@ -393,12 +393,12 @@ void saveFeatureParams(std::ostream& os, const FeatureParams& f) {
      << '\n';
 }
 
-FeatureParams loadFeatureParams(std::istream& is) {
+FeatureParams loadFeatureParams(svm::TextCursor& in) {
   FeatureParams f;
-  int canon = 1;
-  is >> f.maxInternal >> f.maxExternal >> f.maxDiagonal >> f.maxSegment >>
-      f.densityGridN >> canon;
-  f.canonicalize = canon != 0;
+  for (std::size_t* v : {&f.maxInternal, &f.maxExternal, &f.maxDiagonal,
+                         &f.maxSegment, &f.densityGridN})
+    *v = in.integer<std::size_t>();
+  f.canonicalize = in.integer<int>() != 0;
   return f;
 }
 
@@ -507,50 +507,43 @@ std::uint64_t Detector::fingerprint() const {
 }
 
 Detector Detector::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "hsd_detector" || version != 2)
-    throw std::runtime_error("Detector::load: bad header");
+  svm::TextCursor in(is, "Detector::load");
+  in.expect("hsd_detector");
+  if (in.integer<int>() != 2) in.fail("unsupported detector version");
   Detector det;
-  int layer = 0;
-  is >> det.params.clip.coreSide >> det.params.clip.clipSide >> layer;
-  det.params.layer = LayerId(layer);
-  det.params.features = loadFeatureParams(is);
-  det.params.feedbackFeatures = loadFeatureParams(is);
-  std::size_t nk = 0;
-  is >> nk;
-  // Grown kernel by kernel: a hostile count runs out of stream, not memory.
-  for (std::size_t i = 0; i < nk; ++i) {
-    KernelEntry& k = det.kernels.emplace_back();
-    std::string kw;
-    int fba = 0;
-    is >> kw >> k.hotspotCount >> k.finalC >> k.finalGamma >>
-        k.selfIterations >> fba;
-    k.feedbackApplies = fba != 0;
-    if (kw != "kernel") throw std::runtime_error("Detector::load: bad kernel");
-    k.scaler = loadScaler(is);
-    k.model = svm::SvmModel::load(is);
+  det.params.clip.coreSide = in.integer<Coord>();
+  det.params.clip.clipSide = in.integer<Coord>();
+  det.params.layer = in.integer<LayerId>();
+  det.params.features = loadFeatureParams(in);
+  det.params.feedbackFeatures = loadFeatureParams(in);
+  // Each kernel is at least 17 tokens: its "kernel" line (6), the
+  // scaler's dimension (1) and the SVM model's header (10).
+  det.kernels.resize(in.count(17));
+  for (KernelEntry& k : det.kernels) {
+    in.expect("kernel");
+    k.hotspotCount = in.integer<std::size_t>();
+    k.finalC = in.real();
+    k.finalGamma = in.real();
+    k.selfIterations = in.integer<std::size_t>();
+    k.feedbackApplies = in.integer<int>() != 0;
+    k.scaler = loadScaler(in);
+    k.model = svm::SvmModel::load(in);
   }
-  int fb = 0;
-  is >> fb;
-  det.hasFeedback = fb != 0;
+  det.hasFeedback = in.integer<int>() != 0;
   if (det.hasFeedback) {
-    det.feedbackScaler = loadScaler(is);
-    det.feedbackModel = svm::SvmModel::load(is);
+    det.feedbackScaler = loadScaler(in);
+    det.feedbackModel = svm::SvmModel::load(in);
   }
-  int hp = 0;
-  is >> hp >> det.platt.a >> det.platt.b;
-  det.hasPlatt = hp != 0;
-  if (!is) throw std::runtime_error("Detector::load: truncated");
-  std::string kw;
-  if (is >> kw) {
-    if (kw != "baseline")
-      throw std::runtime_error("Detector::load: unexpected trailer '" + kw +
-                               "'");
-    det.baseline = obs::ModelBaseline::load(is);
-    det.hasBaseline = true;
-  }
+  det.hasPlatt = in.integer<int>() != 0;
+  det.platt.a = in.real();
+  det.platt.b = in.real();
+  if (in.atEnd()) return det;
+  const std::string_view kw = in.word();
+  if (kw != "baseline")
+    in.fail("unexpected trailer '" + std::string(kw) + "'");
+  det.baseline = obs::ModelBaseline::load(in);
+  det.hasBaseline = true;
+  if (!in.atEnd()) in.fail("unexpected text after the baseline");
   return det;
 }
 

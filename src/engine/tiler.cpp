@@ -15,11 +15,10 @@ std::uint64_t wholeNumber(const char* field, double v, double max) {
 
 TilingParams makeTilingParams(double tileSize, double halo,
                               double tileThreads) {
-  constexpr double kExact = 9007199254740992.0;  // 2^53
   TilingParams t;
-  t.tileSize = Coord(wholeNumber("tile-size", tileSize, kExact));
-  t.halo = Coord(wholeNumber("halo", halo, kExact));
-  t.tileThreads = wholeNumber("tile-threads", tileThreads, kExact);
+  t.tileSize = Coord(wholeNumber("tile-size", tileSize, kMaxExactWhole));
+  t.halo = Coord(wholeNumber("halo", halo, kMaxExactWhole));
+  t.tileThreads = wholeNumber("tile-threads", tileThreads, kMaxExactWhole);
   return t;
 }
 
@@ -40,6 +39,10 @@ TilePlan TilePlan::make(const Rect& bounds, const TilingParams& params,
   plan.grid_ = GridTiling::over(bounds, params.tileSize);
   plan.halo_ = halo;
   return plan;
+}
+
+void checkTilePlan(const TilingParams& params, const ClipParams& clip) {
+  if (params.enabled()) (void)TilePlan::make(Rect{}, params, clip);
 }
 
 }  // namespace hsd::engine

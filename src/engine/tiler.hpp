@@ -53,6 +53,10 @@ struct TilingParams {
 /// conversion and a fraction would be silently truncated.
 std::uint64_t wholeNumber(const char* field, double v, double max);
 
+/// 2^53: every whole number up to it is exact in a double, the ceiling
+/// wholeNumber() callers use for values with no tighter bound.
+inline constexpr double kMaxExactWhole = 9007199254740992.0;
+
 /// TilingParams from untrusted doubles: each must be a whole number in
 /// [0, 2^53] (the range a double holds exactly), else
 /// std::invalid_argument naming the field ("tile-size", "halo" or
@@ -102,6 +106,12 @@ class TilePlan {
   GridTiling grid_;
   Coord halo_ = 0;
 };
+
+/// TilePlan::make's halo check without a layout: throws its
+/// std::invalid_argument when `params` enable tiling with a halo below
+/// minTileHalo(clip), else does nothing. Callers run it as soon as the
+/// model's clip parameters are known, before reading any layout.
+void checkTilePlan(const TilingParams& params, const ClipParams& clip);
 
 /// One per-tile hit: the global anchor sequence number (position in the
 /// monolithic candidateAnchors stream) and the flagged window.

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "svm/text_cursor.hpp"
 
 namespace hsd::obs {
 
@@ -47,22 +46,22 @@ void ModelBaseline::save(std::ostream& os) const {
   }
 }
 
-ModelBaseline ModelBaseline::load(std::istream& is) {
-  std::size_t n = 0;
-  std::size_t buckets = 0;
-  is >> n >> buckets;
-  if (!is || buckets != MarginSketch::kNumBuckets)
-    throw std::runtime_error("ModelBaseline::load: bad header");
-  is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+ModelBaseline ModelBaseline::load(svm::TextCursor& in) {
+  // A cluster is a name line plus a counts line of 2 + kNumBuckets
+  // tokens; only the tokens count toward the size check.
+  const std::size_t n = in.count(2 + MarginSketch::kNumBuckets);
+  if (in.integer<std::size_t>() != MarginSketch::kNumBuckets)
+    in.fail("baseline bucket count is not " +
+            std::to_string(MarginSketch::kNumBuckets));
+  in.restOfLine();
   ModelBaseline out;
-  // Grown cluster by cluster: a hostile count runs out of stream first.
-  for (std::size_t i = 0; i < n; ++i) {
-    Cluster& c = out.clusters.emplace_back();
-    std::getline(is, c.name);
-    is >> c.hot >> c.cold;
-    for (std::uint64_t& v : c.buckets) is >> v;
-    is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-    if (!is) throw std::runtime_error("ModelBaseline::load: truncated");
+  out.clusters.resize(n);
+  for (Cluster& c : out.clusters) {
+    c.name = in.restOfLine();
+    c.hot = in.integer<std::uint64_t>();
+    c.cold = in.integer<std::uint64_t>();
+    for (std::uint64_t& v : c.buckets) v = in.integer<std::uint64_t>();
+    in.restOfLine();
   }
   return out;
 }

@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -40,6 +39,10 @@
 
 #include "obs/model_stats.hpp"
 #include "obs/sample_ring.hpp"
+
+namespace hsd::svm {
+class TextCursor;
+}
 
 namespace hsd::obs {
 
@@ -60,7 +63,10 @@ struct ModelBaseline {
   /// Text serialization: a "baseline" keyword line, then one name line
   /// plus one counts line per cluster. Round-trips exactly.
   void save(std::ostream& os) const;
-  static ModelBaseline load(std::istream& is);
+  /// Inverse of save(), with the cursor just past the "baseline" keyword
+  /// (the detector loader reads it). Throws std::runtime_error on a
+  /// malformed section.
+  static ModelBaseline load(svm::TextCursor& in);
 };
 
 struct DriftConfig {

@@ -187,8 +187,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
     tiling = engine::makeTilingParams(tileSize, halo, tileThreads);
     // The plan's own halo floor check: an undersized halo is a client
     // error here, where the engine would turn it into a 500.
-    if (tiling.enabled())
-      engine::TilePlan::make(Rect{}, tiling, detector_.params.clip);
+    engine::checkTilePlan(tiling, detector_.params.clip);
   } catch (const std::invalid_argument& e) {
     return errorResponse(400, e.what());
   }

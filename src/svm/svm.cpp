@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "svm/qmatrix.hpp"
@@ -267,41 +266,35 @@ void SvmModel::save(std::ostream& os) const {
   }
 }
 
-SvmModel SvmModel::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "hsd_svm_model" || version != 1)
-    throw std::runtime_error("SvmModel::load: bad header");
-  std::string kw;
-  double gamma = 0, rho = 0;
-  std::size_t nsv = 0, dim = 0;
-  is >> kw >> gamma >> kw >> rho >> kw >> nsv >> kw >> dim;
-  if (!is) throw std::runtime_error("SvmModel::load: truncated model");
-  std::vector<FeatureVector> sv;
-  std::vector<double> coef;
+SvmModel SvmModel::load(TextCursor& in) {
+  in.expect("hsd_svm_model");
+  if (in.integer<int>() != 1) in.fail("unsupported SVM model version");
+  in.expect("gamma");
+  const double gamma = in.real();
+  in.expect("rho");
+  const double rho = in.real();
+  in.expect("nsv");
+  const std::size_t nsv = in.integer<std::size_t>();
+  in.expect("dim");
+  const std::size_t dim = in.integer<std::size_t>();
+  // Each row is a coefficient and `dim` components. Checking `dim` alone
+  // first keeps `dim + 1` from wrapping.
+  if (nsv != 0) {
+    in.requireTokens(1, dim);
+    in.requireTokens(nsv, dim + 1);
+  }
+  std::vector<FeatureVector> sv(nsv, FeatureVector(dim));
+  std::vector<double> coef(nsv);
   for (std::size_t i = 0; i < nsv; ++i) {
-    double c = 0;
-    if (!(is >> c))
-      throw std::runtime_error("SvmModel::load: truncated model");
-    coef.push_back(c);
-    sv.push_back(readDoubles(is, dim, "SvmModel::load"));
+    coef[i] = in.real();
+    in.reals(sv[i]);
   }
   return SvmModel(std::move(sv), std::move(coef), rho, gamma);
 }
 
-std::vector<double> readDoubles(std::istream& is, std::size_t n,
-                                const char* what) {
-  // Up-front capacity is capped at a constant, not taken from `n`: real
-  // rows (feature dims in the low hundreds) fit in one allocation, and a
-  // hostile count still grows only as values arrive.
-  constexpr std::size_t kUpFront = 1024;
-  std::vector<double> out;
-  out.reserve(std::min(n, kUpFront));
-  for (double v = 0; out.size() < n && is >> v;) out.push_back(v);
-  if (out.size() != n)
-    throw std::runtime_error(std::string(what) + ": truncated");
-  return out;
+SvmModel SvmModel::load(std::istream& is) {
+  TextCursor in(is, "SvmModel::load");
+  return load(in);
 }
 
 double trainingAccuracy(const SvmModel& model, const Dataset& data) {

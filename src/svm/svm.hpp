@@ -12,6 +12,7 @@
 
 #include "svm/dataset.hpp"
 #include "svm/kernel_ops.hpp"
+#include "svm/text_cursor.hpp"
 
 namespace hsd::svm {
 
@@ -70,8 +71,11 @@ class SvmModel {
   int predictFrom(std::span<const double> x, double bias = 0.0) const;
 
   void save(std::ostream& os) const;
-  /// Inverse of save(). Throws std::runtime_error on a bad header or a
-  /// stream that runs out before the counts it declares are backed.
+  /// Inverse of save(), reading one model at the cursor. Throws
+  /// std::runtime_error on a bad header, a count the remaining text
+  /// cannot back or text that runs out (see svm/text_cursor.hpp).
+  static SvmModel load(TextCursor& in);
+  /// load() over the rest of `is` (the cursor may read past the model).
   static SvmModel load(std::istream& is);
 
   /// Construct directly (used by the trainer and tests).
@@ -110,12 +114,5 @@ double rbfKernel(const FeatureVector& a, const FeatureVector& b, double gamma);
 
 /// Fraction of `data` classified correctly by `model`.
 double trainingAccuracy(const SvmModel& model, const Dataset& data);
-
-/// Read `n` whitespace-separated doubles for a model loader, growing the
-/// result only as values arrive, so a hostile count costs no more memory
-/// than the stream holds. Throws std::runtime_error("<what>: truncated")
-/// when the stream runs out first.
-std::vector<double> readDoubles(std::istream& is, std::size_t n,
-                                const char* what);
 
 }  // namespace hsd::svm

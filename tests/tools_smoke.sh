@@ -87,6 +87,35 @@ if "$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/layout.gds" \
   exit 1
 fi
 grep -q "'threads'" "$OUT/threads_err.txt"
+# hsd_serve's counts, byte cap and ports are whole numbers in range too:
+# each bad value exits 2 naming its flag before any work (before the
+# check, --requests 2.5 ran 2 requests and --admin-port 1.5 bound port 1).
+for bad in requests:2.5 requests:-1 max-queue-depth:1.5 max-body-mb:1e20 \
+  port:70000 port:1.5 admin-port:1.5 admin-port:-1; do
+  flag=${bad%%:*}
+  value=${bad#*:}
+  rc=0
+  "$BIN/tools/hsd_serve" "$OUT/model.txt" "$OUT/layout.gds" \
+    "--$flag" "$value" >/dev/null 2>"$OUT/number_err.txt" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "hsd_serve --$flag $value exited $rc, not 2" >&2
+    exit 1
+  fi
+  grep -q "'$flag'" "$OUT/number_err.txt"
+done
+# An undersized halo exits 2 with the tile plan's message right after the
+# model load: the layout path is never opened (it does not exist here).
+for tool in hsd_detect hsd_serve; do
+  rc=0
+  "$BIN/tools/$tool" "$OUT/model.txt" "$OUT/no_such_layout.gds" \
+    "$OUT/bad.txt" --tile-size 8000 --halo 100 >/dev/null \
+    2>"$OUT/halo_err.txt" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$tool with an undersized halo exited $rc, not 2" >&2
+    exit 1
+  fi
+  grep -q 'TilePlan: halo 100 dbu is below' "$OUT/halo_err.txt"
+done
 # A hostile model file (line 5, the kernel count, claims far more kernels
 # than its bytes hold) must fail typed under an address-space limit, not
 # with bad_alloc.

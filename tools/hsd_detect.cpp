@@ -12,7 +12,8 @@
 // concurrently with halo overlap (engine/tiler.hpp) and deterministically
 // merged — the report is byte-identical to an untiled run. --halo
 // overrides the halo width (default: the exactness minimum, ambit + half
-// core; smaller values hard-error). --tile-threads caps concurrent tiles.
+// core; a smaller value exits 2 right after the model load, before the
+// layout is read). --tile-threads caps concurrent tiles.
 // The tiling flags must be whole numbers in [0, 2^53] and --threads one
 // in [0, 1024]; anything else exits 2 naming the flag.
 //
@@ -109,6 +110,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     const core::Detector det = core::Detector::load(ms);
+    // The tile plan's halo floor depends on the model's clip size: check
+    // it now, before reading the layout.
+    try {
+      engine::checkTilePlan(ep.tiling, det.params.clip);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
     ep.extract.clip = det.params.clip;

@@ -27,8 +27,12 @@
 // per-tile hits deterministically — reportsIdentical must stay true, and
 // repeated requests hit the shared cache tile by tile. --halo/
 // --tile-threads as in hsd_detect. --workers, --contexts and --threads
-// must be whole numbers in [0, 1024] and the tiling flags whole numbers
-// in [0, 2^53]; anything else exits 2 naming the flag.
+// must be whole numbers in [0, 1024], --requests one in [0, 2^20],
+// --max-queue-depth and the tiling flags whole numbers in [0, 2^53],
+// --max-body-mb one below 2^44 (so the byte count fits 64 bits) and
+// --port/--admin-port, when given, whole numbers in [0, 65535]; anything
+// else exits 2 naming the flag. An undersized --halo exits 2 right after
+// the model load, before the layout is read.
 //
 // With --deadline-ms, requests whose deadline expires resolve to a typed
 // timeout result (counted under "timeout") — the process never crashes on
@@ -71,6 +75,7 @@
 // dump.
 #include <csignal>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -125,6 +130,15 @@ const char* argString(int argc, char** argv, const char* flag,
   return def;
 }
 
+/// The port `flag` names when it is given: a whole number in [0, 65535]
+/// (throws std::invalid_argument naming `name` otherwise).
+std::optional<std::uint16_t> argPort(int argc, char** argv, const char* flag,
+                                     const char* name) {
+  if (!hasFlag(argc, argv, flag)) return std::nullopt;
+  return std::uint16_t(
+      hsd::engine::wholeNumber(name, argDouble(argc, argv, flag, -1.0), 65535));
+}
+
 /// Sleep in short slices until `ms` elapse or a signal lands.
 void interruptibleSleepMs(double ms) {
   const auto until = std::chrono::steady_clock::now() +
@@ -156,8 +170,24 @@ int main(int argc, char** argv) {
   // never a silent truncation or an absurd thread request.
   serve::ServerConfig cfg;
   core::EvalParams ep;
+  std::size_t requests = 0;
+  serve::DetectEndpointConfig dcfg;
+  std::size_t maxBodyBytes = 0;
+  std::optional<std::uint16_t> detectPort, adminPort;
   try {
     constexpr double kMax = engine::RunContext::kMaxThreads;
+    // The batch holds every request's future and result until it ends.
+    requests = engine::wholeNumber(
+        "requests", argDouble(argc, argv, "--requests", 8), 1 << 20);
+    dcfg.maxQueueDepth = engine::wholeNumber(
+        "max-queue-depth", argDouble(argc, argv, "--max-queue-depth", 64),
+        engine::kMaxExactWhole);
+    maxBodyBytes = engine::wholeNumber(
+                       "max-body-mb", argDouble(argc, argv, "--max-body-mb", 64),
+                       double(SIZE_MAX >> 20))
+                   << 20;
+    detectPort = argPort(argc, argv, "--port", "port");
+    adminPort = argPort(argc, argv, "--admin-port", "admin-port");
     cfg.workers =
         engine::wholeNumber("workers", argDouble(argc, argv, "--workers", 4),
                             kMax);
@@ -180,17 +210,22 @@ int main(int argc, char** argv) {
       return 1;
     }
     const core::Detector det = core::Detector::load(ms);
+    // The tile plan's halo floor depends on the model's clip size: check
+    // it now, before reading the layout.
+    try {
+      engine::checkTilePlan(ep.tiling, det.params.clip);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
-    const std::size_t requests =
-        std::size_t(argDouble(argc, argv, "--requests", 8));
     cfg.enableCache = !hasFlag(argc, argv, "--no-cache");
     const double deadlineMs = argDouble(argc, argv, "--deadline-ms", 0.0);
     const char* traceOut = argString(argc, argv, "--trace-out", nullptr);
     const char* metricsOut = argString(argc, argv, "--metrics-out", nullptr);
-    const double adminPort = argDouble(argc, argv, "--admin-port", -1.0);
     const double lingerMs = argDouble(argc, argv, "--linger-ms", 0.0);
-    const bool adminEnabled = adminPort >= 0.0 && adminPort <= 65535.0;
+    const bool adminEnabled = adminPort.has_value();
     // The admin /tracez endpoint needs a recorder even when no trace file
     // was requested; the file is still written only with --trace-out.
     if (traceOut != nullptr || adminEnabled) {
@@ -236,19 +271,13 @@ int main(int argc, char** argv) {
     serve::DetectionServer server(cfg);
 
     // Detection wire plane: POST /detect bridged to server.submit().
-    const double detectPort = argDouble(argc, argv, "--port", -1.0);
-    const bool detectEnabled = detectPort >= 0.0 && detectPort <= 65535.0;
     std::unique_ptr<serve::DetectionEndpoint> endpoint;
     std::unique_ptr<net::HttpServer> detectHttp;
-    if (detectEnabled) {
-      serve::DetectEndpointConfig dcfg;
-      dcfg.maxQueueDepth =
-          std::size_t(argDouble(argc, argv, "--max-queue-depth", 64));
+    if (detectPort) {
       endpoint = std::make_unique<serve::DetectionEndpoint>(server, det, dcfg);
       net::HttpServerOptions ho;
-      ho.port = std::uint16_t(detectPort);
-      ho.maxBodyBytes =
-          std::size_t(argDouble(argc, argv, "--max-body-mb", 64)) << 20;
+      ho.port = *detectPort;
+      ho.maxBodyBytes = maxBodyBytes;
       // Enough handler threads that the wire never starves the workers;
       // surplus requests queue in the transport's bounded accept queue.
       ho.handlerThreads = cfg.workers + 2;
@@ -263,7 +292,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<obs::AdminServer> admin;
     if (adminEnabled) {
       obs::AdminOptions ao;
-      ao.port = std::uint16_t(adminPort);
+      ao.port = *adminPort;
       admin = std::make_unique<obs::AdminServer>(ao);
       admin->addMetrics(server.metrics());
       if (endpoint) admin->addMetrics(endpoint->metrics());
