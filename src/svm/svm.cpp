@@ -277,12 +277,12 @@ SvmModel SvmModel::load(TextCursor& in) {
   const std::size_t nsv = in.integer<std::size_t>();
   in.expect("dim");
   const std::size_t dim = in.integer<std::size_t>();
-  // Each row is a coefficient and `dim` components. Checking `dim` alone
-  // first keeps `dim + 1` from wrapping.
-  if (nsv != 0) {
-    in.requireTokens(1, dim);
-    in.requireTokens(nsv, dim + 1);
-  }
+  // Each row is a coefficient and `dim` components. `dim` is checked alone
+  // even when there are no rows (the writer then emits 0), so the
+  // prototype row below is never sized from an unbacked count; checking it
+  // first also keeps `dim + 1` from wrapping.
+  in.requireTokens(1, dim);
+  in.requireTokens(nsv, dim + 1);
   std::vector<FeatureVector> sv(nsv, FeatureVector(dim));
   std::vector<double> coef(nsv);
   for (std::size_t i = 0; i < nsv; ++i) {

@@ -405,8 +405,8 @@ TEST(ModelLoadCorpus, ScalerDimBeyondTheRemainingBytes) {
 
 TEST(ModelLoadCorpus, SupportVectorRowsBeyondTheRemainingBytes) {
   const std::size_t bytes = savedModel().text.size();
-  // nsv rows of (1 + dim) tokens: too many rows, too wide a row, and a
-  // dim whose + 1 would wrap.
+  // nsv rows of (1 + dim) tokens: too many rows, too wide a row, a dim
+  // whose + 1 would wrap, and a huge dim with no rows at all.
   expectCountRejected(withLine(std::string::npos, "nsv ",
                                "nsv " + std::to_string(bytes / 4 + 1) +
                                    " dim 1"));
@@ -414,6 +414,10 @@ TEST(ModelLoadCorpus, SupportVectorRowsBeyondTheRemainingBytes) {
                                "nsv 1 dim " + std::to_string(bytes / 2)));
   expectCountRejected(withLine(std::string::npos, "nsv ",
                                "nsv 1 dim 18446744073709551615"));
+  expectCountRejected(withLine(std::string::npos, "nsv ",
+                               "nsv 0 dim 18446744073709551615"));
+  expectCountRejected(withLine(std::string::npos, "nsv ",
+                               "nsv 0 dim " + std::to_string(bytes / 2)));
 }
 
 TEST(ModelLoadCorpus, BaselineClusterCountBeyondTheRemainingBytes) {
