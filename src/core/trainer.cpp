@@ -419,8 +419,10 @@ std::uint64_t hashModel(std::uint64_t h, const svm::SvmModel& m) {
   h = hashCombine(h, hashDouble(m.gamma()));
   h = hashCombine(h, hashDouble(m.rho()));
   h = hashCombine(h, hashDoubles(m.coefficients()));
-  for (const svm::FeatureVector& sv : m.supportVectors())
-    h = hashCombine(h, hashDoubles(sv));
+  for (std::size_t i = 0; i < m.supportVectorCount(); ++i) {
+    const svm::ops::PackedVectors::Row sv = m.supportVector(i);
+    h = hashCombine(h, hashDoubles(sv.first, sv.size, sv.stride));
+  }
   return h;
 }
 

@@ -7,13 +7,7 @@ StageCache::StageCache(std::size_t capacity,
     : capacity_(capacity == 0 ? 1 : capacity),
       shardCount_(capacity_ >= kShardThreshold ? kMaxShards : 1),
       tracer_(std::move(tracer)),
-      shards_(new Shard[shardCount_]) {
-  // Split the budget so shard capacities sum exactly to capacity_ (the
-  // first `capacity_ % shardCount_` shards take one extra entry).
-  for (std::size_t s = 0; s < shardCount_; ++s)
-    shards_[s].capacity =
-        capacity_ / shardCount_ + (s < capacity_ % shardCount_ ? 1 : 0);
-}
+      shards_(new Shard[shardCount_]) {}
 
 bool StageCache::findErased(const CacheKey& key, std::any& out) {
   obs::Span span(tracer_.get(), "cache/lookup", "cache");
@@ -44,24 +38,18 @@ std::size_t StageCache::insertErased(const CacheKey& key, std::any value) {
   }
   sh.lru.push_front(Entry{key, std::move(value)});
   sh.map.emplace(key, sh.lru.begin());
-  std::size_t evicted = 0;
-  while (sh.map.size() > sh.capacity) {
-    sh.map.erase(sh.lru.back().key);
-    sh.lru.pop_back();
-    ++sh.counters.evictions;
-    ++evicted;
-  }
-  sh.counters.entries = sh.map.size();
-  return evicted;
+  if (size_.value.fetch_add(1, std::memory_order_relaxed) < capacity_)
+    return 0;
+  // Full: this shard gives up its least recently used entry.
+  sh.map.erase(sh.lru.back().key);
+  sh.lru.pop_back();
+  size_.value.fetch_sub(1, std::memory_order_relaxed);
+  ++sh.counters.evictions;
+  return 1;
 }
 
 std::size_t StageCache::size() const {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < shardCount_; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mu);
-    n += shards_[s].map.size();
-  }
-  return n;
+  return size_.value.load(std::memory_order_relaxed);
 }
 
 StageCache::Counters StageCache::counters() const {
@@ -71,17 +59,17 @@ StageCache::Counters StageCache::counters() const {
     total.hits += shards_[s].counters.hits;
     total.misses += shards_[s].counters.misses;
     total.evictions += shards_[s].counters.evictions;
-    total.entries += shards_[s].map.size();
   }
+  total.entries = size();
   return total;
 }
 
 void StageCache::clear() {
   for (std::size_t s = 0; s < shardCount_; ++s) {
     const std::lock_guard<std::mutex> lock(shards_[s].mu);
+    size_.value.fetch_sub(shards_[s].map.size(), std::memory_order_relaxed);
     shards_[s].lru.clear();
     shards_[s].map.clear();
-    shards_[s].counters.entries = 0;
   }
 }
 

@@ -20,10 +20,16 @@ std::uint64_t hashRectsUnordered(const std::vector<Rect>& rects) {
 }
 
 std::uint64_t hashDoubles(std::span<const double> xs) {
+  return hashDoubles(xs.data(), xs.size(), 1);
+}
+
+std::uint64_t hashDoubles(const double* first, std::size_t n,
+                          std::size_t stride) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    sum += hashMix(std::bit_cast<std::uint64_t>(xs[i]) ^ hashMix(i));
-  return hashCombine(hashMix(xs.size()), sum);
+  for (std::size_t i = 0; i < n; ++i)
+    sum += hashMix(std::bit_cast<std::uint64_t>(first[i * stride]) ^
+                   hashMix(i));
+  return hashCombine(hashMix(n), sum);
 }
 
 std::uint64_t hashWindowContent(const Rect& window,

@@ -59,6 +59,11 @@ constexpr std::uint64_t hashDouble(double d) {
 /// value to another index still changes the hash. The length is folded
 /// in, so a trailing zero is not absorbed.
 std::uint64_t hashDoubles(std::span<const double> xs);
+/// hashDoubles() of the `n` doubles first[0], first[stride], ... — the
+/// same bits as over those values gathered into one array (a row of a
+/// blocked-transposed matrix hashes in place).
+std::uint64_t hashDoubles(const double* first, std::size_t n,
+                          std::size_t stride);
 
 constexpr std::uint64_t hashPoint(const Point& p) {
   return hashCombine(hashCoord(p.x), hashCoord(p.y));

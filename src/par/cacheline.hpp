@@ -19,7 +19,7 @@ inline constexpr std::size_t kCacheLineSize = 64;
 
 /// T on its own cache line(s): aligned to a line start and padded to a
 /// line multiple, so adjacent array elements never share a line. Use for
-/// arrays of per-worker counters, pool slots, shard heads.
+/// arrays of per-worker counters and shard heads.
 template <typename T>
 struct alignas(kCacheLineSize) CachePadded {
   T value;

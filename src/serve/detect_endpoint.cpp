@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <locale>
 #include <optional>
@@ -25,23 +24,13 @@ namespace hsd::serve {
 
 namespace {
 
-/// Strict full-string double parse ("" and trailing junk both fail).
-bool parseDouble(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(s.c_str(), &end);
-  return errno != ERANGE && end != nullptr && *end == '\0' &&
-         std::isfinite(out);
-}
-
 /// Query/header numeric parameter. Returns false (with `err` set) on a
 /// malformed value; a missing parameter leaves `out` untouched.
 bool numericParam(const net::HttpRequest& req, const char* name, double& out,
                   std::string& err) {
   const std::string v = req.queryParam(name);
   if (v.empty()) return true;
-  if (!parseDouble(v, out)) {
+  if (!engine::parseDouble(v, out)) {
     err = std::string("bad numeric value for '") + name + "': " + v;
     return false;
   }
@@ -194,7 +183,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   if (deadlineMs < 0.0) {
     // The header form loses to the query param; both are optional.
     if (const std::string* h = req.header("x-deadline-ms")) {
-      if (!parseDouble(*h, deadlineMs))
+      if (!engine::parseDouble(*h, deadlineMs))
         return errorResponse(400, "bad X-Deadline-Ms header: " + *h);
     }
   }

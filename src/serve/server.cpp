@@ -73,7 +73,7 @@ ContextPool::ContextPool(std::size_t contexts, std::size_t threadsPerContext,
                          std::shared_ptr<obs::ModelStatsRecorder> modelStats) {
   contexts = std::max<std::size_t>(1, contexts);
   all_.reserve(contexts);
-  slots_.reset(new Slot[contexts]);
+  free_.reserve(contexts);
   for (std::size_t i = 0; i < contexts; ++i) {
     auto ctx = std::make_unique<engine::RunContext>(threadsPerContext,
                                                     batchSize);
@@ -84,33 +84,31 @@ ContextPool::ContextPool(std::size_t contexts, std::size_t threadsPerContext,
     // Pre-warm: spawn the worker threads now so the first request doesn't
     // pay pool construction latency (threads=1 contexts stay thread-free).
     if (ctx->threadCount() > 1) ctx->pool();
-    slots_[i].value.store(ctx.get(), std::memory_order_relaxed);
+    free_.push_back(ctx.get());
     all_.push_back(std::move(ctx));
   }
 }
 
 engine::RunContext* ContextPool::checkout() {
-  if (engine::RunContext* ctx = tryCheckout()) return ctx;
   std::unique_lock<std::mutex> lock(mu_);
-  engine::RunContext* ctx = nullptr;
-  // The predicate re-probes the slots while holding mu_; checkin
-  // publishes under mu_ before notifying, so a release can't slip
-  // between the probe and the wait.
-  cv_.wait(lock, [this, &ctx] { return (ctx = tryCheckout()) != nullptr; });
+  cv_.wait(lock, [this] { return !free_.empty(); });
+  engine::RunContext* const ctx = free_.back();
+  free_.pop_back();
   return ctx;
 }
 
 engine::RunContext* ContextPool::tryCheckout() {
-  for (std::size_t i = 0; i < all_.size(); ++i) {
-    if (slots_[i].value.load(std::memory_order_relaxed) == nullptr) continue;
-    if (engine::RunContext* ctx =
-            slots_[i].value.exchange(nullptr, std::memory_order_acquire))
-      return ctx;
-  }
-  return nullptr;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (free_.empty()) return nullptr;
+  engine::RunContext* const ctx = free_.back();
+  free_.pop_back();
+  return ctx;
 }
 
 void ContextPool::checkin(engine::RunContext* ctx) {
+  const bool ours = std::any_of(
+      all_.begin(), all_.end(), [ctx](const auto& c) { return c.get() == ctx; });
+  if (!ours) return;  // refuse rather than corrupt
   // The cancellation-reuse contract: a context that served a cancelled or
   // timed-out request must run the next request cleanly. resetCancel()
   // clears both the flag and any armed deadline; the stats wipe makes the
@@ -118,12 +116,9 @@ void ContextPool::checkin(engine::RunContext* ctx) {
   ctx->resetCancel();
   ctx->stats().clear();
   ctx->setTraceId({});  // a reused context must not inherit correlation
-  std::size_t i = 0;
-  while (i < all_.size() && all_[i].get() != ctx) ++i;
-  if (i == all_.size()) return;  // not ours — refuse rather than corrupt
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    slots_[i].value.store(ctx, std::memory_order_release);
+    free_.push_back(ctx);
   }
   cv_.notify_one();
 }
@@ -210,7 +205,6 @@ std::future<ServeResult> DetectionServer::submit(
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!accepting_) {
-      ++stats_.rejected;
       lock.unlock();
       statusTotal_[statusIndex(RequestStatus::kRejected)]->inc();
       ServeResult res;
@@ -226,11 +220,12 @@ std::future<ServeResult> DetectionServer::submit(
       req.promise.set_value(std::move(res));
       return fut;
     }
-    ++stats_.submitted;
-    req.id = stats_.submitted;
+    req.id = ++lastId_;
     queue_.push_back(std::move(req));
+    // Counted before a worker can finish it, so stats() never reads more
+    // completed requests than submitted ones.
+    submittedTotal_->inc();
   }
-  submittedTotal_->inc();
   queueDepth_->inc();
   cv_.notify_one();
   return fut;
@@ -391,18 +386,6 @@ core::EvalResult DetectionServer::runTiled(Request& req,
 void DetectionServer::finish(Request& req, ServeResult res) {
   res.requestId = req.id;
   res.trace = req.trace;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.completed;
-    switch (res.status) {
-      case RequestStatus::kOk: ++stats_.ok; break;
-      case RequestStatus::kTimeout: ++stats_.timeout; break;
-      case RequestStatus::kCancelled: ++stats_.cancelled; break;
-      case RequestStatus::kError: ++stats_.error; break;
-      case RequestStatus::kRejected: break;  // counted at submit
-    }
-    stats_.busySeconds += res.runSeconds;
-  }
   statusTotal_[statusIndex(res.status)]->inc();
   // Per-request cache counters are deltas (the pooled context's stats are
   // wiped between requests), so summing them here yields server totals.
@@ -419,11 +402,18 @@ void DetectionServer::finish(Request& req, ServeResult res) {
 }
 
 DetectionServer::Stats DetectionServer::stats() const {
+  const auto count = [this](RequestStatus st) {
+    return std::size_t(statusTotal_[statusIndex(st)]->value());
+  };
   Stats s;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    s = stats_;
-  }
+  s.submitted = std::size_t(submittedTotal_->value());
+  s.ok = count(RequestStatus::kOk);
+  s.timeout = count(RequestStatus::kTimeout);
+  s.cancelled = count(RequestStatus::kCancelled);
+  s.error = count(RequestStatus::kError);
+  s.rejected = count(RequestStatus::kRejected);
+  s.completed = s.ok + s.timeout + s.cancelled + s.error;
+  s.busySeconds = runHist_->sum();
   if (cache_) s.cache = cache_->counters();
   return s;
 }

@@ -32,6 +32,7 @@
 // first.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -56,7 +57,6 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_id.hpp"
-#include "par/cacheline.hpp"
 
 namespace hsd::serve {
 
@@ -134,17 +134,10 @@ struct ServeResult {
 
 /// Bounded blocking pool of pre-warmed RunContexts. checkout() blocks
 /// until a context is free; checkin() resets it (cancellation flag,
-/// deadline, per-request stats) so the next request starts clean even
-/// after a cancelled/timed-out run.
-///
-/// Layout: one atomic free-slot per context, each padded to its own cache
-/// line (slot i free <=> slots_[i] holds the context pointer). Tiled
-/// fan-out hammers tryCheckout from every worker at once; with the slots
-/// line-separated and claimed by lock-free exchange, those probes touch
-/// disjoint lines instead of serializing on one mutex-protected vector.
-/// The mutex+condvar remain only for blocking checkout(): checkin stores
-/// the slot under the mutex before notifying, so a sleeping waiter can't
-/// miss the release (no lost wakeup).
+/// deadline, per-request stats, trace id) so the next request starts
+/// clean even after a cancelled/timed-out run. The free contexts sit in
+/// one list under one mutex; checkin pushes under that mutex before
+/// notifying, so a sleeping checkout can't miss the release.
 class ContextPool {
  public:
   ContextPool(std::size_t contexts, std::size_t threadsPerContext,
@@ -161,20 +154,18 @@ class ContextPool {
   /// Non-blocking checkout: nullptr when no context is free right now.
   /// Tiled fan-out uses this to borrow idle contexts without ever waiting
   /// on one (a worker holding its own context while blocking for more is
-  /// a pool deadlock). Lock-free.
+  /// a pool deadlock).
   engine::RunContext* tryCheckout();
+  /// Return a checked-out context; a context this pool does not own is
+  /// refused (left untouched and never handed out).
   void checkin(engine::RunContext* ctx);
   std::size_t size() const { return all_.size(); }
 
  private:
-  using Slot = par::CachePadded<std::atomic<engine::RunContext*>>;
-  static_assert(sizeof(Slot) == par::kCacheLineSize,
-                "one slot per line, no neighbors");
-
   std::vector<std::unique_ptr<engine::RunContext>> all_;
-  std::unique_ptr<Slot[]> slots_;  ///< slots_[i] non-null => all_[i] is free
-  std::mutex mu_;                  ///< checkout sleep / checkin publish
-  std::condition_variable cv_;
+  std::mutex mu_;                          ///< guards free_
+  std::vector<engine::RunContext*> free_;  ///< contexts not checked out
+  std::condition_variable cv_;             ///< signalled on every checkin
 };
 
 /// External cancellation handle for one submitted request. A caller that
@@ -249,7 +240,10 @@ class DetectionServer {
   std::size_t queueDepth() const;
 
   /// Aggregate lifetime counters (requests by outcome, worker busy time,
-  /// shared-cache totals).
+  /// shared-cache totals), read from the metrics() registry: the request
+  /// counts are hsd_serve_requests_submitted_total and the per-status
+  /// hsd_serve_requests_total, busySeconds is the hsd_serve_run_seconds
+  /// sum.
   struct Stats {
     std::size_t submitted = 0;
     std::size_t completed = 0;  ///< ok + timeout + cancelled + error
@@ -334,7 +328,7 @@ class DetectionServer {
   std::deque<Request> queue_;
   bool accepting_ = true;
   bool stopping_ = false;
-  Stats stats_;
+  std::uint64_t lastId_ = 0;  ///< id of the latest admitted request
   std::vector<std::thread> workers_;
 };
 

@@ -11,21 +11,24 @@
 
 namespace hsd::svm::ops {
 
-PackedVectors::PackedVectors(const std::vector<FeatureVector>& vs) {
-  count_ = vs.size();
-  if (count_ == 0) return;
-  dim_ = vs.front().size();
-  for (const FeatureVector& v : vs)
-    if (v.size() != dim_)
-      throw std::invalid_argument("PackedVectors: inconsistent dimension");
-  data_.assign(blockCount() * dim_ * kPackWidth, 0.0);
+PackedVectors::PackedVectors(const std::vector<FeatureVector>& vs)
+    : PackedVectors(vs.size(), vs.empty() ? 0 : vs.front().size()) {
   for (std::size_t j = 0; j < count_; ++j) {
-    const std::size_t b = j / kPackWidth;
-    const std::size_t lane = j % kPackWidth;
-    double* const blk = data_.data() + b * dim_ * kPackWidth;
-    for (std::size_t k = 0; k < dim_; ++k)
-      blk[k * kPackWidth + lane] = vs[j][k];
+    if (vs[j].size() != dim_)
+      throw std::invalid_argument("PackedVectors: inconsistent dimension");
+    for (std::size_t k = 0; k < dim_; ++k) at(j, k) = vs[j][k];
   }
+}
+
+PackedVectors::PackedVectors(std::size_t count, std::size_t dim)
+    : count_(count), dim_(count == 0 ? 0 : dim) {
+  data_.assign(blockCount() * dim_ * kPackWidth, 0.0);
+}
+
+FeatureVector PackedVectors::Row::vector() const {
+  FeatureVector v(size);
+  for (std::size_t k = 0; k < size; ++k) v[k] = (*this)[k];
+  return v;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ class PackedVectors {
  public:
   PackedVectors() = default;
   explicit PackedVectors(const std::vector<FeatureVector>& vs);
+  /// `count` zero vectors of `dim` components, to be filled through at()
+  /// (with no vectors the dimension is 0, as for an empty `vs` above).
+  PackedVectors(std::size_t count, std::size_t dim);
 
   std::size_t count() const { return count_; }
   std::size_t dim() const { return dim_; }
@@ -41,6 +44,23 @@ class PackedVectors {
   /// Block b: dim_ * kPackWidth doubles, component-major.
   const double* block(std::size_t b) const {
     return data_.data() + b * dim_ * kPackWidth;
+  }
+  /// Component k of vector j.
+  double& at(std::size_t j, std::size_t k) {
+    return data_[(j / kPackWidth * dim_ + k) * kPackWidth + j % kPackWidth];
+  }
+
+  /// Vector j read in place: `size` components, `stride` doubles apart.
+  struct Row {
+    static constexpr std::size_t stride = kPackWidth;
+    const double* first = nullptr;
+    std::size_t size = 0;
+    double operator[](std::size_t k) const { return first[k * stride]; }
+    /// The components gathered into one vector.
+    FeatureVector vector() const;
+  };
+  Row row(std::size_t j) const {
+    return {block(j / kPackWidth) + j % kPackWidth, dim_};
   }
 
  private:

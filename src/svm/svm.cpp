@@ -206,7 +206,7 @@ TrainResult train(const Dataset& data, const SvmParams& params) {
   }
 
   TrainResult out;
-  out.model = SvmModel(std::move(sv), std::move(coef), rho, params.gamma);
+  out.model = SvmModel(sv, std::move(coef), rho, params.gamma);
   out.iterations = iter;
   out.converged = converged;
   out.objective = -objMin;  // paper's maximization form f(a)
@@ -225,11 +225,11 @@ double SvmModel::decisionFrom(std::span<const double> x) const {
 
 void SvmModel::decisionBatch(std::span<const double> xs,
                              std::span<double> out) const {
-  if (sv_.empty()) {
+  if (packed_.empty()) {
     std::fill(out.begin(), out.end(), -rho_);
     return;
   }
-  const std::size_t nsv = sv_.size();
+  const std::size_t nsv = packed_.count();
   if (xs.size() != out.size() * packed_.dim())
     throw std::invalid_argument("SvmModel::decision: dimension mismatch");
   // ||sv_i - x_q||^2 for every pair; each accumulates in rbfKernel's
@@ -257,11 +257,12 @@ int SvmModel::predictFrom(std::span<const double> x, double bias) const {
 void SvmModel::save(std::ostream& os) const {
   os.precision(17);
   os << "hsd_svm_model 1\n";
-  os << "gamma " << gamma_ << "\nrho " << rho_ << "\nnsv " << sv_.size()
-     << " dim " << (sv_.empty() ? 0 : sv_.front().size()) << '\n';
-  for (std::size_t i = 0; i < sv_.size(); ++i) {
+  os << "gamma " << gamma_ << "\nrho " << rho_ << "\nnsv "
+     << packed_.count() << " dim " << packed_.dim() << '\n';
+  for (std::size_t i = 0; i < packed_.count(); ++i) {
     os << coef_[i];
-    for (const double v : sv_[i]) os << ' ' << v;
+    const ops::PackedVectors::Row sv = packed_.row(i);
+    for (std::size_t k = 0; k < sv.size; ++k) os << ' ' << sv[k];
     os << '\n';
   }
 }
@@ -278,18 +279,22 @@ SvmModel SvmModel::load(TextCursor& in) {
   in.expect("dim");
   const std::size_t dim = in.integer<std::size_t>();
   // Each row is a coefficient and `dim` components. `dim` is checked alone
-  // even when there are no rows (the writer then emits 0), so the
-  // prototype row below is never sized from an unbacked count; checking it
-  // first also keeps `dim + 1` from wrapping.
+  // first, which keeps `dim + 1` from wrapping; the rows are then filled
+  // straight into the packed blocks.
   in.requireTokens(1, dim);
   in.requireTokens(nsv, dim + 1);
-  std::vector<FeatureVector> sv(nsv, FeatureVector(dim));
+  ops::PackedVectors sv(nsv, dim);
   std::vector<double> coef(nsv);
   for (std::size_t i = 0; i < nsv; ++i) {
     coef[i] = in.real();
-    in.reals(sv[i]);
+    for (std::size_t k = 0; k < dim; ++k) sv.at(i, k) = in.real();
   }
-  return SvmModel(std::move(sv), std::move(coef), rho, gamma);
+  SvmModel m;
+  m.coef_ = std::move(coef);
+  m.rho_ = rho;
+  m.gamma_ = gamma;
+  m.packed_ = std::move(sv);
+  return m;
 }
 
 SvmModel SvmModel::load(std::istream& is) {

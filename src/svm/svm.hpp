@@ -41,11 +41,14 @@ class SvmModel {
  public:
   SvmModel() = default;
 
-  bool empty() const { return sv_.empty(); }
-  std::size_t supportVectorCount() const { return sv_.size(); }
+  bool empty() const { return packed_.empty(); }
+  std::size_t supportVectorCount() const { return packed_.count(); }
   double gamma() const { return gamma_; }
   double rho() const { return rho_; }
-  const std::vector<FeatureVector>& supportVectors() const { return sv_; }
+  /// Support vector i, read in place from the packed layout.
+  ops::PackedVectors::Row supportVector(std::size_t i) const {
+    return packed_.row(i);
+  }
   const std::vector<double>& coefficients() const { return coef_; }
 
   /// Signed decision value; positive means class +1 (hotspot).
@@ -79,21 +82,16 @@ class SvmModel {
   static SvmModel load(std::istream& is);
 
   /// Construct directly (used by the trainer and tests).
-  SvmModel(std::vector<FeatureVector> sv, std::vector<double> coef,
+  SvmModel(const std::vector<FeatureVector>& sv, std::vector<double> coef,
            double rho, double gamma)
-      : sv_(std::move(sv)),
-        coef_(std::move(coef)),
-        rho_(rho),
-        gamma_(gamma),
-        packed_(sv_) {}
+      : coef_(std::move(coef)), rho_(rho), gamma_(gamma), packed_(sv) {}
 
  private:
-  std::vector<FeatureVector> sv_;
   std::vector<double> coef_;
   double rho_ = 0.0;
   double gamma_ = 0.0;
-  /// Blocked-transposed copy of sv_ for the vectorized decision path;
-  /// rebuilt on construction/load, never serialized.
+  /// The support vectors, blocked-transposed for the vectorized decision
+  /// path; save() and supportVector() read rows back out of it.
   ops::PackedVectors packed_;
 };
 

@@ -183,7 +183,7 @@ double plainDecision(const KernelEntry& k, const svm::FeatureVector& feat) {
   double s = 0;
   for (std::size_t i = 0; i < m.supportVectorCount(); ++i)
     s += m.coefficients()[i] *
-         svm::rbfKernel(m.supportVectors()[i], x, m.gamma());
+         svm::rbfKernel(m.supportVector(i).vector(), x, m.gamma());
   return s - m.rho();
 }
 

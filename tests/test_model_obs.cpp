@@ -629,7 +629,9 @@ core::Detector handBuiltDetector() {
 /// gamma) — SvmModel keeps them private.
 template <class Edit>
 svm::SvmModel editedModel(const svm::SvmModel& m, Edit edit) {
-  std::vector<svm::FeatureVector> sv = m.supportVectors();
+  std::vector<svm::FeatureVector> sv;
+  for (std::size_t i = 0; i < m.supportVectorCount(); ++i)
+    sv.push_back(m.supportVector(i).vector());
   std::vector<double> coef = m.coefficients();
   double rho = m.rho();
   double gamma = m.gamma();

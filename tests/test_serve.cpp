@@ -9,7 +9,10 @@
 //    the aged-out-in-queue and the cancelled-mid-run paths — and the
 //    pooled context that served a timed-out run serves the next request
 //    cleanly (resetCancel-on-checkin regression);
-//  - callbacks fire, shutdown rejects new work, aggregate stats add up.
+//  - callbacks fire, shutdown rejects new work, aggregate stats add up;
+//  - the ContextPool alone: tryCheckout never waits, checkout blocks
+//    until a checkin, checkin resets the context and refuses a foreign
+//    one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -305,6 +308,68 @@ TEST(DetectionServer, StatusNamesAreStable) {
   EXPECT_STREQ(toString(RequestStatus::kCancelled), "cancelled");
   EXPECT_STREQ(toString(RequestStatus::kError), "error");
   EXPECT_STREQ(toString(RequestStatus::kRejected), "rejected");
+}
+
+// ---------------------------------------------------------------------------
+// ContextPool on its own: the free list the workers and the tiled fan-out
+// share.
+
+TEST(ContextPool, TryCheckoutReturnsNullWhenEveryContextIsOut) {
+  ContextPool pool(2, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  engine::RunContext* const a = pool.tryCheckout();
+  engine::RunContext* const b = pool.tryCheckout();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(pool.tryCheckout(), nullptr);
+  pool.checkin(a);
+  EXPECT_EQ(pool.tryCheckout(), a);
+  pool.checkin(a);
+  pool.checkin(b);
+}
+
+TEST(ContextPool, CheckoutBlocksUntilCheckin) {
+  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  engine::RunContext* const held = pool.checkout();
+  std::future<engine::RunContext*> waiter =
+      std::async(std::launch::async, [&pool] { return pool.checkout(); });
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "checkout returned while the only context was out";
+  pool.checkin(held);
+  EXPECT_EQ(waiter.get(), held);
+  pool.checkin(held);
+}
+
+TEST(ContextPool, CheckinClearsCancelDeadlineStatsAndTrace) {
+  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  engine::RunContext* const ctx = pool.checkout();
+  ctx->requestCancel();
+  ctx->setDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ctx->stats().record("test/stage", 3, 0.5);
+  ctx->setTraceId({1, 2});
+  pool.checkin(ctx);
+
+  engine::RunContext* const again = pool.checkout();
+  ASSERT_EQ(again, ctx);
+  EXPECT_FALSE(again->cancelRequested());
+  EXPECT_FALSE(again->hasDeadline());
+  EXPECT_EQ(again->stats().rollup("test/stage").calls, 0u);
+  EXPECT_FALSE(again->traceId().valid());
+  pool.checkin(again);
+}
+
+TEST(ContextPool, ForeignContextIsRefused) {
+  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  engine::RunContext* const own = pool.checkout();
+  engine::RunContext foreign(1);
+  foreign.requestCancel();
+  pool.checkin(&foreign);
+  EXPECT_EQ(pool.tryCheckout(), nullptr) << "a foreign context was pooled";
+  EXPECT_TRUE(foreign.cancelRequested()) << "a refused context was reset";
+  pool.checkin(own);
+  EXPECT_EQ(pool.tryCheckout(), own);
+  pool.checkin(own);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Stage-cache tests (ctest label: cache). Two layers of coverage:
 //
 //  1. StageCache unit behavior: hit/miss/evict accounting, LRU order,
-//     refresh semantics, capacity clamping, type safety of lookups.
+//     the capacity bound at serving scale, refresh semantics, capacity
+//     clamping, type safety of lookups.
 //  2. Cached evaluation runs: a warm evaluateLayout() over an attached
 //     cache must hit on every unchanged window and return byte-identical
 //     reports to a cold run (threads=1 and threads=8); a single-rect edit
@@ -131,6 +132,35 @@ TEST(StageCacheUnit, ConcurrentHammerTinyCapacityKeepsEntriesIntact) {
   const StageCache::Counters c = cache.counters();
   EXPECT_GT(c.evictions, 0u);  // capacity pressure actually occurred
   EXPECT_EQ(c.hits + c.misses, kThreads * kOpsPerThread);
+}
+
+TEST(StageCacheUnit, FullCapacityEvictsNothingAndStaysAtCapacity) {
+  // capacity() is the real bound at every size: `capacity` distinct keys
+  // all fit, and past it each insert evicts exactly one entry. Below the
+  // shard threshold eviction is exact LRU, so the touched oldest key
+  // outlives every untouched one.
+  for (const std::size_t cap :
+       {StageCache::kShardThreshold - 1, StageCache::kShardThreshold,
+        StageCache::kDefaultCapacity}) {
+    SCOPED_TRACE(cap);
+    StageCache cache(cap);
+    for (std::uint64_t g = 0; g < cap; ++g) cache.insert(key(g), int(g));
+    EXPECT_EQ(cache.counters().evictions, 0u);
+    EXPECT_EQ(cache.size(), cap);
+    EXPECT_EQ(cache.find<int>(key(0)).value_or(-1), 0);
+    std::size_t evicted = 0;
+    for (std::uint64_t g = cap; g < 2 * cap - 1; ++g)
+      evicted += cache.insert(key(g), int(g));
+    EXPECT_EQ(evicted, cap - 1);
+    EXPECT_EQ(cache.size(), cap);
+    const StageCache::Counters c = cache.counters();
+    EXPECT_EQ(c.evictions, cap - 1);
+    EXPECT_EQ(c.entries, cap);
+    if (cap < StageCache::kShardThreshold) {
+      EXPECT_EQ(cache.find<int>(key(0)).value_or(-1), 0);
+      EXPECT_EQ(cache.find<int>(key(1)), std::nullopt);
+    }
+  }
 }
 
 TEST(StageCacheUnit, ClearDropsEntriesKeepsLifetimeCounters) {

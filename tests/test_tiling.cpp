@@ -158,6 +158,7 @@ TEST(TilingNumbers, WholeNumbersInRangeBuildParams) {
   EXPECT_EQ(makeTilingParams(9007199254740992.0, 0, 0).tileSize,
             Coord(9007199254740992LL));
   EXPECT_EQ(wholeNumber("threads", 1024, 1024), 1024u);
+  EXPECT_EQ(realNumber("bias", "-0.25"), -0.25);
 }
 
 TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
@@ -176,6 +177,8 @@ TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
   EXPECT_NE(message(0, 0, 2.5).find("'tile-threads'"), std::string::npos);
   EXPECT_THROW(wholeNumber("threads", 1025, 1024), std::invalid_argument);
   EXPECT_THROW(wholeNumber("threads", -1, 1024), std::invalid_argument);
+  for (const char* bad : {"", "abc", "1.5x", "1e400", "nan", "inf"})
+    EXPECT_THROW(realNumber("bias", bad), std::invalid_argument) << bad;
 }
 
 // ---------------------------------------------------------------------------

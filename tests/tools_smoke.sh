@@ -103,6 +103,29 @@ for bad in requests:2.5 requests:-1 max-queue-depth:1.5 max-body-mb:1e20 \
   fi
   grep -q "'$flag'" "$OUT/number_err.txt"
 done
+# Real-valued flags are parsed strictly, and hsd_train's thread count is
+# a whole number in [0, 1024]: each bad value exits 2 naming its flag
+# before any file is read — the model and clip-set paths here do not
+# exist (before the check, --bias abc ran as --bias 0 and hsd_train
+# --threads -1 failed in training with a length error).
+for bad in hsd_detect:bias:abc hsd_detect:bias:1e400 hsd_serve:deadline-ms:abc \
+  hsd_serve:linger-ms:5x hsd_fix:bias:nan hsd_fix:min-width:abc \
+  hsd_fix:min-space:1.5 hsd_train:threads:-1 hsd_train:threads:2.5 \
+  hsd_train:threads:5000; do
+  tool=${bad%%:*}
+  rest=${bad#*:}
+  flag=${rest%%:*}
+  value=${rest#*:}
+  rc=0
+  "$BIN/tools/$tool" "$OUT/no_such_input.txt" "$OUT/no_such_layout.gds" \
+    "$OUT/bad_out.txt" "--$flag" "$value" >/dev/null \
+    2>"$OUT/number_err.txt" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$tool --$flag $value exited $rc, not 2" >&2
+    exit 1
+  fi
+  grep -q "'$flag'" "$OUT/number_err.txt"
+done
 # An undersized halo exits 2 with the tile plan's message right after the
 # model load: the layout path is never opened (it does not exist here).
 for tool in hsd_detect hsd_serve; do

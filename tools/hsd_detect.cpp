@@ -14,8 +14,9 @@
 // overrides the halo width (default: the exactness minimum, ambit + half
 // core; a smaller value exits 2 right after the model load, before the
 // layout is read). --tile-threads caps concurrent tiles.
-// The tiling flags must be whole numbers in [0, 2^53] and --threads one
-// in [0, 1024]; anything else exits 2 naming the flag.
+// --bias must be a finite number, the tiling flags whole numbers in
+// [0, 2^53] and --threads one in [0, 1024]; anything else exits 2 naming
+// the flag before any file is read.
 //
 // --trace-out records the whole run as Chrome trace-event JSON (per-batch
 // stage spans, parallelFor chunk spans) — open it in Perfetto or
@@ -61,7 +62,8 @@ bool hasFlag(int argc, char** argv, const char* flag) {
 
 double argDouble(int argc, char** argv, const char* flag, double def) {
   for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0)
+      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
   return def;
 }
 
@@ -86,12 +88,14 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  // Numbers that become counts or coordinates are checked before any
-  // work: a fraction, a negative or an overflowing value is a usage
-  // error naming its flag, never a silent truncation.
+  // Numbers are checked before any work: text that is not a number is a
+  // usage error naming its flag, and so is a fraction, a negative or an
+  // overflowing value where a count or a coordinate is due — never a
+  // silent zero or truncation.
   core::EvalParams ep;
   std::size_t threads = 0;
   try {
+    ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
     ep.tiling = engine::makeTilingParams(
         argDouble(argc, argv, "--tile-size", 0.0),
         argDouble(argc, argv, "--halo", 0.0),
@@ -122,7 +126,6 @@ int main(int argc, char** argv) {
 
     ep.extract.clip = det.params.clip;
     ep.removal.clip = det.params.clip;
-    ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
     ep.useRemoval = !hasFlag(argc, argv, "--no-removal");
     ep.useFeedback = !hasFlag(argc, argv, "--no-feedback");
 

@@ -4,12 +4,18 @@
 //
 //   hsd_fix <model> <layout.gds> <out_layout.gds> [--min-width NM]
 //           [--min-space NM] [--bias B]
+//
+// --bias must be a finite number and --min-width/--min-space whole
+// numbers in [0, 2^53]; anything else exits 2 naming the flag before any
+// file is read.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 
 #include "core/evaluator.hpp"
+#include "engine/tiler.hpp"
 #include "gds/gdsii.hpp"
 #include "litho/opc.hpp"
 
@@ -17,7 +23,8 @@ namespace {
 
 double argDouble(int argc, char** argv, const char* flag, double def) {
   for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0)
+      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
   return def;
 }
 
@@ -32,6 +39,20 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  core::EvalParams ep;
+  litho::OpcRules rules;
+  try {
+    ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
+    rules.minWidth = Coord(engine::wholeNumber(
+        "min-width", argDouble(argc, argv, "--min-width", 170),
+        engine::kMaxExactWhole));
+    rules.minSpace = Coord(engine::wholeNumber(
+        "min-space", argDouble(argc, argv, "--min-space", 170),
+        engine::kMaxExactWhole));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   try {
     std::ifstream ms(argv[1]);
     if (!ms) {
@@ -41,16 +62,11 @@ int main(int argc, char** argv) {
     const core::Detector det = core::Detector::load(ms);
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
-    core::EvalParams ep;
     ep.extract.clip = det.params.clip;
     ep.removal.clip = det.params.clip;
-    ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
     engine::RunContext ctx;
     const core::EvalResult res = core::evaluateLayout(det, layout, ep, ctx);
 
-    litho::OpcRules rules;
-    rules.minWidth = Coord(argDouble(argc, argv, "--min-width", 170));
-    rules.minSpace = Coord(argDouble(argc, argv, "--min-space", 170));
     const litho::LithoSimulator sim;
 
     const Layer* l = layout.findLayer(det.params.layer);

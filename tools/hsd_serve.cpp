@@ -30,9 +30,10 @@
 // must be whole numbers in [0, 1024], --requests one in [0, 2^20],
 // --max-queue-depth and the tiling flags whole numbers in [0, 2^53],
 // --max-body-mb one below 2^44 (so the byte count fits 64 bits) and
-// --port/--admin-port, when given, whole numbers in [0, 65535]; anything
-// else exits 2 naming the flag. An undersized --halo exits 2 right after
-// the model load, before the layout is read.
+// --port/--admin-port, when given, whole numbers in [0, 65535], and
+// --deadline-ms/--linger-ms finite numbers; anything else exits 2 naming
+// the flag. An undersized --halo exits 2 right after the model load,
+// before the layout is read.
 //
 // With --deadline-ms, requests whose deadline expires resolve to a typed
 // timeout result (counted under "timeout") — the process never crashes on
@@ -119,7 +120,8 @@ bool hasFlag(int argc, char** argv, const char* flag) {
 
 double argDouble(int argc, char** argv, const char* flag, double def) {
   for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0)
+      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
   return def;
 }
 
@@ -165,16 +167,20 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  // Counts and coordinates are checked before any work: a fraction, a
-  // negative or an overflowing value is a usage error naming its flag,
-  // never a silent truncation or an absurd thread request.
+  // Numbers are checked before any work: text that is not a number is a
+  // usage error naming its flag, and so is a fraction, a negative or an
+  // overflowing value where a count or a coordinate is due — never a
+  // silent zero, a truncation or an absurd thread request.
   serve::ServerConfig cfg;
   core::EvalParams ep;
   std::size_t requests = 0;
   serve::DetectEndpointConfig dcfg;
   std::size_t maxBodyBytes = 0;
   std::optional<std::uint16_t> detectPort, adminPort;
+  double deadlineMs = 0.0, lingerMs = 0.0;
   try {
+    deadlineMs = argDouble(argc, argv, "--deadline-ms", 0.0);
+    lingerMs = argDouble(argc, argv, "--linger-ms", 0.0);
     constexpr double kMax = engine::RunContext::kMaxThreads;
     // The batch holds every request's future and result until it ends.
     requests = engine::wholeNumber(
@@ -221,10 +227,8 @@ int main(int argc, char** argv) {
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
     cfg.enableCache = !hasFlag(argc, argv, "--no-cache");
-    const double deadlineMs = argDouble(argc, argv, "--deadline-ms", 0.0);
     const char* traceOut = argString(argc, argv, "--trace-out", nullptr);
     const char* metricsOut = argString(argc, argv, "--metrics-out", nullptr);
-    const double lingerMs = argDouble(argc, argv, "--linger-ms", 0.0);
     const bool adminEnabled = adminPort.has_value();
     // The admin /tracez endpoint needs a recorder even when no trace file
     // was requested; the file is still written only with --trace-out.

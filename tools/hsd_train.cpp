@@ -2,12 +2,18 @@
 //
 //   hsd_train <training_clips.txt> <out_model> [--threads N] [--no-shift]
 //             [--no-balance] [--no-feedback] [--single-kernel]
+//
+// --threads must be a whole number in [0, 1024] (0 = one per core);
+// anything else exits 2 naming the flag before the clip set is read.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/trainer.hpp"
+#include "engine/run_context.hpp"
+#include "engine/tiler.hpp"
 #include "gds/ascii.hpp"
 
 namespace {
@@ -18,9 +24,10 @@ bool hasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-long long argValue(int argc, char** argv, const char* flag, long long def) {
+double argDouble(int argc, char** argv, const char* flag, double def) {
   for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atoll(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0)
+      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
   return def;
 }
 
@@ -36,6 +43,15 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  std::size_t threads = 0;
+  try {
+    threads = engine::wholeNumber("threads",
+                                  argDouble(argc, argv, "--threads", 0.0),
+                                  engine::RunContext::kMaxThreads);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   try {
     const gds::ClipSet set = gds::readClipSetFile(argv[1]);
     core::TrainParams tp;
@@ -45,7 +61,7 @@ int main(int argc, char** argv) {
     tp.enableFeedback = !hasFlag(argc, argv, "--no-feedback");
     tp.singleKernel = hasFlag(argc, argv, "--single-kernel");
 
-    engine::RunContext ctx(std::size_t(argValue(argc, argv, "--threads", 0)));
+    engine::RunContext ctx(threads);
     const core::Detector det = core::trainDetector(set.clips, tp, ctx);
     std::ofstream os(argv[2]);
     if (!os) {
