@@ -104,7 +104,7 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
           if (cache == nullptr) return;
           it.key = engine::CacheKey{kVerdictStage, cfg,
                                     clipContentHash(it.clip)};
-          if (const std::optional<bool> v = cache->find<bool>(it.key)) {
+          if (const std::optional<bool> v = cache->find(it.key)) {
             hits.fetch_add(1, std::memory_order_relaxed);
             it.verdict = *v ? 1 : 0;
           } else {

@@ -113,7 +113,7 @@ engine::Stage<Point, ClipWindow> screenStage(const GridIndex& index,
                 const std::vector<Rect> pieces = windowPieces(index, win);
                 const engine::CacheKey key{
                     kStage, cfg, hashWindowContent(win.clip, pieces)};
-                if (const std::optional<bool> v = cache->find<bool>(key)) {
+                if (const std::optional<bool> v = cache->find(key)) {
                   hits.fetch_add(1, std::memory_order_relaxed);
                   if (*v) tmp[i] = win;
                   return;

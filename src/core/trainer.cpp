@@ -379,7 +379,7 @@ void saveScaler(std::ostream& os, const svm::Scaler& s) {
   os << '\n';
 }
 
-svm::Scaler loadScaler(svm::TextCursor& in) {
+svm::Scaler loadScaler(text::TextCursor& in) {
   const std::size_t d = in.count(2);  // d mins, then d maxs
   std::vector<double> lo(d), hi(d);
   in.reals(lo);
@@ -393,7 +393,7 @@ void saveFeatureParams(std::ostream& os, const FeatureParams& f) {
      << '\n';
 }
 
-FeatureParams loadFeatureParams(svm::TextCursor& in) {
+FeatureParams loadFeatureParams(text::TextCursor& in) {
   FeatureParams f;
   for (std::size_t* v : {&f.maxInternal, &f.maxExternal, &f.maxDiagonal,
                          &f.maxSegment, &f.densityGridN})
@@ -509,7 +509,7 @@ std::uint64_t Detector::fingerprint() const {
 }
 
 Detector Detector::load(std::istream& is) {
-  svm::TextCursor in(is, "Detector::load");
+  text::TextCursor in(is, "Detector::load");
   in.expect("hsd_detector");
   if (in.integer<int>() != 2) in.fail("unsupported detector version");
   Detector det;

@@ -125,7 +125,7 @@ class Detector {
   double probabilityOf(double decisionValue) const;
 
   void save(std::ostream& os) const;
-  /// Inverse of save(): parses the rest of `is` with one svm::TextCursor.
+  /// Inverse of save(): parses the rest of `is` with one text::TextCursor.
   /// Throws std::runtime_error on any malformed, truncated or trailing
   /// text and on a count the remaining bytes cannot back — never
   /// std::bad_alloc from a hostile count.

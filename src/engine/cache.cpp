@@ -9,7 +9,7 @@ StageCache::StageCache(std::size_t capacity,
       tracer_(std::move(tracer)),
       shards_(new Shard[shardCount_]) {}
 
-bool StageCache::findErased(const CacheKey& key, std::any& out) {
+std::optional<bool> StageCache::find(const CacheKey& key) {
   obs::Span span(tracer_.get(), "cache/lookup", "cache");
   Shard& sh = shardFor(key);
   const std::lock_guard<std::mutex> lock(sh.mu);
@@ -17,26 +17,25 @@ bool StageCache::findErased(const CacheKey& key, std::any& out) {
   if (it == sh.map.end()) {
     ++sh.counters.misses;
     span.arg("hit", 0);
-    return false;
+    return std::nullopt;
   }
   sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // promote to most recent
   ++sh.counters.hits;
   span.arg("hit", 1);
-  out = it->second->value;
-  return true;
+  return it->second->value;
 }
 
-std::size_t StageCache::insertErased(const CacheKey& key, std::any value) {
+std::size_t StageCache::insert(const CacheKey& key, bool value) {
   Shard& sh = shardFor(key);
   const std::lock_guard<std::mutex> lock(sh.mu);
   const auto it = sh.map.find(key);
   if (it != sh.map.end()) {
     // Refresh: same key recomputed (e.g. two threads raced on one miss).
-    it->second->value = std::move(value);
+    it->second->value = value;
     sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
     return 0;
   }
-  sh.lru.push_front(Entry{key, std::move(value)});
+  sh.lru.push_front(Entry{key, value});
   sh.map.emplace(key, sh.lru.begin());
   if (size_.value.fetch_add(1, std::memory_order_relaxed) < capacity_)
     return 0;

@@ -25,7 +25,6 @@
 // surfaced per-stage in EngineStats JSON by the call sites.
 #pragma once
 
-#include <any>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -68,10 +67,9 @@ struct CacheKeyHash {
   }
 };
 
-/// Bounded, thread-safe, LRU-evicting map from CacheKey to a small
-/// type-erased value. Values are returned by copy (keep them small — the
-/// detection stages store verdict booleans); a type mismatch on lookup is
-/// treated as a miss, so a key can never deliver a value of the wrong type.
+/// Bounded, thread-safe, LRU-evicting map from CacheKey to a verdict
+/// boolean: both cached stages (extract/screen and eval/verdict) store a
+/// pass/fail bit per window.
 ///
 /// Concurrency audit (multi-request serving): the cache is split into
 /// independent shards, each a cache-line-aligned (mutex, LRU list, map,
@@ -125,20 +123,12 @@ class StageCache {
     std::size_t entries = 0;  ///< current resident entry count
   };
 
-  template <typename T>
-  std::optional<T> find(const CacheKey& key) {
-    std::any out;
-    if (!findErased(key, out)) return std::nullopt;
-    if (const T* v = std::any_cast<T>(&out)) return *v;
-    return std::nullopt;  // foreign type under this key: treat as miss
-  }
+  /// The value under `key`, or nullopt on a miss.
+  std::optional<bool> find(const CacheKey& key);
 
   /// Insert (or refresh) `key`; returns how many entries were evicted to
   /// make room (0 or 1 — capacity is enforced per insert).
-  template <typename T>
-  std::size_t insert(const CacheKey& key, T value) {
-    return insertErased(key, std::any(std::move(value)));
-  }
+  std::size_t insert(const CacheKey& key, bool value);
 
   std::size_t capacity() const { return capacity_; }
   std::size_t shardCount() const { return shardCount_; }
@@ -147,12 +137,9 @@ class StageCache {
   void clear();
 
  private:
-  bool findErased(const CacheKey& key, std::any& out);
-  std::size_t insertErased(const CacheKey& key, std::any value);
-
   struct Entry {
     CacheKey key;
-    std::any value;
+    bool value;
   };
 
   /// One independent cache unit on its own cache line(s): concurrent

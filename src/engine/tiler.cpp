@@ -1,8 +1,6 @@
 #include "engine/tiler.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -13,22 +11,6 @@ std::uint64_t wholeNumber(const char* field, double v, double max) {
   throw std::invalid_argument(std::string("'") + field +
                               "' must be a whole number in [0, " +
                               std::to_string(std::uint64_t(max)) + "]");
-}
-
-bool parseDouble(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(s.c_str(), &end);
-  return errno != ERANGE && end != nullptr && *end == '\0' &&
-         std::isfinite(out);
-}
-
-double realNumber(const char* field, const std::string& text) {
-  double v = 0.0;
-  if (parseDouble(text, v)) return v;
-  throw std::invalid_argument(std::string("'") + field +
-                              "' must be a finite number");
 }
 
 TilingParams makeTilingParams(double tileSize, double halo,

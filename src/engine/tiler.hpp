@@ -54,16 +54,6 @@ struct TilingParams {
 /// conversion and a fraction would be silently truncated.
 std::uint64_t wholeNumber(const char* field, double v, double max);
 
-/// Strict parse of untrusted text as a finite double: the whole string
-/// must be the number, so "", trailing junk, an overflowing and a
-/// non-finite value all return false.
-bool parseDouble(const std::string& s, double& out);
-
-/// parseDouble() of a CLI flag's text: the number, or
-/// std::invalid_argument naming `field` (feed wholeNumber() with it where
-/// a count or a coordinate is due).
-double realNumber(const char* field, const std::string& text);
-
 /// 2^53: every whole number up to it is exact in a double, the ceiling
 /// wholeNumber() callers use for values with no tighter bound.
 inline constexpr double kMaxExactWhole = 9007199254740992.0;

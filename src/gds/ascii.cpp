@@ -1,12 +1,67 @@
 #include "gds/ascii.hpp"
 
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "gds/gdsii.hpp"  // GdsError
+#include "text/text_cursor.hpp"
 
 namespace hsd::gds {
+
+namespace {
+
+/// `read(cursor)` over the rest of `is`; the cursor's errors ("<what>:
+/// <reason> at byte <k>") are rethrown as GdsErrors.
+template <class Read>
+auto readText(std::istream& is, const char* what, Read read) {
+  try {
+    text::TextCursor in(is, what);
+    return read(in);
+  } catch (const std::runtime_error& e) {
+    throw GdsError(e.what());
+  }
+}
+
+/// The next keyword, skipping '#' comment lines; "" at the end of the text.
+std::string_view keyword(text::TextCursor& in) {
+  while (!in.atEnd()) {
+    const std::string_view kw = in.word();
+    if (kw.front() != '#') return kw;
+    in.restOfLine();
+  }
+  return {};
+}
+
+[[noreturn]] void unknownKeyword(text::TextCursor& in, std::string_view kw) {
+  in.failAt(kw, "unknown keyword '" + std::string(kw) + "'");
+}
+
+std::string_view trimBlanks(std::string_view s) {
+  const std::size_t b = s.find_first_not_of(" \t\r");
+  return b == std::string_view::npos
+             ? std::string_view()
+             : s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
+}
+
+/// A coordinate or a clip side: 32-bit like a GDSII XY value, so the
+/// sums the clip and tiling code forms from them cannot overflow.
+Coord readCoord(text::TextCursor& in) { return in.integer<std::int32_t>(); }
+
+Point readPoint(text::TextCursor& in) {
+  const Coord x = readCoord(in);
+  return {x, readCoord(in)};
+}
+
+Rect readRect(text::TextCursor& in) {
+  const Point a = readPoint(in);
+  const Point b = readPoint(in);
+  return {a.x, a.y, b.x, b.y};
+}
+
+}  // namespace
 
 void writeAsciiLayout(std::ostream& os, const Layout& layout) {
   os << "layout " << (layout.name().empty() ? "TOP" : layout.name()) << '\n';
@@ -28,39 +83,26 @@ void writeAsciiLayout(std::ostream& os, const Layout& layout) {
 }
 
 Layout readAsciiLayout(std::istream& is) {
-  Layout out;
-  LayerId layer = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw) || kw[0] == '#') continue;
-    if (kw == "layout") {
-      std::string name;
-      ss >> name;
-      out.setName(name);
-    } else if (kw == "layer") {
-      int id = 0;
-      ss >> id;
-      layer = LayerId(id);
-    } else if (kw == "rect") {
-      Coord x1, y1, x2, y2;
-      if (!(ss >> x1 >> y1 >> x2 >> y2))
-        throw GdsError("ascii layout: bad rect line: " + line);
-      out.addRect(layer, Rect{x1, y1, x2, y2});
-    } else if (kw == "poly") {
-      std::size_t n = 0;
-      ss >> n;
-      std::vector<Point> pts(n);
-      for (Point& p : pts)
-        if (!(ss >> p.x >> p.y))
-          throw GdsError("ascii layout: bad poly line: " + line);
-      out.addPolygon(layer, Polygon(std::move(pts)));
-    } else {
-      throw GdsError("ascii layout: unknown keyword " + kw);
+  return readText(is, "ascii layout", [](text::TextCursor& in) {
+    Layout out;
+    LayerId layer = 0;
+    for (std::string_view kw; !(kw = keyword(in)).empty();) {
+      if (kw == "layout") {
+        out.setName(std::string(trimBlanks(in.restOfLine())));
+      } else if (kw == "layer") {
+        layer = in.integer<LayerId>();
+      } else if (kw == "rect") {
+        out.addRect(layer, readRect(in));
+      } else if (kw == "poly") {
+        std::vector<Point> pts(in.count(2));
+        for (Point& p : pts) p = readPoint(in);
+        out.addPolygon(layer, Polygon(std::move(pts)));
+      } else {
+        unknownKeyword(in, kw);
+      }
     }
-  }
-  return out;
+    return out;
+  });
 }
 
 void writeAsciiLayoutFile(const std::string& path, const Layout& layout) {
@@ -92,55 +134,47 @@ void writeClipSet(std::ostream& os, const ClipSet& set) {
 }
 
 ClipSet readClipSet(std::istream& is) {
-  ClipSet set;
-  std::string line;
-  Clip cur;
-  std::vector<Rect> rects;
-  LayerId layer = 0;
-  bool inClip = false;
-
-  auto flushLayer = [&] {
-    if (!rects.empty()) {
-      cur.setRects(layer, std::move(rects));
-      rects.clear();
+  return readText(is, "clipset", [](text::TextCursor& in) {
+    ClipSet set;
+    Clip cur;
+    std::vector<Rect> rects;
+    LayerId layer = 0;
+    bool inClip = false;
+    const auto flushLayer = [&] {
+      if (!rects.empty()) cur.setRects(layer, std::exchange(rects, {}));
+    };
+    for (std::string_view kw; !(kw = keyword(in)).empty();) {
+      if (kw == "clipset") {
+        set.name = in.word();
+        set.params.coreSide = readCoord(in);
+        set.params.clipSide = readCoord(in);
+      } else if (kw == "clip") {
+        if (inClip) in.failAt(kw, "'clip' before the previous 'endclip'");
+        const int label = in.integer<int>();
+        if (label < -1 || label > 1)
+          in.fail("clip label " + std::to_string(label) +
+                  " is not -1, 0 or 1");
+        cur = Clip(ClipWindow::atCore(readPoint(in), set.params),
+                   Label(label));
+        inClip = true;
+      } else if (kw != "layer" && kw != "rect" && kw != "endclip") {
+        unknownKeyword(in, kw);
+      } else if (!inClip) {
+        in.failAt(kw, "'" + std::string(kw) + "' outside a clip");
+      } else if (kw == "layer") {
+        flushLayer();
+        layer = in.integer<LayerId>();
+      } else if (kw == "rect") {
+        rects.push_back(readRect(in));
+      } else {  // endclip
+        flushLayer();
+        set.clips.push_back(std::exchange(cur, Clip()));
+        inClip = false;
+      }
     }
-  };
-
-  while (std::getline(is, line)) {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw) || kw[0] == '#') continue;
-    if (kw == "clipset") {
-      ss >> set.name >> set.params.coreSide >> set.params.clipSide;
-    } else if (kw == "clip") {
-      int label = 0;
-      Point coreLo;
-      if (!(ss >> label >> coreLo.x >> coreLo.y))
-        throw GdsError("clipset: bad clip line: " + line);
-      cur = Clip(ClipWindow::atCore(coreLo, set.params), Label(label));
-      inClip = true;
-    } else if (kw == "layer") {
-      flushLayer();
-      int id = 0;
-      ss >> id;
-      layer = LayerId(id);
-    } else if (kw == "rect") {
-      Coord x1, y1, x2, y2;
-      if (!(ss >> x1 >> y1 >> x2 >> y2))
-        throw GdsError("clipset: bad rect line: " + line);
-      rects.push_back(Rect{x1, y1, x2, y2});
-    } else if (kw == "endclip") {
-      if (!inClip) throw GdsError("clipset: endclip without clip");
-      flushLayer();
-      set.clips.push_back(std::move(cur));
-      cur = Clip();
-      inClip = false;
-    } else {
-      throw GdsError("clipset: unknown keyword " + kw);
-    }
-  }
-  if (inClip) throw GdsError("clipset: missing final endclip");
-  return set;
+    if (inClip) in.fail("missing final endclip");
+    return set;
+  });
 }
 
 void writeClipSetFile(const std::string& path, const ClipSet& set) {
@@ -164,29 +198,26 @@ void writeWindowList(std::ostream& os, const std::vector<ClipWindow>& wins,
 
 std::pair<std::vector<ClipWindow>, ClipParams> readWindowList(
     std::istream& is) {
-  std::vector<ClipWindow> wins;
-  ClipParams params;
-  std::string line;
-  bool sawHeader = false;
-  while (std::getline(is, line)) {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw) || kw[0] == '#') continue;
-    if (kw == "windows") {
-      if (!(ss >> params.coreSide >> params.clipSide))
-        throw GdsError("window list: bad header: " + line);
-      sawHeader = true;
-    } else if (kw == "at") {
-      Point p;
-      if (!(ss >> p.x >> p.y))
-        throw GdsError("window list: bad at line: " + line);
-      wins.push_back(ClipWindow::atCore(p, params));
-    } else {
-      throw GdsError("window list: unknown keyword " + kw);
+  return readText(is, "window list", [](text::TextCursor& in) {
+    std::vector<ClipWindow> wins;
+    ClipParams params;
+    bool sawHeader = false;
+    for (std::string_view kw; !(kw = keyword(in)).empty();) {
+      if (kw == "windows") {
+        if (sawHeader) in.failAt(kw, "second 'windows' header");
+        params.coreSide = readCoord(in);
+        params.clipSide = readCoord(in);
+        sawHeader = true;
+      } else if (kw == "at") {
+        if (!sawHeader) in.failAt(kw, "'at' before the 'windows' header");
+        wins.push_back(ClipWindow::atCore(readPoint(in), params));
+      } else {
+        unknownKeyword(in, kw);
+      }
     }
-  }
-  if (!sawHeader) throw GdsError("window list: missing header");
-  return {std::move(wins), params};
+    if (!sawHeader) in.fail("missing 'windows' header");
+    return std::pair(std::move(wins), params);
+  });
 }
 
 void writeWindowListFile(const std::string& path,

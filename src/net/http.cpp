@@ -12,7 +12,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+
+#include "text/text_cursor.hpp"
 
 namespace hsd::net {
 
@@ -372,22 +375,22 @@ bool HttpServer::readChunkedBody(int fd, std::string& buf,
       errStatus = 400;
       return false;
     }
-    const std::string sizeLine = buf.substr(pos, eol - pos);
-    // Chunk extensions (";name=value") are tolerated and ignored.
-    const std::string sizeHex = sizeLine.substr(0, sizeLine.find(';'));
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long size =
-        std::strtoull(sizeHex.c_str(), &end, 16);
-    if (end == sizeHex.c_str() || errno == ERANGE ||
-        (end != nullptr && *trim(std::string_view(end)).data() != '\0' &&
-         !trim(std::string_view(end)).empty())) {
+    // The chunk size is 1*HEXDIG (RFC 9112); chunk extensions
+    // (";name=value", after optional blanks) are tolerated and ignored.
+    std::string_view sizeHex = std::string_view(buf).substr(pos, eol - pos);
+    sizeHex = sizeHex.substr(0, sizeHex.find(';'));
+    sizeHex = sizeHex.substr(0, sizeHex.find_last_not_of(" \t") + 1);
+    const std::optional<std::uint64_t> parsed =
+        text::parseNumber<std::uint64_t>(sizeHex, 16);
+    if (!parsed) {
       errStatus = 400;
       return false;
     }
+    const std::uint64_t size = *parsed;
     pos = eol + 2;
     if (size == 0) break;
-    if (body.size() + size > opts_.maxBodyBytes) {
+    // body.size() never exceeds the cap, so this cannot wrap.
+    if (size > opts_.maxBodyBytes - body.size()) {
       errStatus = 413;
       return false;
     }
@@ -461,13 +464,14 @@ bool HttpServer::readRequest(int fd, std::string& buf, HttpRequest& req,
   }
   std::size_t bodyLen = 0;
   if (const std::string* cl = req.header("content-length")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-    if (end == cl->c_str() || *end != '\0') {
+    // 1*DIGIT (RFC 9112): no sign, no blanks, no hex.
+    const std::optional<std::uint64_t> v =
+        text::parseNumber<std::uint64_t>(*cl);
+    if (!v) {
       errStatus = 400;
       return false;
     }
-    bodyLen = std::size_t(v);
+    bodyLen = std::size_t(*v);
   }
   if (bodyLen > opts_.maxBodyBytes) {
     errStatus = 413;
@@ -618,10 +622,14 @@ HttpResult httpExchange(const std::string& host, std::uint16_t port,
   const std::size_t sp = head.find(' ');
   if (sp == std::string_view::npos || head.compare(0, 5, "HTTP/") != 0)
     throw std::runtime_error(std::string(who) + ": malformed status line");
-  HttpResult out;
-  out.status = std::atoi(std::string(head.substr(sp + 1, 3)).c_str());
-  if (out.status < 100 || out.status > 599)
+  // The status code is 3DIGIT, ended by SP (or the end of the line).
+  const std::string_view rest = head.substr(sp + 1);
+  const std::string_view code = rest.substr(0, rest.find_first_of(" \r\n"));
+  const std::optional<int> status = text::parseNumber<int>(code);
+  if (code.size() != 3 || !status || *status < 100 || *status > 599)
     throw std::runtime_error(std::string(who) + ": malformed status code");
+  HttpResult out;
+  out.status = *status;
   // Response headers (lower-cased names; Content-Type also pulled out).
   std::size_t pos = head.find('\n');
   while (pos != std::string_view::npos && pos < head.size()) {

@@ -1,13 +1,13 @@
 #include "obs/admin.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
 #include "obs/json.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd::obs {
 
@@ -29,20 +29,20 @@ constexpr const char* kPromContentType =
 
 /// Shared ?limit= parsing for the snapshot endpoints (/tracez, /logz):
 /// absent keeps `out` at its default and succeeds; anything but a
-/// positive integer fails with a message for the 400 body. No silent
+/// positive base-10 integer (text::parseNumber) fails with a message for
+/// the 400 body; values above 2^20 are clamped to it. No silent
 /// defaulting on junk.
 bool parseLimitParam(const net::HttpRequest& req, std::size_t& out,
                      std::string& err) {
   const std::string raw = req.queryParam("limit");
   if (raw.empty()) return true;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || v == 0 ||
-      !std::isdigit(static_cast<unsigned char>(raw[0]))) {
+  const std::optional<std::uint64_t> v =
+      text::parseNumber<std::uint64_t>(raw);
+  if (!v || *v == 0) {
     err = "bad numeric value for 'limit': " + raw;
     return false;
   }
-  out = std::size_t(std::min<unsigned long long>(v, 1u << 20));
+  out = std::size_t(std::min<std::uint64_t>(*v, 1u << 20));
   return true;
 }
 

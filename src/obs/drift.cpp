@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "svm/text_cursor.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd::obs {
 
@@ -46,7 +46,7 @@ void ModelBaseline::save(std::ostream& os) const {
   }
 }
 
-ModelBaseline ModelBaseline::load(svm::TextCursor& in) {
+ModelBaseline ModelBaseline::load(text::TextCursor& in) {
   // A cluster is a name line plus a counts line of 2 + kNumBuckets
   // tokens; only the tokens count toward the size check.
   const std::size_t n = in.count(2 + MarginSketch::kNumBuckets);

@@ -40,7 +40,7 @@
 #include "obs/model_stats.hpp"
 #include "obs/sample_ring.hpp"
 
-namespace hsd::svm {
+namespace hsd::text {
 class TextCursor;
 }
 
@@ -66,7 +66,7 @@ struct ModelBaseline {
   /// Inverse of save(), with the cursor just past the "baseline" keyword
   /// (the detector loader reads it). Throws std::runtime_error on a
   /// malformed section.
-  static ModelBaseline load(svm::TextCursor& in);
+  static ModelBaseline load(text::TextCursor& in);
 };
 
 struct DriftConfig {

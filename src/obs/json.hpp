@@ -8,7 +8,8 @@
 //     a per-line array puts each element on its own line instead
 //     ("[\n{..},\n{..}\n]") — the Chrome trace, /tracez, BENCH files;
 //   - integers exact, doubles in shortest round-trip form
-//     (std::to_chars: strtod gives back the same bits), non-finite
+//     (std::to_chars: any correctly rounding reader, such as
+//     std::from_chars, gives back the same bits), non-finite
 //     doubles as null. to_chars never consults a locale, so no emitter
 //     imbues or restores one;
 //   - keys and strings pass through jsonEscape, which escapes `"`, `\`

@@ -19,6 +19,7 @@
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
 #include "obs/json.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd::serve {
 
@@ -30,10 +31,12 @@ bool numericParam(const net::HttpRequest& req, const char* name, double& out,
                   std::string& err) {
   const std::string v = req.queryParam(name);
   if (v.empty()) return true;
-  if (!engine::parseDouble(v, out)) {
+  const std::optional<double> d = text::parseNumber<double>(v);
+  if (!d) {
     err = std::string("bad numeric value for '") + name + "': " + v;
     return false;
   }
+  out = *d;
   return true;
 }
 
@@ -183,8 +186,9 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   if (deadlineMs < 0.0) {
     // The header form loses to the query param; both are optional.
     if (const std::string* h = req.header("x-deadline-ms")) {
-      if (!engine::parseDouble(*h, deadlineMs))
-        return errorResponse(400, "bad X-Deadline-Ms header: " + *h);
+      const std::optional<double> d = text::parseNumber<double>(*h);
+      if (!d) return errorResponse(400, "bad X-Deadline-Ms header: " + *h);
+      deadlineMs = *d;
     }
   }
   if (deadlineMs < 0.0) deadlineMs = cfg_.defaultDeadlineMs;

@@ -267,7 +267,7 @@ void SvmModel::save(std::ostream& os) const {
   }
 }
 
-SvmModel SvmModel::load(TextCursor& in) {
+SvmModel SvmModel::load(text::TextCursor& in) {
   in.expect("hsd_svm_model");
   if (in.integer<int>() != 1) in.fail("unsupported SVM model version");
   in.expect("gamma");
@@ -298,7 +298,7 @@ SvmModel SvmModel::load(TextCursor& in) {
 }
 
 SvmModel SvmModel::load(std::istream& is) {
-  TextCursor in(is, "SvmModel::load");
+  text::TextCursor in(is, "SvmModel::load");
   return load(in);
 }
 

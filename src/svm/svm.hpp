@@ -12,7 +12,7 @@
 
 #include "svm/dataset.hpp"
 #include "svm/kernel_ops.hpp"
-#include "svm/text_cursor.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd::svm {
 
@@ -76,8 +76,8 @@ class SvmModel {
   void save(std::ostream& os) const;
   /// Inverse of save(), reading one model at the cursor. Throws
   /// std::runtime_error on a bad header, a count the remaining text
-  /// cannot back or text that runs out (see svm/text_cursor.hpp).
-  static SvmModel load(TextCursor& in);
+  /// cannot back or text that runs out (see text/text_cursor.hpp).
+  static SvmModel load(text::TextCursor& in);
   /// load() over the rest of `is` (the cursor may read past the model).
   static SvmModel load(std::istream& is);
 

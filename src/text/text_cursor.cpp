@@ -1,10 +1,10 @@
-#include "svm/text_cursor.hpp"
+#include "text/text_cursor.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
-namespace hsd::svm {
+namespace hsd::text {
 
 namespace {
 
@@ -88,16 +88,13 @@ std::string_view TextCursor::word() {
 
 void TextCursor::expect(std::string_view keyword) {
   const std::string_view got = word();
-  if (got != keyword) {
-    pos_ = got.data();
-    fail("expected '" + std::string(keyword) + "', found '" +
-         std::string(got) + "'");
-  }
+  if (got != keyword)
+    failAt(got, "expected '" + std::string(keyword) + "', found '" +
+                    std::string(got) + "'");
 }
 
 void TextCursor::badNumber(std::string_view token) {
-  pos_ = token.data();
-  fail("bad number '" + std::string(token) + "'");
+  failAt(token, "bad number '" + std::string(token) + "'");
 }
 
 void TextCursor::requireTokens(std::size_t n, std::size_t m) const {
@@ -125,4 +122,9 @@ void TextCursor::fail(const std::string& reason) const {
                            std::to_string(offset(pos_)));
 }
 
-}  // namespace hsd::svm
+void TextCursor::failAt(std::string_view token, const std::string& reason) {
+  pos_ = token.data();
+  fail(reason);
+}
+
+}  // namespace hsd::text

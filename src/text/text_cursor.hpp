@@ -1,18 +1,25 @@
-// The tokenizer behind every model loader: one cursor over the text of a
-// saved model (SvmModel, the detector's scaler and feature sections, the
-// drift baseline). Tokens are separated by whitespace; numbers parse
-// with std::from_chars, which rounds correctly like the strtod behind
-// `istream >> double`, so a double written with 17 significant digits
-// reads back to its exact bits.
+// The tokenizer behind every reader of text from outside: model files
+// (SvmModel, the detector's scaler and feature sections, the drift
+// baseline), the ASCII layout, clip-set and window-list formats, and the
+// numbers in HTTP framing, query parameters, headers and CLI flags.
 //
-// The stream is read in fixed-size blocks, so a load holds at most a
-// block (or one overlong token) of text besides the model it builds. The
-// length of the text is learned up front by seeking; a stream that
-// cannot seek is read whole instead.
+// parseNumber() is the one number grammar. A token is a number when
+// std::from_chars reads all of it: integers in base 10 or 16, with a
+// leading '-' only where the type is signed; doubles in the general
+// format, finite only. So "", " 1", "+1", "0x10", "1x", "0x1p3", "inf",
+// "nan" and a value outside the type's range are all rejected. from_chars
+// rounds correctly, so a double written with 17 significant digits reads
+// back to its exact bits.
 //
-// Model files are outside input, so the cursor is strict:
+// TextCursor walks a stream of whitespace-separated tokens. The stream is
+// read in fixed-size blocks, so a load holds at most a block (or one
+// overlong token) of text besides what it builds. The length of the text
+// is learned up front by seeking; a stream that cannot seek is read whole
+// instead.
+//
+// The cursor is strict:
 //  - a number must fill its whole token ("1.5x" is an error, not 1.5
-//    followed by "x"), and doubles must be finite;
+//    followed by "x"), per parseNumber();
 //  - every token must end in whitespace. The writers end each line with
 //    '\n', so a token that runs into the end of the text was cut short;
 //  - a count is checked against the bytes that remain before anything is
@@ -25,12 +32,40 @@
 #include <cmath>
 #include <cstddef>
 #include <istream>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
-namespace hsd::svm {
+namespace hsd::text {
+
+namespace detail {
+template <class T>
+bool isFinite(T v) {
+  if constexpr (std::is_floating_point_v<T>)
+    return std::isfinite(v);
+  else
+    return true;
+}
+}  // namespace detail
+
+/// `token` as a T when std::from_chars reads all of it (integers in
+/// `base`, 10 or 16; doubles in the general format, finite only);
+/// otherwise nullopt.
+template <class T>
+std::optional<T> parseNumber(std::string_view token, int base = 10) {
+  T v{};
+  const char* const end = token.data() + token.size();
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>)
+    r = std::from_chars(token.data(), end, v);
+  else
+    r = std::from_chars(token.data(), end, v, base);
+  if (r.ec != std::errc() || r.ptr != end || !detail::isFinite(v))
+    return std::nullopt;
+  return v;
+}
 
 class TextCursor {
  public:
@@ -80,6 +115,8 @@ class TextCursor {
 
   /// Throw "<what>: <reason> at byte <offset of the cursor>".
   [[noreturn]] void fail(const std::string& reason) const;
+  /// fail() with the offset of `token`, a view word() returned.
+  [[noreturn]] void failAt(std::string_view token, const std::string& reason);
 
  private:
   /// The C locale's isspace: ' ' and '\t' '\n' '\v' '\f' '\r' (9-13).
@@ -94,26 +131,18 @@ class TextCursor {
     skipSpace();
     T v{};
     // Fast path: the number ends at whitespace already in the buffer.
-    auto r = std::from_chars(pos_, end_, v);
+    const auto r = std::from_chars(pos_, end_, v);
     if (r.ec == std::errc() && r.ptr != end_ && isSpace(*r.ptr) &&
-        isFinite(v)) {
+        detail::isFinite(v)) {
       pos_ = r.ptr;
       return v;
     }
     // Otherwise buffer the whole token (it may straddle a read block)
     // and parse exactly it.
     const std::string_view t = word();
-    r = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (r.ec != std::errc() || r.ptr != t.data() + t.size() || !isFinite(v))
-      badNumber(t);
-    return v;
-  }
-  template <class T>
-  static bool isFinite(T v) {
-    if constexpr (std::is_floating_point_v<T>)
-      return std::isfinite(v);
-    else
-      return true;
+    const std::optional<T> parsed = parseNumber<T>(t);
+    if (!parsed) badNumber(t);
+    return *parsed;
   }
   /// Skip whitespace, reading more of the stream as needed.
   void skipSpace();
@@ -143,4 +172,4 @@ class TextCursor {
   std::size_t size_ = 0;       ///< length of the text
 };
 
-}  // namespace hsd::svm
+}  // namespace hsd::text

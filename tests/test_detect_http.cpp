@@ -292,8 +292,24 @@ TEST(DetectHttp, MalformedInputsGet400) {
             400);
   // Empty body.
   EXPECT_EQ(postLayout(w, "/detect", "").status, 400);
-  // Bad numeric query parameter, rejected before any parsing work.
-  EXPECT_EQ(postLayout(w, "/detect?bias=wat", asciiLayoutBody()).status,
+  // Hostile ASCII bodies: a vertex count the body cannot back (once a
+  // 16 GB allocation), counts and layer ids out of range, tokens left over
+  // on a line, and a body cut inside its last number.
+  for (const char* body :
+       {"layer 1\npoly 1000000000\n", "poly 18446744073709551615\n",
+        "layer -7\n", "layer 99999999999\n", "rect 0 0 10 10 junk\n",
+        "poly 3 0 0 10 0 10 10 99\n", "layer 1\nrect 0 0 10 10"}) {
+    const net::HttpResult r = postLayout(w, "/detect", body);
+    EXPECT_EQ(r.status, 400) << body;
+    EXPECT_NE(r.body.find("ascii layout: "), std::string::npos) << r.body;
+  }
+  // Bad numeric query parameters and headers, rejected before any parsing
+  // work: one decimal number per value, no hex floats.
+  for (const char* target : {"/detect?bias=wat", "/detect?bias=0x1p3"})
+    EXPECT_EQ(postLayout(w, target, asciiLayoutBody()).status, 400) << target;
+  EXPECT_EQ(net::httpPost("127.0.0.1", w.port(), "/detect", asciiLayoutBody(),
+                          "text/plain", {{"X-Deadline-Ms", "0x10"}}, 60000)
+                .status,
             400);
   // Tiling parameters must be whole numbers in [0, 2^53]: huge values
   // would overflow the integer conversion, fractions and negatives would

@@ -549,11 +549,11 @@ TEST(StageCacheShards, LargeCapacityShardsAndKeepsTotals) {
   // global budget, and the counters must aggregate across shards.
   const std::size_t n = engine::StageCache::kShardThreshold * 2;
   for (std::size_t i = 0; i < n; ++i)
-    c.insert(engine::CacheKey{i, i * 31, i * 131}, int(i));
+    c.insert(engine::CacheKey{i, i * 31, i * 131}, i % 2 == 0);
   EXPECT_LE(c.size(), c.capacity());
   std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i)
-    if (c.find<int>(engine::CacheKey{i, i * 31, i * 131})) ++hits;
+    if (c.find(engine::CacheKey{i, i * 31, i * 131})) ++hits;
   const engine::StageCache::Counters tallies = c.counters();
   EXPECT_EQ(tallies.hits, hits);
   EXPECT_EQ(tallies.misses, n - hits);

@@ -1,5 +1,5 @@
-// Model-load tests: the svm::TextCursor tokenizer behind every model
-// loader, and a seed-deterministic corpus of damaged detector files. A
+// Model-load tests: the text::TextCursor tokenizer and its parseNumber
+// grammar, which every reader of outside text shares, and a seed-deterministic corpus of damaged detector files. A
 // damaged file must either throw std::runtime_error or load a model with
 // the original fingerprint(); it must never throw std::bad_alloc or any
 // other exception. Counts the remaining bytes cannot back are rejected
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -20,12 +21,12 @@
 
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
-#include "svm/text_cursor.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd {
 namespace {
 
-using svm::TextCursor;
+using text::TextCursor;
 
 std::uint64_t bitsOf(double v) {
   std::uint64_t b = 0;
@@ -42,6 +43,31 @@ std::string runtimeErrorOf(F&& f) {
     return e.what();
   }
   return "";
+}
+
+// ---------------------------------------------------------------------------
+// parseNumber: the number grammar of every input from outside
+
+TEST(ParseNumber, ReadsExactlyOneNumberPerToken) {
+  using text::parseNumber;
+  EXPECT_EQ(parseNumber<int>("-7"), -7);
+  EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parseNumber<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parseNumber<std::uint64_t>("fF", 16), 255u);
+  EXPECT_EQ(parseNumber<double>("-0.25"), -0.25);
+  EXPECT_EQ(parseNumber<double>("1e3"), 1000.0);
+  EXPECT_EQ(parseNumber<double>(".5"), 0.5);
+  for (const char* bad : {"", " 1", "1 ", "+1", "-1", "0x10", "1x", "1.0",
+                          "1e3", "18446744073709551616"})
+    EXPECT_EQ(parseNumber<std::uint64_t>(bad), std::nullopt) << bad;
+  for (const char* bad : {"", "0x5", "+5", "-5", " 5", "5 ", "g"})
+    EXPECT_EQ(parseNumber<std::uint64_t>(bad, 16), std::nullopt) << bad;
+  for (const char* bad : {"", " 1", "+1", "0x1p3", "1.5x", "inf", "-inf",
+                          "nan", "infinity", "1e400"})
+    EXPECT_EQ(parseNumber<double>(bad), std::nullopt) << bad;
+  EXPECT_EQ(parseNumber<std::uint16_t>("65536"), std::nullopt);
+  EXPECT_EQ(parseNumber<std::int32_t>("2147483648"), std::nullopt);
+  EXPECT_EQ(parseNumber<std::int32_t>("-2147483648"), INT32_MIN);
 }
 
 // ---------------------------------------------------------------------------

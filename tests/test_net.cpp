@@ -267,6 +267,41 @@ TEST(HttpServer, ContentLengthWithTransferEncodingGets400) {
   EXPECT_NE(resp.find("HTTP/1.1 400 "), std::string::npos) << resp;
 }
 
+TEST(HttpServer, FramingNumbersAreBareDigits) {
+  // RFC 9112: Content-Length is 1*DIGIT and a chunk size 1*HEXDIG. The C
+  // library conversions behind them took a sign and a 0x prefix:
+  // Content-Length "+5" and chunk sizes "0x5" / "+5" got a 200, and "-1"
+  // wrapped to 2^64 - 1 (a 413).
+  HttpServer server;
+  server.handlePost("/echo", [](const HttpRequest& req) {
+    return HttpResponse::text(200, req.body);
+  });
+  server.start();
+  const auto withLength = [&](const std::string& length) {
+    return rawExchange(server.port(), "POST /echo HTTP/1.1\r\nContent-Length: " +
+                                          length + "\r\n\r\nhello");
+  };
+  const auto withChunk = [&](const std::string& size) {
+    return rawExchange(server.port(),
+                       "POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                       "Connection: close\r\n\r\n" +
+                           size + "\r\nhello\r\n0\r\n\r\n");
+  };
+  for (const char* bad : {"+5", "-1", "0x5", "5x", "5 5", "99999999999999999999"})
+    EXPECT_NE(withLength(bad).find("HTTP/1.1 400 "), std::string::npos) << bad;
+  for (const char* bad : {"0x5", "+5", "-5", " 5", "5x", ";ext"})
+    EXPECT_NE(withChunk(bad).find("HTTP/1.1 400 "), std::string::npos) << bad;
+  // Bare digits still frame, and blanks before a chunk extension are
+  // allowed.
+  const std::string ext = withChunk("5 ;ext=1");
+  EXPECT_EQ(ext.substr(ext.find("\r\n\r\n") + 4), "hello");
+  const std::string ok = rawExchange(
+      server.port(),
+      "POST /echo HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n"
+      "\r\nhello");
+  EXPECT_NE(ok.find("HTTP/1.1 200 "), std::string::npos) << ok;
+}
+
 // ---------------------------------------------------------------------------
 // Method routing: 405-before-404 precedence and the Allow header
 

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <regex>
 #include <set>
 #include <stdexcept>
@@ -38,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_id.hpp"
 #include "serve/server.hpp"
+#include "text/text_cursor.hpp"
 
 namespace hsd::engine {
 namespace {
@@ -158,7 +160,10 @@ TEST(TilingNumbers, WholeNumbersInRangeBuildParams) {
   EXPECT_EQ(makeTilingParams(9007199254740992.0, 0, 0).tileSize,
             Coord(9007199254740992LL));
   EXPECT_EQ(wholeNumber("threads", 1024, 1024), 1024u);
-  EXPECT_EQ(realNumber("bias", "-0.25"), -0.25);
+  // Real-valued flags and query parameters parse through
+  // text::parseNumber before they reach wholeNumber().
+  EXPECT_EQ(text::parseNumber<double>("-0.25"), -0.25);
+  EXPECT_EQ(text::parseNumber<double>("8e3"), 8000.0);
 }
 
 TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
@@ -177,8 +182,11 @@ TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
   EXPECT_NE(message(0, 0, 2.5).find("'tile-threads'"), std::string::npos);
   EXPECT_THROW(wholeNumber("threads", 1025, 1024), std::invalid_argument);
   EXPECT_THROW(wholeNumber("threads", -1, 1024), std::invalid_argument);
-  for (const char* bad : {"", "abc", "1.5x", "1e400", "nan", "inf"})
-    EXPECT_THROW(realNumber("bias", bad), std::invalid_argument) << bad;
+  // One number per token, decimal only: no blanks, no '+', no hex (the
+  // C library's conversion read " 1" as 1 and "0x1p3" as 8).
+  for (const char* bad : {"", "abc", "1.5x", "1e400", "nan", "inf", " 1",
+                          "1 ", "+1", "0x1p3", "0x10"})
+    EXPECT_EQ(text::parseNumber<double>(bad), std::nullopt) << bad;
 }
 
 // ---------------------------------------------------------------------------

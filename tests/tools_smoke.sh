@@ -126,6 +126,37 @@ for bad in hsd_detect:bias:abc hsd_detect:bias:1e400 hsd_serve:deadline-ms:abc \
   fi
   grep -q "'$flag'" "$OUT/number_err.txt"
 done
+# Flag numbers follow the one number grammar (text::parseNumber): a
+# blank, a sign or a hex float is not a number. Before, the C library's
+# conversion read " 1" as 1 and 0x1p3 as 8.
+for value in ' 1' 0x1p3 +1; do
+  rc=0
+  "$BIN/tools/hsd_detect" "$OUT/no_such_input.txt" "$OUT/no_such_layout.gds" \
+    "$OUT/bad_out.txt" --bias "$value" >/dev/null \
+    2>"$OUT/number_err.txt" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "hsd_detect --bias '$value' exited $rc, not 2" >&2
+    exit 1
+  fi
+  grep -q "'bias'" "$OUT/number_err.txt"
+done
+# hsd_genbench checks its numbers the same way (--hs abc used to run as
+# --hs 0 and write no hotspot clips), and hsd_scrape its port (80abc used
+# to mean 80).
+rc=0
+"$BIN/tools/hsd_genbench" "$OUT" --hs abc >/dev/null \
+  2>"$OUT/number_err.txt" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "hsd_genbench --hs abc exited $rc, not 2" >&2
+  exit 1
+fi
+grep -q "'hs'" "$OUT/number_err.txt"
+rc=0
+"$BIN/tools/hsd_scrape" 127.0.0.1 80abc / >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "hsd_scrape with port 80abc exited $rc, not 2" >&2
+  exit 1
+fi
 # An undersized halo exits 2 with the tile plan's message right after the
 # model load: the layout path is never opened (it does not exist here).
 for tool in hsd_detect hsd_serve; do

@@ -36,12 +36,12 @@
 // drift baseline the dump includes the per-cluster PSI report against it.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "args.hpp"
 #include "core/evaluator.hpp"
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
@@ -52,29 +52,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_id.hpp"
 
-namespace {
-
-bool hasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-double argDouble(int argc, char** argv, const char* flag, double def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0)
-      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
-  return def;
-}
-
-const char* argString(int argc, char** argv, const char* flag,
-                      const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return def;
-}
-
-}  // namespace
+using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;

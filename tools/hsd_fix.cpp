@@ -9,26 +9,17 @@
 // numbers in [0, 2^53]; anything else exits 2 naming the flag before any
 // file is read.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 
+#include "args.hpp"
 #include "core/evaluator.hpp"
 #include "engine/tiler.hpp"
 #include "gds/gdsii.hpp"
 #include "litho/opc.hpp"
 
-namespace {
-
-double argDouble(int argc, char** argv, const char* flag, double def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0)
-      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
-  return def;
-}
-
-}  // namespace
+using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;

@@ -4,22 +4,26 @@
 //                [--width NM] [--height NM] [--sites N]
 //
 // Writes <out_dir>/training_clips.txt, <out_dir>/layout.gds and
-// <out_dir>/golden_hotspots.txt.
+// <out_dir>/golden_hotspots.txt. Every number is a whole number in
+// [0, 2^53] (--bench in 1..5); anything else exits 2 naming the flag.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
+#include "args.hpp"
 #include "data/generator.hpp"
+#include "engine/tiler.hpp"
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
 
 namespace {
 
-long long argValue(int argc, char** argv, const char* flag, long long def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atoll(argv[i + 1]);
-  return def;
+/// The whole number after `flag` (`def` when absent).
+std::uint64_t argWhole(int argc, char** argv, const char* flag,
+                       std::uint64_t def) {
+  return hsd::engine::wholeNumber(
+      flag + 2, hsd::tools::argDouble(argc, argv, flag, double(def)),
+      hsd::engine::kMaxExactWhole);
 }
 
 }  // namespace
@@ -34,23 +38,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dir = argv[1];
-  const auto benchIdx =
-      std::size_t(argValue(argc, argv, "--bench", 1) - 1);
-  auto specs = data::iccad2012LikeSuite();
-  if (benchIdx >= specs.size()) {
-    std::fprintf(stderr, "error: --bench must be 1..%zu\n", specs.size());
+  const auto specs = data::iccad2012LikeSuite();
+  data::BenchmarkSpec spec;
+  try {
+    const std::uint64_t bench = argWhole(argc, argv, "--bench", 1);
+    if (bench < 1 || bench > specs.size()) {
+      std::fprintf(stderr, "error: --bench must be 1..%zu\n", specs.size());
+      return 2;
+    }
+    spec = specs[bench - 1];
+    spec.seed = argWhole(argc, argv, "--seed", spec.seed);
+    spec.targets.hotspots = argWhole(argc, argv, "--hs", spec.targets.hotspots);
+    spec.targets.nonHotspots =
+        argWhole(argc, argv, "--nhs", spec.targets.nonHotspots);
+    spec.width = Coord(argWhole(argc, argv, "--width", spec.width));
+    spec.height = Coord(argWhole(argc, argv, "--height", spec.height));
+    spec.sites = argWhole(argc, argv, "--sites", spec.sites);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  data::BenchmarkSpec spec = specs[benchIdx];
-  spec.seed = std::uint64_t(argValue(argc, argv, "--seed", (long long)spec.seed));
-  spec.targets.hotspots = std::size_t(
-      argValue(argc, argv, "--hs", (long long)spec.targets.hotspots));
-  spec.targets.nonHotspots = std::size_t(
-      argValue(argc, argv, "--nhs", (long long)spec.targets.nonHotspots));
-  spec.width = argValue(argc, argv, "--width", spec.width);
-  spec.height = argValue(argc, argv, "--height", spec.height);
-  spec.sites = std::size_t(
-      argValue(argc, argv, "--sites", (long long)spec.sites));
 
   try {
     const data::Benchmark b = data::generateBenchmark(spec);

@@ -3,9 +3,9 @@
 //
 //   hsd_score <report.txt> <golden.txt> [--layout layout.gds]
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "args.hpp"
 #include "core/metrics.hpp"
 #include "gds/ascii.hpp"
 #include "gds/gdsii.hpp"
@@ -30,12 +30,11 @@ int main(int argc, char** argv) {
                 100.0 * s.accuracy());
     std::printf("#extra  %zu  hit/extra %.3e\n", s.extras,
                 s.hitExtraRatio());
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--layout") == 0) {
-        const Layout layout = gds::readGdsiiFile(argv[i + 1]);
-        std::printf("false alarm: %.4f extras/um^2 (area %.0f um^2)\n",
-                    s.falseAlarmPerUm2(layout.areaUm2()), layout.areaUm2());
-      }
+    if (const char* path =
+            tools::argString(argc, argv, "--layout", nullptr)) {
+      const Layout layout = gds::readGdsiiFile(path);
+      std::printf("false alarm: %.4f extras/um^2 (area %.0f um^2)\n",
+                  s.falseAlarmPerUm2(layout.areaUm2()), layout.areaUm2());
     }
     return 0;
   } catch (const std::exception& e) {

@@ -18,30 +18,21 @@
 // other status or transport failure (the status line goes to stderr so
 // the body stays pipeable).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "args.hpp"
 #include "net/http.hpp"
+#include "text/text_cursor.hpp"
+
+using namespace hsd::tools;
 
 namespace {
-
-const char* argString(int argc, char** argv, const char* flag,
-                      const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return def;
-}
-
-bool argFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
 
 /// Every -H occurrence, split at the first ':' (value whitespace-trimmed
 /// on the left, curl-style). A malformed header is a usage error.
@@ -74,24 +65,25 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  const long port = std::strtol(argv[2], nullptr, 10);
-  if (port <= 0 || port > 65535) {
+  const std::optional<std::uint16_t> port =
+      hsd::text::parseNumber<std::uint16_t>(argv[2]);
+  if (!port || *port == 0) {
     std::fprintf(stderr, "error: bad port '%s'\n", argv[2]);
     return 2;
   }
   const char* postFile = argString(argc, argv, "--post", nullptr);
   const char* contentType =
       argString(argc, argv, "--content-type", "application/octet-stream");
-  const bool verbose = argFlag(argc, argv, "-v");
+  const bool verbose = hasFlag(argc, argv, "-v");
   const char* timeoutArg = argString(argc, argv, "--timeout-ms", nullptr);
-  long timeoutMs = postFile != nullptr ? 30000 : 5000;
+  int timeoutMs = postFile != nullptr ? 30000 : 5000;
   if (timeoutArg != nullptr) {
-    char* end = nullptr;
-    timeoutMs = std::strtol(timeoutArg, &end, 10);
-    if (end == timeoutArg || *end != '\0' || timeoutMs <= 0) {
+    const std::optional<int> t = hsd::text::parseNumber<int>(timeoutArg);
+    if (!t || *t <= 0) {
       std::fprintf(stderr, "error: bad --timeout-ms '%s'\n", timeoutArg);
       return 2;
     }
+    timeoutMs = *t;
   }
   std::vector<std::pair<std::string, std::string>> headers;
   if (!collectHeaders(argc, argv, headers)) return 2;
@@ -105,12 +97,10 @@ int main(int argc, char** argv) {
       }
       std::ostringstream body;
       body << in.rdbuf();
-      res = hsd::net::httpPost(argv[1], std::uint16_t(port), argv[3],
-                               body.str(), contentType, headers,
-                               int(timeoutMs));
+      res = hsd::net::httpPost(argv[1], *port, argv[3], body.str(),
+                               contentType, headers, timeoutMs);
     } else {
-      res = hsd::net::httpGet(argv[1], std::uint16_t(port), argv[3],
-                              int(timeoutMs), headers);
+      res = hsd::net::httpGet(argv[1], *port, argv[3], timeoutMs, headers);
     }
     if (verbose) {
       std::fprintf(stderr, "< HTTP %d\n", res.status);

@@ -78,7 +78,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -88,6 +87,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.hpp"
 #include "core/evaluator.hpp"
 #include "gds/gdsii.hpp"
 #include "net/http.hpp"
@@ -96,6 +96,8 @@
 #include "obs/trace.hpp"
 #include "serve/detect_endpoint.hpp"
 #include "serve/server.hpp"
+
+using namespace hsd::tools;
 
 namespace {
 
@@ -110,26 +112,6 @@ void installSignalHandlers() {
   sa.sa_flags = 0;  // no SA_RESTART: blocking waits see the interruption
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-}
-
-bool hasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-double argDouble(int argc, char** argv, const char* flag, double def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0)
-      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
-  return def;
-}
-
-const char* argString(int argc, char** argv, const char* flag,
-                      const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return def;
 }
 
 /// The port `flag` names when it is given: a whole number in [0, 65535]

@@ -6,32 +6,17 @@
 // --threads must be a whole number in [0, 1024] (0 = one per core);
 // anything else exits 2 naming the flag before the clip set is read.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
+#include "args.hpp"
 #include "core/trainer.hpp"
 #include "engine/run_context.hpp"
 #include "engine/tiler.hpp"
 #include "gds/ascii.hpp"
 
-namespace {
-
-bool hasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-double argDouble(int argc, char** argv, const char* flag, double def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0)
-      return hsd::engine::realNumber(flag + 2, argv[i + 1]);
-  return def;
-}
-
-}  // namespace
+using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;
