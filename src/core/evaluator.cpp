@@ -88,12 +88,14 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
                           const EvalParams& p,
                           std::size_t tile = engine::kUntiled) {
   EvalStages s;
-  const std::uint64_t cfg = verdictConfig(det, p);
   s.clip = engine::Stage<ClipWindow, EvalItem>{
       "eval/clip",
-      [&layers, cfg, tile](engine::RunContext& ctx,
-                           std::vector<ClipWindow>&& in) {
+      // The verdict config hashes the whole detector: computed on the
+      // first batch that has a cache to key, never on an uncached run.
+      [&det, &p, &layers, tile, cfg = std::optional<std::uint64_t>()](
+          engine::RunContext& ctx, std::vector<ClipWindow>&& in) mutable {
         engine::StageCache* const cache = ctx.cache();
+        if (cache != nullptr && !cfg) cfg = verdictConfig(det, p);
         std::vector<EvalItem> out(in.size());
         std::atomic<std::size_t> hits{0};
         std::atomic<std::size_t> misses{0};
@@ -102,7 +104,7 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
           it.win = in[i];
           it.clip = extractClip(layers, in[i]);
           if (cache == nullptr) return;
-          it.key = engine::CacheKey{kVerdictStage, cfg,
+          it.key = engine::CacheKey{kVerdictStage, *cfg,
                                     clipContentHash(it.clip)};
           if (const std::optional<bool> v = cache->find(it.key)) {
             hits.fetch_add(1, std::memory_order_relaxed);

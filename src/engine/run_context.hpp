@@ -71,7 +71,6 @@ class RunContext {
   }
   /// The attached stage cache, or nullptr when running uncached.
   StageCache* cache() const { return cache_.get(); }
-  std::shared_ptr<StageCache> sharedCache() const { return cache_; }
 
   /// Attach a span trace recorder (opt-in, like the stage cache; see
   /// obs/trace.hpp). Every stage batch, parallelFor chunk, and — via the
@@ -84,7 +83,6 @@ class RunContext {
   }
   /// The attached trace recorder, or nullptr when tracing is off.
   obs::TraceRecorder* tracer() const { return tracer_.get(); }
-  std::shared_ptr<obs::TraceRecorder> sharedTracer() const { return tracer_; }
 
   /// Attach a structured log recorder (opt-in, shareable across contexts
   /// like the tracer; see obs/log.hpp). Stage and tile milestones land
@@ -93,7 +91,6 @@ class RunContext {
     log_ = std::move(log);
   }
   obs::LogRecorder* logRecorder() const { return log_.get(); }
-  std::shared_ptr<obs::LogRecorder> sharedLog() const { return log_; }
 
   /// Attach a model-quality recorder (opt-in, shareable across contexts
   /// like the tracer; see obs/model_stats.hpp). The evaluator's SVM and
@@ -105,9 +102,6 @@ class RunContext {
     modelStats_ = std::move(rec);
   }
   obs::ModelStatsRecorder* modelStats() const { return modelStats_.get(); }
-  std::shared_ptr<obs::ModelStatsRecorder> sharedModelStats() const {
-    return modelStats_;
-  }
   /// Record one structured log line when a recorder is attached and the
   /// level clears its floor; a no-op (two loads) otherwise. The record
   /// inherits the calling thread's current trace id.
@@ -165,13 +159,12 @@ class RunContext {
   void setDeadline(std::chrono::steady_clock::time_point d) {
     deadlineNs_.store(d.time_since_epoch().count(), std::memory_order_relaxed);
   }
-  void clearDeadline() { deadlineNs_.store(0, std::memory_order_relaxed); }
   bool hasDeadline() const {
     return deadlineNs_.load(std::memory_order_relaxed) != 0;
   }
   /// True once an armed deadline has passed (false when none is armed).
-  /// Stays true until resetCancel()/clearDeadline(), so a caller that
-  /// caught CancelledError can distinguish timeout from explicit cancel.
+  /// Stays true until resetCancel(), so a caller that caught
+  /// CancelledError can distinguish timeout from explicit cancel.
   bool deadlineExpired() const {
     const std::int64_t d = deadlineNs_.load(std::memory_order_relaxed);
     return d != 0 &&

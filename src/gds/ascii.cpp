@@ -61,6 +61,22 @@ Rect readRect(text::TextCursor& in) {
   return {a.x, a.y, b.x, b.y};
 }
 
+/// The core and clip sides of a `clipset` or `windows` header, read as a
+/// pair: 0 < coreSide <= clipSide with an even difference, since the
+/// ambit is half of it and an odd one would narrow every window by 1.
+ClipParams readClipParams(text::TextCursor& in, std::string_view kw) {
+  ClipParams p;
+  p.coreSide = readCoord(in);
+  p.clipSide = readCoord(in);
+  if (p.coreSide <= 0 || p.coreSide > p.clipSide ||
+      (p.clipSide - p.coreSide) % 2 != 0)
+    in.failAt(kw, "'" + std::string(kw) + "' sides " +
+                      std::to_string(p.coreSide) + " " +
+                      std::to_string(p.clipSide) +
+                      " are not 0 < core <= clip with an even difference");
+  return p;
+}
+
 }  // namespace
 
 void writeAsciiLayout(std::ostream& os, const Layout& layout) {
@@ -140,14 +156,18 @@ ClipSet readClipSet(std::istream& is) {
     std::vector<Rect> rects;
     LayerId layer = 0;
     bool inClip = false;
+    bool sawHeader = false;
     const auto flushLayer = [&] {
       if (!rects.empty()) cur.setRects(layer, std::exchange(rects, {}));
     };
     for (std::string_view kw; !(kw = keyword(in)).empty();) {
       if (kw == "clipset") {
+        if (sawHeader) in.failAt(kw, "second 'clipset' header");
         set.name = in.word();
-        set.params.coreSide = readCoord(in);
-        set.params.clipSide = readCoord(in);
+        set.params = readClipParams(in, kw);
+        sawHeader = true;
+      } else if (!sawHeader) {
+        in.failAt(kw, "'" + std::string(kw) + "' before the 'clipset' header");
       } else if (kw == "clip") {
         if (inClip) in.failAt(kw, "'clip' before the previous 'endclip'");
         const int label = in.integer<int>();
@@ -172,6 +192,7 @@ ClipSet readClipSet(std::istream& is) {
         inClip = false;
       }
     }
+    if (!sawHeader) in.fail("missing 'clipset' header");
     if (inClip) in.fail("missing final endclip");
     return set;
   });
@@ -205,8 +226,7 @@ std::pair<std::vector<ClipWindow>, ClipParams> readWindowList(
     for (std::string_view kw; !(kw = keyword(in)).empty();) {
       if (kw == "windows") {
         if (sawHeader) in.failAt(kw, "second 'windows' header");
-        params.coreSide = readCoord(in);
-        params.clipSide = readCoord(in);
+        params = readClipParams(in, kw);
         sawHeader = true;
       } else if (kw == "at") {
         if (!sawHeader) in.failAt(kw, "'at' before the 'windows' header");

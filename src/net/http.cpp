@@ -129,7 +129,8 @@ const std::string* HttpRequest::header(std::string_view lowerName) const {
   return nullptr;
 }
 
-std::string HttpRequest::queryParam(std::string_view key) const {
+std::optional<std::string> HttpRequest::queryParam(
+    std::string_view key) const {
   std::size_t pos = 0;
   while (pos <= query.size()) {
     std::size_t end = query.find('&', pos);
@@ -137,15 +138,12 @@ std::string HttpRequest::queryParam(std::string_view key) const {
     const std::string_view pair =
         std::string_view(query).substr(pos, end - pos);
     const std::size_t eq = pair.find('=');
-    const std::string_view k =
-        eq == std::string_view::npos ? pair : pair.substr(0, eq);
-    if (k == key)
-      return eq == std::string_view::npos
-                 ? std::string()
-                 : std::string(pair.substr(eq + 1));
+    if (pair.substr(0, eq) == key)
+      return std::string(eq == std::string_view::npos ? std::string_view()
+                                                      : pair.substr(eq + 1));
     pos = end + 1;
   }
-  return {};
+  return std::nullopt;
 }
 
 HttpResponse HttpResponse::text(int status, std::string body) {

@@ -42,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -68,9 +69,10 @@ struct HttpRequest {
 
   /// First header with this (lower-case) name, or nullptr.
   const std::string* header(std::string_view lowerName) const;
-  /// Value of `key` in the query string ("" when absent; no %-decoding —
-  /// endpoints use plain numeric/identifier params).
-  std::string queryParam(std::string_view key) const;
+  /// Value of the first `key` in the query string: nullopt when absent,
+  /// "" when present bare (`?key`) or empty (`?key=`). No %-decoding —
+  /// endpoints use plain numeric/identifier params.
+  std::optional<std::string> queryParam(std::string_view key) const;
 };
 
 struct HttpResponse {

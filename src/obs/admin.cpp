@@ -1,10 +1,8 @@
 #include "obs/admin.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/json.hpp"
 #include "text/text_cursor.hpp"
@@ -13,67 +11,46 @@ namespace hsd::obs {
 
 namespace {
 
-enum ScrapeIndex {
-  kMetrics = 0,
-  kStatsz = 1,
-  kTracez = 2,
-  kHealthz = 3,
-  kReadyz = 4,
-  kLogz = 5,
-  kSloz = 6,
-  kModelz = 7,
-};
-
 constexpr const char* kPromContentType =
     "text/plain; version=0.0.4; charset=utf-8";
 
-/// Shared ?limit= parsing for the snapshot endpoints (/tracez, /logz):
-/// absent keeps `out` at its default and succeeds; anything but a
-/// positive base-10 integer (text::parseNumber) fails with a message for
-/// the 400 body; values above 2^20 are clamped to it. No silent
-/// defaulting on junk.
+/// Records each snapshot endpoint returns unless ?limit= says otherwise.
+constexpr std::size_t kTracezLimit = 256;
+constexpr std::size_t kLogzLimit = 256;
+constexpr std::size_t kModelzLimit = 64;
+
+/// Shared ?limit= parsing for the snapshot endpoints: absent keeps `out`
+/// at its default and succeeds; anything but a positive base-10 integer
+/// (text::parseNumber; an empty or bare value is not one) fails with a
+/// message for the 400 body; values above 2^20 are clamped to it. No
+/// silent defaulting on junk.
 bool parseLimitParam(const net::HttpRequest& req, std::size_t& out,
                      std::string& err) {
-  const std::string raw = req.queryParam("limit");
-  if (raw.empty()) return true;
+  const std::optional<std::string> raw = req.queryParam("limit");
+  if (!raw) return true;
   const std::optional<std::uint64_t> v =
-      text::parseNumber<std::uint64_t>(raw);
+      text::parseNumber<std::uint64_t>(*raw);
   if (!v || *v == 0) {
-    err = "bad numeric value for 'limit': " + raw;
+    err = "bad numeric value for 'limit': " + *raw;
     return false;
   }
   out = std::size_t(std::min<std::uint64_t>(*v, 1u << 20));
   return true;
 }
 
-/// Shared ?trace= parsing: absent leaves `has` false; a present value
+/// Shared ?trace= parsing: absent leaves `out` empty; a present value
 /// must be a 32-hex trace id.
-bool parseTraceParam(const net::HttpRequest& req, TraceId& out, bool& has,
+bool parseTraceParam(const net::HttpRequest& req, std::optional<TraceId>& out,
                      std::string& err) {
-  const std::string raw = req.queryParam("trace");
-  if (raw.empty()) return true;
-  if (!parseTraceId(raw, out)) {
-    err = "bad trace id for 'trace' (want 32 hex chars): " + raw;
+  const std::optional<std::string> raw = req.queryParam("trace");
+  if (!raw) return true;
+  TraceId id;
+  if (!parseTraceId(*raw, id)) {
+    err = "bad trace id for 'trace' (want 32 hex chars): " + *raw;
     return false;
   }
-  has = true;
+  out = id;
   return true;
-}
-
-/// True when `key` appears in the query string as a key (bare or with a
-/// value) — HttpRequest::queryParam can't distinguish `?degraded` from
-/// no query at all.
-bool hasQueryKey(const net::HttpRequest& req, std::string_view key) {
-  std::string_view q = req.query;
-  while (!q.empty()) {
-    const std::size_t amp = q.find('&');
-    std::string_view part = q.substr(0, amp);
-    const std::size_t eq = part.find('=');
-    if (part.substr(0, eq) == key) return true;
-    if (amp == std::string_view::npos) break;
-    q.remove_prefix(amp + 1);
-  }
-  return false;
 }
 
 net::HttpResponse badRequest(const std::string& detail) {
@@ -83,50 +60,42 @@ net::HttpResponse badRequest(const std::string& detail) {
 }  // namespace
 
 AdminServer::AdminServer(AdminOptions opts)
-    : opts_(opts),
-      http_([&opts] {
+    : http_([&opts] {
         net::HttpServerOptions h;
         h.port = opts.port;
         h.bindAddress = opts.bindAddress;
         h.handlerThreads = opts.handlerThreads;
         return h;
       }()),
-      self_(std::make_shared<MetricsRegistry>()) {
-  // Registration order is exposition order — keep it stable.
+      self_(std::make_shared<MetricsRegistry>()),
+      routes_{{{"/healthz", &AdminServer::handleHealthz},
+               {"/readyz", &AdminServer::handleReadyz},
+               {"/metrics", &AdminServer::handleMetrics},
+               {"/statsz", &AdminServer::handleStatsz},
+               {"/tracez", &AdminServer::handleTracez},
+               {"/logz", &AdminServer::handleLogz},
+               {"/sloz", &AdminServer::handleSloz},
+               {"/modelz", &AdminServer::handleModelz}}} {
+  // Registration order is exposition order — keep it stable. The scrape
+  // counters predate the table and list /metrics, /statsz and /tracez
+  // before the probes.
   uptime_ = &self_->gauge("hsd_admin_uptime_seconds",
                           "Whole seconds since the admin server started");
-  const std::pair<int, const char*> endpoints[] = {
-      {kMetrics, "/metrics"}, {kStatsz, "/statsz"},  {kTracez, "/tracez"},
-      {kHealthz, "/healthz"}, {kReadyz, "/readyz"},  {kLogz, "/logz"},
-      {kSloz, "/sloz"},       {kModelz, "/modelz"}};
-  for (const auto& [idx, endpoint] : endpoints)
-    scrapes_[idx] = &self_->counter("hsd_admin_scrapes_total",
-                                    "Admin endpoint hits by endpoint",
-                                    {{"endpoint", endpoint}});
-
+  for (const std::size_t i : {2, 3, 4, 0, 1, 5, 6, 7})
+    routes_[i].scrapes = &self_->counter("hsd_admin_scrapes_total",
+                                         "Admin endpoint hits by endpoint",
+                                         {{"endpoint", routes_[i].path}});
+  // The index lists the routes in registration order.
   http_.handle("/", [this](const net::HttpRequest&) {
     std::string body = "openhsd admin server\nendpoints:\n";
     for (const std::string& r : http_.routes()) body += "  " + r + "\n";
     return net::HttpResponse::text(200, std::move(body));
   });
-  http_.handle("/healthz", [this](const net::HttpRequest&) {
-    scrapes_[kHealthz]->inc();
-    return net::HttpResponse::text(200, "ok\n");
-  });
-  http_.handle("/readyz",
-               [this](const net::HttpRequest& req) { return handleReadyz(req); });
-  http_.handle("/metrics",
-               [this](const net::HttpRequest& req) { return handleMetrics(req); });
-  http_.handle("/statsz",
-               [this](const net::HttpRequest& req) { return handleStatsz(req); });
-  http_.handle("/tracez",
-               [this](const net::HttpRequest& req) { return handleTracez(req); });
-  http_.handle("/logz",
-               [this](const net::HttpRequest& req) { return handleLogz(req); });
-  http_.handle("/sloz",
-               [this](const net::HttpRequest& req) { return handleSloz(req); });
-  http_.handle("/modelz",
-               [this](const net::HttpRequest& req) { return handleModelz(req); });
+  for (Route& r : routes_)
+    http_.handle(r.path, [this, &r](const net::HttpRequest& req) {
+      r.scrapes->inc();
+      return (this->*r.handle)(req);
+    });
 }
 
 AdminServer::~AdminServer() { stop(); }
@@ -189,8 +158,11 @@ void AdminServer::start() {
 
 void AdminServer::stop() { http_.stop(); }
 
+net::HttpResponse AdminServer::handleHealthz(const net::HttpRequest&) {
+  return net::HttpResponse::text(200, "ok\n");
+}
+
 net::HttpResponse AdminServer::handleMetrics(const net::HttpRequest&) {
-  scrapes_[kMetrics]->inc();
   uptime_->set(std::chrono::duration_cast<std::chrono::seconds>(
                    std::chrono::steady_clock::now() - started_)
                    .count());
@@ -204,7 +176,6 @@ net::HttpResponse AdminServer::handleMetrics(const net::HttpRequest&) {
 }
 
 net::HttpResponse AdminServer::handleStatsz(const net::HttpRequest&) {
-  scrapes_[kStatsz]->inc();
   JsonWriter w;
   w.beginObject().field(
       "uptimeSeconds", std::chrono::duration<double>(
@@ -222,7 +193,7 @@ net::HttpResponse AdminServer::handleStatsz(const net::HttpRequest&) {
   }
   if (slo_) w.key("slo").raw(slo_->sampleAndJson());
   if (modelStats_) {
-    w.key("model").raw(modelStats_->toJson(opts_.modelzDefaultLimit));
+    w.key("model").raw(modelStats_->toJson(kModelzLimit));
     if (drift_) w.key("modelDrift").raw(drift_->sampleAndJson());
   }
   w.endObject().raw("\n");
@@ -230,7 +201,6 @@ net::HttpResponse AdminServer::handleStatsz(const net::HttpRequest&) {
 }
 
 net::HttpResponse AdminServer::handleReadyz(const net::HttpRequest& req) {
-  scrapes_[kReadyz]->inc();
   bool allReady = true;
   std::vector<std::pair<const std::string*, bool>> hooks;
   hooks.reserve(readiness_.size());
@@ -240,7 +210,7 @@ net::HttpResponse AdminServer::handleReadyz(const net::HttpRequest& req) {
     hooks.emplace_back(&name, ok);
   }
   const int status = allReady ? 200 : 503;
-  if (!hasQueryKey(req, "degraded"))
+  if (!req.queryParam("degraded"))
     return net::HttpResponse::text(status, allReady ? "ready\n" : "unready\n");
   // Detail view: same status code, JSON body naming each hook plus the
   // SLO burn-rate status when a tracker is mounted — "is it up" and "is
@@ -269,7 +239,6 @@ net::HttpResponse AdminServer::handleReadyz(const net::HttpRequest& req) {
 }
 
 net::HttpResponse AdminServer::handleSloz(const net::HttpRequest&) {
-  scrapes_[kSloz]->inc();
   if (!slo_)
     return net::HttpResponse::json("{\"enabled\": false}\n");
   JsonWriter w;
@@ -279,40 +248,36 @@ net::HttpResponse AdminServer::handleSloz(const net::HttpRequest&) {
 }
 
 net::HttpResponse AdminServer::handleModelz(const net::HttpRequest& req) {
-  scrapes_[kModelz]->inc();
-  std::size_t limit = opts_.modelzDefaultLimit;
+  std::size_t limit = kModelzLimit;
   std::string err;
   if (!parseLimitParam(req, limit, err)) return badRequest(err);
   if (!modelStats_)
     return net::HttpResponse::json("{\"enabled\": false}\n");
-  std::string cluster;
-  if (hasQueryKey(req, "cluster")) {
-    cluster = req.queryParam("cluster");
+  const std::optional<std::string> cluster = req.queryParam("cluster");
+  if (cluster) {
     const std::vector<std::string>& names = modelStats_->clusterNames();
-    if (std::find(names.begin(), names.end(), cluster) == names.end())
-      return badRequest("unknown cluster for 'cluster': " + cluster);
+    if (std::find(names.begin(), names.end(), *cluster) == names.end())
+      return badRequest("unknown cluster for 'cluster': " + *cluster);
   }
   JsonWriter w;
   w.beginObject().field("enabled", true);
-  w.key("model").raw(modelStats_->toJson(limit, cluster));
+  w.key("model").raw(modelStats_->toJson(limit, cluster.value_or("")));
   if (drift_) w.key("drift").raw(drift_->sampleAndJson());
   w.endObject().raw("\n");
   return net::HttpResponse::json(w.str());
 }
 
 net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
-  scrapes_[kLogz]->inc();
-  std::size_t limit = opts_.logzDefaultLimit;
-  TraceId traceFilter;
-  bool hasTrace = false;
+  std::size_t limit = kLogzLimit;
+  std::optional<TraceId> traceFilter;
   std::string err;
   if (!parseLimitParam(req, limit, err) ||
-      !parseTraceParam(req, traceFilter, hasTrace, err))
+      !parseTraceParam(req, traceFilter, err))
     return badRequest(err);
   LogLevel levelFloor = LogLevel::kTrace;
-  if (const std::string raw = req.queryParam("level"); !raw.empty()) {
-    if (!parseLogLevel(raw, levelFloor))
-      return badRequest("bad log level for 'level': " + raw);
+  if (const std::optional<std::string> raw = req.queryParam("level")) {
+    if (!parseLogLevel(*raw, levelFloor))
+      return badRequest("bad log level for 'level': " + *raw);
   }
   net::HttpResponse res;
   res.contentType = "application/x-ndjson";
@@ -324,30 +289,20 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
   std::uint64_t dropped = 0;
   std::vector<LogRecorder::SnapshotRecord> records = log_->snapshot(&dropped);
   const std::size_t total = records.size();
-  records.erase(std::remove_if(records.begin(), records.end(),
-                               [&](const LogRecorder::SnapshotRecord& sr) {
-                                 if (int(sr.record.level) < int(levelFloor))
-                                   return true;
-                                 return hasTrace &&
-                                        !(sr.record.trace == traceFilter);
-                               }),
-                records.end());
-  // Most recent records win the cap; render survivors oldest-first.
-  std::sort(records.begin(), records.end(),
-            [](const LogRecorder::SnapshotRecord& a,
-               const LogRecorder::SnapshotRecord& b) {
-              return a.record.tsNs < b.record.tsNs;
-            });
-  if (records.size() > limit)
-    records.erase(records.begin(),
-                  records.end() - static_cast<std::ptrdiff_t>(limit));
+  keepNewest(
+      records, limit,
+      [&](const LogRecorder::SnapshotRecord& sr) {
+        return int(sr.record.level) >= int(levelFloor) &&
+               (!traceFilter || sr.record.trace == *traceFilter);
+      },
+      [](const LogRecorder::SnapshotRecord& sr) { return sr.record.tsNs; });
   // Meta line first, then one JSON object per record: every line parses
   // on its own (JSON lines), and the meta carries the snapshot counters.
   JsonWriter w;
   w.beginObject().field("enabled", true).field("recordCount", total);
   w.field("returnedRecords", records.size()).field("droppedRecords", dropped);
   w.field("minLevel", toString(log_->minLevel()));
-  if (hasTrace) w.field("trace", formatTraceId(traceFilter));
+  if (traceFilter) w.field("trace", formatTraceId(*traceFilter));
   w.endObject().raw("\n");
   for (const LogRecorder::SnapshotRecord& sr : records) {
     log_->appendRecordJson(w, sr);
@@ -358,13 +313,11 @@ net::HttpResponse AdminServer::handleLogz(const net::HttpRequest& req) {
 }
 
 net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
-  scrapes_[kTracez]->inc();
-  std::size_t limit = opts_.tracezDefaultLimit;
-  TraceId traceFilter;
-  bool hasTrace = false;
+  std::size_t limit = kTracezLimit;
+  std::optional<TraceId> traceFilter;
   std::string err;
   if (!parseLimitParam(req, limit, err) ||
-      !parseTraceParam(req, traceFilter, hasTrace, err))
+      !parseTraceParam(req, traceFilter, err))
     return badRequest(err);
   if (!tracer_)
     return net::HttpResponse::json("{\"enabled\": false, \"spans\": []}\n");
@@ -376,27 +329,18 @@ net::HttpResponse AdminServer::handleTracez(const net::HttpRequest& req) {
       tracer_->snapshot(&dropped);
   const std::vector<std::string> names = tracer_->threadNames();
   const std::size_t total = events.size();
-  if (hasTrace)
-    events.erase(std::remove_if(events.begin(), events.end(),
-                                [&](const TraceRecorder::SnapshotEvent& se) {
-                                  return !(se.event.trace == traceFilter);
-                                }),
-                 events.end());
-  // Most recent spans win the cap; render the survivors oldest-first so
-  // the JSON reads chronologically.
-  std::sort(events.begin(), events.end(),
-            [](const TraceRecorder::SnapshotEvent& a,
-               const TraceRecorder::SnapshotEvent& b) {
-              return a.event.tsNs + a.event.durNs <
-                     b.event.tsNs + b.event.durNs;
-            });
-  if (events.size() > limit)
-    events.erase(events.begin(),
-                 events.end() - static_cast<std::ptrdiff_t>(limit));
+  keepNewest(
+      events, limit,
+      [&](const TraceRecorder::SnapshotEvent& se) {
+        return !traceFilter || se.event.trace == *traceFilter;
+      },
+      [](const TraceRecorder::SnapshotEvent& se) {
+        return se.event.tsNs + se.event.durNs;
+      });
   JsonWriter w;
   w.beginObject().field("enabled", true).field("spanCount", total);
   w.field("returnedSpans", events.size()).field("droppedEvents", dropped);
-  if (hasTrace) w.field("trace", formatTraceId(traceFilter));
+  if (traceFilter) w.field("trace", formatTraceId(*traceFilter));
   w.key("threads").beginArray();
   for (std::size_t tid = 0; tid < names.size(); ++tid)
     w.beginObject().field("tid", tid).field("name", names[tid]).endObject();

@@ -15,15 +15,17 @@
 //                  self-metrics registry
 //   GET /statsz    one JSON object per mounted stats provider (e.g. the
 //                  DetectionServer statsJson() roll-up) plus uptime
-//   GET /tracez    JSON snapshot of the most recent spans in the mounted
-//                  TraceRecorder (?limit=N caps the span count, default
-//                  256; ?trace=<32-hex id> keeps only that request's
-//                  spans) — non-destructive, recording continues
+//   GET /tracez    JSON snapshot of the mounted TraceRecorder: the newest
+//                  spans by end time, oldest first (?limit=N caps the
+//                  span count, default 256; ?trace=<32-hex id> keeps
+//                  only that request's spans) — non-destructive,
+//                  recording continues
 //   GET /logz      JSON-lines snapshot of the mounted LogRecorder: a meta
 //                  line (counts, drops, filters) followed by one record
-//                  object per line, oldest first. ?level= floors the
-//                  level, ?limit= caps the record count (default 256),
-//                  ?trace= keeps one request's records
+//                  object per line: the newest records, oldest first.
+//                  ?level= floors the level, ?limit= caps the record
+//                  count (default 256), ?trace= keeps one request's
+//                  records
 //   GET /sloz      the mounted SloTracker's multi-window availability /
 //                  latency burn-rate report (also folded into /statsz as
 //                  the "slo" section, and into /readyz?degraded)
@@ -32,14 +34,19 @@
 //                  the DriftScorer's per-cluster PSI report when one is
 //                  mounted (also folded into /statsz as the "model"
 //                  section, and into /readyz?degraded). ?limit= caps the
-//                  capture count (default 64), ?cluster= restricts to one
-//                  named cluster (unknown names are a 400)
+//                  capture count (default 64; the newest, oldest first),
+//                  ?cluster= restricts to one named cluster (unknown
+//                  names are a 400)
 //
-// Malformed query parameters (non-numeric ?limit=, unknown ?level=, a
-// ?trace= that is not a 32-hex id) are a 400, never a silent default.
-// /readyz?degraded returns a JSON detail view (per-hook readiness by
-// name, plus the SLO status when one is mounted) instead of the bare
-// ready/unready body; the status code contract is unchanged.
+// Malformed query parameters (a ?limit= that is not a positive integer,
+// an unknown ?level=, a ?trace= that is not a 32-hex id — including any
+// of them present but empty) are a 400, never a silent default.
+// /readyz?degraded (the key's presence, with or without a value) returns
+// a JSON detail view (per-hook readiness by name, plus the SLO and drift
+// status when mounted) instead of the bare ready/unready body; the
+// status code contract is unchanged. Every endpoint but the index is one
+// entry of a route table — path, handler, and its
+// hsd_admin_scrapes_total{endpoint=} counter.
 //
 // Mount everything before start(); the handler pool calls the hooks
 // concurrently, so providers must be thread-safe (renderPrometheus,
@@ -48,6 +55,7 @@
 // only: it never mutates the serving state it reports on.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -71,9 +79,6 @@ struct AdminOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   std::string bindAddress = "127.0.0.1";
   std::size_t handlerThreads = 2;
-  std::size_t tracezDefaultLimit = 256;  ///< spans per /tracez unless ?limit=
-  std::size_t logzDefaultLimit = 256;    ///< records per /logz unless ?limit=
-  std::size_t modelzDefaultLimit = 64;   ///< captures per /modelz unless ?limit=
 };
 
 class AdminServer {
@@ -135,11 +140,16 @@ class AdminServer {
   /// The bound port (the kernel's pick when AdminOptions::port was 0).
   std::uint16_t port() const { return http_.port(); }
 
-  /// The admin's own registry (scrape counters, uptime) — rendered last
-  /// on /metrics. Exposed so tools can add process-level metrics.
-  MetricsRegistry& selfMetrics() { return *self_; }
-
  private:
+  /// One endpoint: its path, its handler, and its scrape counter
+  /// (hsd_admin_scrapes_total{endpoint=<path>}, bumped on every hit).
+  struct Route {
+    const char* path;
+    net::HttpResponse (AdminServer::*handle)(const net::HttpRequest&);
+    Counter* scrapes = nullptr;
+  };
+
+  net::HttpResponse handleHealthz(const net::HttpRequest& req);
   net::HttpResponse handleMetrics(const net::HttpRequest& req);
   net::HttpResponse handleStatsz(const net::HttpRequest& req);
   net::HttpResponse handleTracez(const net::HttpRequest& req);
@@ -149,7 +159,6 @@ class AdminServer {
   net::HttpResponse handleReadyz(const net::HttpRequest& req);
   void requireNotStarted(const char* what) const;
 
-  AdminOptions opts_;
   net::HttpServer http_;
   std::vector<std::shared_ptr<const MetricsRegistry>> registries_;
   std::shared_ptr<const TraceRecorder> tracer_;
@@ -159,9 +168,12 @@ class AdminServer {
   std::shared_ptr<DriftScorer> drift_;
   std::vector<std::pair<std::string, std::function<std::string()>>> stats_;
   std::vector<std::pair<std::string, std::function<bool()>>> readiness_;
+  /// The admin's own registry (uptime, scrape counters), rendered last
+  /// on /metrics.
   std::shared_ptr<MetricsRegistry> self_;
-  Counter* scrapes_[8] = {};  ///< by endpoint; see ScrapeIndex in admin.cpp
-  Gauge* uptime_ = nullptr;   ///< whole seconds since start()
+  /// Every endpoint but the "/" index, in index order.
+  std::array<Route, 8> routes_;
+  Gauge* uptime_ = nullptr;  ///< whole seconds since start()
   std::chrono::steady_clock::time_point started_;
 };
 

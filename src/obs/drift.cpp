@@ -15,15 +15,14 @@ namespace {
 constexpr std::size_t kNone = std::size_t(-1);
 
 /// PSI between baseline counts `p` and live window counts `q` with
-/// Laplace smoothing: every bucket gets `alpha` pseudo-observations, so
+/// Laplace smoothing: every bucket gets half a pseudo-observation, so
 /// proportions are strictly positive and the logs are finite.
-double psiOf(const MarginSketch::Counts& p, const MarginSketch::Counts& q,
-             double alpha) {
+double psiOf(const MarginSketch::Counts& p, const MarginSketch::Counts& q) {
+  constexpr double alpha = 0.5;
   const double pn =
       double(MarginSketch::total(p)) + alpha * double(MarginSketch::kNumBuckets);
   const double qn =
       double(MarginSketch::total(q)) + alpha * double(MarginSketch::kNumBuckets);
-  if (pn <= 0.0 || qn <= 0.0) return 0.0;
   double psi = 0.0;
   for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b) {
     const double pi = (double(p[b]) + alpha) / pn;
@@ -138,7 +137,7 @@ DriftScorer::Status DriftScorer::status(Clock::time_point now) const {
     cs.windowCount = MarginSketch::total(window);
     const std::size_t bi = s < baselineOf.size() ? baselineOf[s] : kNone;
     if (bi == kNone) continue;  // unscored: no baseline for this slot
-    cs.psi = psiOf(baseline_.clusters[bi].buckets, window, cfg_.smoothing);
+    cs.psi = psiOf(baseline_.clusters[bi].buckets, window);
     cs.scored = cs.windowCount >= cfg_.minWindowCount;
     cs.drifted = cs.scored && cs.psi > cfg_.psiThreshold;
     st.anyDrifted = st.anyDrifted || cs.drifted;

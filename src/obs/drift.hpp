@@ -78,8 +78,6 @@ struct DriftConfig {
   /// Clusters with fewer live decisions than this in the window are
   /// reported unscored — PSI over a handful of samples is noise.
   std::uint64_t minWindowCount = 50;
-  /// Laplace pseudo-count added per bucket when forming proportions.
-  double smoothing = 0.5;
   /// Sample-ring bound (caps memory under scrape floods).
   std::size_t maxSamples = 1024;
 };
@@ -124,15 +122,9 @@ class DriftScorer {
     return status(now);
   }
 
-  /// Readiness-style health view: true while no cluster is drifted.
-  bool healthy() const { return !status().anyDrifted; }
-
   /// JSON object for /modelz and the /readyz?degraded detail view.
   std::string toJson(const Status& st) const;
   std::string sampleAndJson() { return toJson(sampleAndStatus()); }
-
-  const DriftConfig& config() const { return cfg_; }
-  const ModelBaseline& baseline() const { return baseline_; }
 
  private:
   /// Cumulative bucket counts per recorder slot.

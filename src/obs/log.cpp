@@ -23,31 +23,20 @@ const char* toString(LogLevel level) {
 bool parseLogLevel(std::string_view name, LogLevel& out) {
   std::string lower(name);
   for (char& c : lower) c = char(std::tolower(static_cast<unsigned char>(c)));
-  if (lower == "trace") {
-    out = LogLevel::kTrace;
-  } else if (lower == "debug") {
-    out = LogLevel::kDebug;
-  } else if (lower == "info") {
-    out = LogLevel::kInfo;
-  } else if (lower == "warn" || lower == "warning") {
-    out = LogLevel::kWarn;
-  } else if (lower == "error") {
-    out = LogLevel::kError;
-  } else {
-    return false;
-  }
-  return true;
+  if (lower == "warning") lower = "warn";
+  for (int l = int(LogLevel::kTrace); l <= int(LogLevel::kError); ++l)
+    if (lower == toString(LogLevel(l))) {
+      out = LogLevel(l);
+      return true;
+    }
+  return false;
 }
 
 LogRecorder::LogRecorder(std::size_t perThreadCapacity)
-    : capacity_(perThreadCapacity == 0 ? 1 : perThreadCapacity),
-      epoch_(std::chrono::steady_clock::now()),
+    : core_(perThreadCapacity),
       wallEpochNs_(std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::system_clock::now().time_since_epoch())
-                       .count()),
-      threads_([this] {
-        return std::make_unique<ThreadRing<Record>>(capacity_);
-      }) {}
+                       .count()) {}
 
 void LogRecorder::log(LogLevel level, const char* component,
                       std::string_view message, TraceArg a0, TraceArg a1,
@@ -59,35 +48,13 @@ void LogRecorder::log(LogLevel level, const char* component,
   std::memcpy(r.message, message.data(), len);
   r.msgLen = std::uint8_t(len);
   r.component = component;
-  r.tsNs = std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-             .count());
+  r.tsNs = core_.nowNs();
   r.trace = trace;
   r.a0 = a0;
   r.a1 = a1;
   r.s0 = s0;
   r.level = level;
-  threads_.local().push(r);
-}
-
-std::uint64_t LogRecorder::droppedRecords() const {
-  return threads_.sum([](const ThreadRing<Record>& r) { return r.dropped(); });
-}
-
-std::size_t LogRecorder::recordCount() const {
-  return threads_.sum([](const ThreadRing<Record>& r) { return r.size(); });
-}
-
-std::vector<LogRecorder::SnapshotRecord> LogRecorder::snapshot(
-    std::uint64_t* dropped) const {
-  std::vector<SnapshotRecord> out;
-  std::uint64_t lost = 0;
-  threads_.forEach([&](std::uint32_t tid, const ThreadRing<Record>& ring) {
-    lost += ring.read([&](const Record& r) { out.push_back({r, tid}); });
-  });
-  if (dropped != nullptr) *dropped = lost;
-  return out;
+  core_.push(r);
 }
 
 void LogRecorder::appendRecordJson(JsonWriter& w,
@@ -108,10 +75,9 @@ void LogRecorder::appendRecordJson(JsonWriter& w,
 
 void LogRecorder::writeJsonLines(std::ostream& os) const {
   std::vector<SnapshotRecord> records = snapshot();
-  std::sort(records.begin(), records.end(),
-            [](const SnapshotRecord& a, const SnapshotRecord& b) {
-              return a.record.tsNs < b.record.tsNs;
-            });
+  keepNewest(
+      records, records.size(), [](const SnapshotRecord&) { return true; },
+      [](const SnapshotRecord& sr) { return sr.record.tsNs; });
   JsonWriter w;
   for (const SnapshotRecord& sr : records) {
     appendRecordJson(w, sr);

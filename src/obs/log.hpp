@@ -112,22 +112,17 @@ class LogRecorder {
            TraceId trace = {});
 
   /// Total records overwritten because a ring was full (drop-oldest).
-  std::uint64_t droppedRecords() const;
+  std::uint64_t droppedRecords() const { return core_.dropped(); }
 
   /// Records currently resident across all rings (drops excluded).
-  std::size_t recordCount() const;
-
-  std::size_t perThreadCapacity() const { return capacity_; }
+  std::size_t recordCount() const { return core_.size(); }
 
   /// Resident records in (tid, record order), oldest first per thread.
   /// `dropped`, when given, receives the records logged before this cut
   /// that it does not return (ring wrap, including mid-copy overwrites).
-  std::vector<SnapshotRecord> snapshot(std::uint64_t* dropped = nullptr) const;
-
-  /// Wall-clock ns at recorder construction; unixNs of a record is
-  /// wallEpochNs() + record.tsNs (steady and wall clocks drift, but over
-  /// a process lifetime the anchor is plenty for log reading).
-  std::int64_t wallEpochNs() const { return wallEpochNs_; }
+  std::vector<SnapshotRecord> snapshot(std::uint64_t* dropped = nullptr) const {
+    return core_.snapshot<SnapshotRecord>(dropped);
+  }
 
   /// Appends one JSON object (no trailing newline) for a snapshot record —
   /// {"tsNs":..,"unixMs":..,"level":"..","component":"..","tid":N,
@@ -140,11 +135,12 @@ class LogRecorder {
   void writeJsonLines(std::ostream& os) const;
 
  private:
-  const std::size_t capacity_;
-  const std::chrono::steady_clock::time_point epoch_;
+  RecorderCore<Record> core_;
+  /// Wall-clock ns at construction: a record's unixMs is this plus its
+  /// tsNs (steady and wall clocks drift, but over a process lifetime the
+  /// anchor is plenty for log reading).
   const std::int64_t wallEpochNs_;
   std::atomic<int> minLevel_{int(LogLevel::kInfo)};
-  ThreadRegistry<ThreadRing<Record>> threads_;
 };
 
 /// One-branch-when-off convenience: every call site in engine/serve holds

@@ -1,7 +1,6 @@
 #include "obs/model_stats.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -96,10 +95,8 @@ ModelStatsRecorder::ModelStatsRecorder(std::vector<std::string> clusterNames,
         return std::move(clusterNames);
       }()),
       opts_(opts),
-      epoch_(std::chrono::steady_clock::now()),
-      threads_([this] {
-        return std::make_unique<ThreadState>(names_.size(),
-                                             opts_.captureCapacity);
+      core_(opts.captureCapacity, [this] {
+        return Counts(names_.size() * (MarginSketch::kNumBuckets + 2));
       }) {}
 
 void ModelStatsRecorder::bindMetrics(MetricsRegistry& registry) {
@@ -121,10 +118,10 @@ void ModelStatsRecorder::record(std::size_t slot, double margin, bool hot) {
     droppedRecords_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ThreadState& st = threads_.local();
+  Counts& counts = core_.local().extra;
   const std::size_t bucket = MarginSketch::bucketOf(margin);
-  st.counts[bucketBase(slot) + bucket].fetch_add(1, std::memory_order_relaxed);
-  st.counts[verdictBase(slot) + (hot ? 0 : 1)].fetch_add(
+  counts[bucketBase(slot) + bucket].fetch_add(1, std::memory_order_relaxed);
+  counts[verdictBase(slot) + (hot ? 0 : 1)].fetch_add(
       1, std::memory_order_relaxed);
   if (slot < metricCounters_.size()) {
     Counter* const c =
@@ -149,14 +146,11 @@ void ModelStatsRecorder::capture(std::size_t slot, double margin,
   c.anchorX = anchorX;
   c.anchorY = anchorY;
   c.contentHash = contentHash;
-  c.tsNs = std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-             .count());
+  c.tsNs = core_.nowNs();
   c.trace = currentTraceId();
   c.margin = margin;
   c.cluster = std::uint32_t(slot);
-  threads_.local().ring.push(c);
+  core_.push(c);
 }
 
 ModelStatsRecorder::Snapshot ModelStatsRecorder::snapshot() const {
@@ -165,29 +159,29 @@ ModelStatsRecorder::Snapshot ModelStatsRecorder::snapshot() const {
   for (std::size_t i = 0; i < names_.size(); ++i)
     out.clusters[i].name = names_[i];
   out.droppedRecords = droppedRecords_.load(std::memory_order_relaxed);
-  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
+  core_.forEach([&](std::uint32_t, const auto& st) {
     for (std::size_t s = 0; s < names_.size(); ++s) {
       ClusterCounts& cc = out.clusters[s];
       for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b)
         cc.buckets[b] +=
-            st.counts[bucketBase(s) + b].load(std::memory_order_relaxed);
-      cc.hot += st.counts[verdictBase(s)].load(std::memory_order_relaxed);
-      cc.cold += st.counts[verdictBase(s) + 1].load(std::memory_order_relaxed);
+            st.extra[bucketBase(s) + b].load(std::memory_order_relaxed);
+      cc.hot += st.extra[verdictBase(s)].load(std::memory_order_relaxed);
+      cc.cold += st.extra[verdictBase(s) + 1].load(std::memory_order_relaxed);
     }
-    out.droppedCaptures += st.ring.read(
-        [&](const Capture& c) { out.captures.push_back(c); });
   });
+  for (const auto& tc : core_.snapshot(&out.droppedCaptures))
+    out.captures.push_back(tc.record);
   out.capturedTotal = out.captures.size() + out.droppedCaptures;
   return out;
 }
 
 std::vector<MarginSketch::Counts> ModelStatsRecorder::bucketCounts() const {
   std::vector<MarginSketch::Counts> out(names_.size());
-  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
+  core_.forEach([&](std::uint32_t, const auto& st) {
     for (std::size_t s = 0; s < names_.size(); ++s)
       for (std::size_t b = 0; b < MarginSketch::kNumBuckets; ++b)
         out[s][b] +=
-            st.counts[bucketBase(s) + b].load(std::memory_order_relaxed);
+            st.extra[bucketBase(s) + b].load(std::memory_order_relaxed);
   });
   return out;
 }
@@ -195,18 +189,20 @@ std::vector<MarginSketch::Counts> ModelStatsRecorder::bucketCounts() const {
 std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
                                        std::string_view clusterFilter) const {
   Snapshot snap = snapshot();
+  std::size_t slot = names_.size();
   if (!clusterFilter.empty()) {
-    std::size_t slot = names_.size();
     for (std::size_t i = 0; i < names_.size(); ++i)
       if (names_[i] == clusterFilter) slot = i;
-    snap.captures.erase(
-        std::remove_if(snap.captures.begin(), snap.captures.end(),
-                       [slot](const Capture& c) { return c.cluster != slot; }),
-        snap.captures.end());
     std::vector<ClusterCounts> kept;
     if (slot < snap.clusters.size()) kept.push_back(snap.clusters[slot]);
     snap.clusters = std::move(kept);
   }
+  keepNewest(
+      snap.captures, captureLimit,
+      [&](const Capture& c) {
+        return clusterFilter.empty() || c.cluster == slot;
+      },
+      [](const Capture& c) { return c.tsNs; });
   JsonWriter w;
   w.beginObject();
   if (opts_.modelFingerprint != 0)
@@ -219,13 +215,6 @@ std::string ModelStatsRecorder::toJson(std::size_t captureLimit,
     w.field("p90", MarginSketch::quantile(cc.buckets, 0.9));
     w.field("p99", MarginSketch::quantile(cc.buckets, 0.99)).endObject();
   }
-  // Most recent captures win the cap; render survivors oldest-first.
-  std::sort(snap.captures.begin(), snap.captures.end(),
-            [](const Capture& a, const Capture& b) { return a.tsNs < b.tsNs; });
-  if (snap.captures.size() > captureLimit)
-    snap.captures.erase(snap.captures.begin(),
-                        snap.captures.end() -
-                            static_cast<std::ptrdiff_t>(captureLimit));
   w.endArray().field("capturedTotal", snap.capturedTotal);
   w.field("droppedCaptures", snap.droppedCaptures);
   w.field("droppedRecords", snap.droppedRecords);

@@ -16,7 +16,7 @@
 //
 //  2. ModelStatsRecorder — per-cluster margin sketches plus hot/cold
 //     verdict counters, accumulated lock-free into per-thread slots
-//     (an obs::ThreadRegistry, like TraceRecorder/LogRecorder: per-thread
+//     (an obs::RecorderCore, like TraceRecorder/LogRecorder: per-thread
 //     state is allocated once on the thread's first record and never
 //     again; recording is relaxed-atomic increments only). Optionally
 //     bound to a MetricsRegistry, where each cluster contributes
@@ -117,7 +117,6 @@ class ModelStatsRecorder {
   std::size_t numSlots() const { return names_.size(); }
   std::size_t feedbackSlot() const { return names_.size() - 1; }
   const std::vector<std::string>& clusterNames() const { return names_; }
-  const Options& options() const { return opts_; }
 
   /// Register hsd_model_verdicts_total{cluster=,verdict=} counters for
   /// every slot; record() then bumps them alongside the sketch. Call
@@ -184,15 +183,10 @@ class ModelStatsRecorder {
                      std::string_view clusterFilter = {}) const;
 
  private:
-  struct ThreadState {
-    ThreadState(std::size_t slots, std::size_t captureCapacity)
-        : counts(slots * (MarginSketch::kNumBuckets + 2)),
-          ring(captureCapacity) {}
-    /// slots * kNumBuckets relaxed counters, then slots * 2 verdict
-    /// counters (hot, cold) — one flat allocation per thread, made once.
-    std::vector<std::atomic<std::uint64_t>> counts;
-    ThreadRing<Capture> ring;
-  };
+  /// A thread's counters: slots * kNumBuckets relaxed bucket counters,
+  /// then slots * 2 verdict counters (hot, cold) — one flat allocation
+  /// per thread, made once.
+  using Counts = std::vector<std::atomic<std::uint64_t>>;
 
   std::size_t bucketBase(std::size_t slot) const {
     return slot * MarginSketch::kNumBuckets;
@@ -203,13 +197,13 @@ class ModelStatsRecorder {
 
   const std::vector<std::string> names_;  ///< incl. trailing feedback slot
   const Options opts_;
-  const std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> droppedRecords_{0};
 
   /// Bound metric counters per slot ({hot, cold}); nullptr when unbound.
   std::vector<std::pair<Counter*, Counter*>> metricCounters_;
 
-  ThreadRegistry<ThreadState> threads_;
+  /// Per-thread capture rings, each thread's Extra its Counts.
+  RecorderCore<Capture, Counts> core_;
 };
 
 /// One-branch-when-off convenience, mirroring obs::logTo — evaluation

@@ -101,9 +101,9 @@ SloTracker::Status SloTracker::status(Clock::time_point now) const {
                           ? 0.0
                           : burnRate(win.latencyAttainment, cfg_.latencyTarget);
     win.burning = (win.total > 0 &&
-                   win.availabilityBurn > cfg_.degradedBurnRate) ||
+                   win.availabilityBurn > kDegradedBurnRate) ||
                   (win.latencyTotal > 0 &&
-                   win.latencyBurn > cfg_.degradedBurnRate);
+                   win.latencyBurn > kDegradedBurnRate);
     st.degraded = st.degraded || win.burning;
     st.windows.push_back(win);
   }
@@ -116,7 +116,7 @@ std::string SloTracker::toJson(const Status& st) const {
   w.field("latencyObjectiveSeconds", cfg_.latencyObjectiveSeconds);
   w.field("effectiveLatencyObjectiveSeconds", objectiveBound_);
   w.field("latencyTarget", cfg_.latencyTarget);
-  w.field("degradedBurnRate", cfg_.degradedBurnRate);
+  w.field("degradedBurnRate", kDegradedBurnRate);
   w.field("degraded", st.degraded).key("windows").beginArray();
   for (const Window& win : st.windows) {
     w.beginObject().field("seconds", win.seconds);

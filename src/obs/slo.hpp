@@ -51,8 +51,6 @@ struct SloConfig {
   double latencyTarget = 0.95;
   /// Rolling windows, seconds, shortest first (rendered in this order).
   std::vector<double> windowsSeconds = {60.0, 300.0, 1800.0};
-  /// A window is "burning" when either burn rate exceeds this.
-  double degradedBurnRate = 1.0;
   /// Sample-ring bound: oldest samples beyond the longest window (plus
   /// slack) are pruned; this caps memory under scrape floods.
   std::size_t maxSamples = 4096;
@@ -62,6 +60,10 @@ class SloTracker {
  public:
   using CountFn = std::function<std::uint64_t()>;
   using Clock = std::chrono::steady_clock;
+
+  /// A window is "burning" when either burn rate exceeds this: the error
+  /// budget is being spent faster than budget-neutral.
+  static constexpr double kDegradedBurnRate = 1.0;
 
   explicit SloTracker(SloConfig cfg = {});
 
@@ -78,8 +80,7 @@ class SloTracker {
   /// configured objective) is reported in the JSON.
   void setLatencySource(const Histogram* hist);
 
-  /// Push one sample now / at `now` (injectable for tests).
-  void sample() { sample(Clock::now()); }
+  /// Push one sample at `now` (injectable for tests).
   void sample(Clock::time_point now);
 
   /// Per-window SLO arithmetic over the sample ring (no new sample).
@@ -94,7 +95,7 @@ class SloTracker {
     std::uint64_t latencyFast = 0;  ///< completed within the objective
     double latencyAttainment = 1.0;
     double latencyBurn = 0.0;
-    bool burning = false;  ///< either burn > degradedBurnRate, with traffic
+    bool burning = false;  ///< either burn > kDegradedBurnRate, with traffic
   };
   struct Status {
     std::vector<Window> windows;
@@ -110,14 +111,11 @@ class SloTracker {
     return status(now);
   }
 
-  bool degraded() const { return status().degraded; }
-
   /// JSON object for /sloz and the /statsz "slo" section: targets plus
   /// one entry per window.
   std::string toJson(const Status& st) const;
   std::string sampleAndJson() { return toJson(sampleAndStatus()); }
 
-  const SloConfig& config() const { return cfg_; }
   /// The bucket-snapped latency objective actually measured (0 when no
   /// latency source is attached).
   double effectiveLatencyObjective() const { return objectiveBound_; }

@@ -1,14 +1,5 @@
-// Per-thread recording state shared by the obs recorders (TraceRecorder,
-// LogRecorder, ModelStatsRecorder). Two pieces:
-//
-//  - ThreadRegistry<State> hands every recording thread its own State,
-//    built on the thread's first call and kept for the registry's
-//    lifetime. A typed thread_local slot caches the last (registry,
-//    state) pair, so the steady-state lookup is one compare; only a
-//    thread's first call into a registry takes the mutex. The slot is
-//    keyed by an owner id unique among registries of that State type,
-//    never by address, so a destroyed registry's state can't be revived
-//    by a new one at the same address.
+// The per-thread recording core shared by the obs recorders
+// (TraceRecorder, LogRecorder, ModelStatsRecorder). Three pieces:
 //
 //  - ThreadRing<T> is a single-writer, drop-oldest ring of a trivially
 //    copyable T that readers may copy while the writer runs. Every slot
@@ -19,10 +10,27 @@
 //    slot overwritten mid-copy counts as dropped. Payload words move
 //    through atomics (std::atomic_ref), so a reader racing the writer is
 //    never a plain-memory race. The writer never blocks or allocates.
+//
+//  - RecorderCore<T, Extra> is everything else a recorder shares: it
+//    hands every recording thread its own ThreadRing<T> plus an Extra
+//    (a thread name, per-thread counters), built on the thread's first
+//    call and kept for the core's lifetime; it stamps records against
+//    one steady epoch; and it walks every thread's ring for snapshots
+//    and the dropped/resident sums. A typed thread_local slot caches the
+//    last (core, state) pair, so the steady-state lookup is one compare;
+//    only a thread's first call into a core takes the mutex. The slot is
+//    keyed by an owner id unique among cores of that type, never by
+//    address, so a destroyed core's state can't be revived by a new one
+//    at the same address.
+//
+//  - keepNewest() is the one "filter, keep the newest N by time, oldest
+//    first" cut every snapshot surface renders through (/tracez, /logz,
+//    the --log-out dump, /modelz captures).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -37,68 +45,6 @@
 #include "par/cacheline.hpp"
 
 namespace hsd::obs {
-
-template <class State>
-class ThreadRegistry {
- public:
-  /// `make` builds a thread's State on its first local() call.
-  explicit ThreadRegistry(std::function<std::unique_ptr<State>()> make)
-      : make_(std::move(make)),
-        id_(nextId_.fetch_add(1, std::memory_order_relaxed)) {}
-  ThreadRegistry(const ThreadRegistry&) = delete;
-  ThreadRegistry& operator=(const ThreadRegistry&) = delete;
-
-  /// The calling thread's State. Its first call builds the State under
-  /// the mutex; after that this is lock-free and allocation-free.
-  State& local() {
-    if (tls_.owner == id_) return *tls_.state;
-    return registerThisThread();
-  }
-
-  /// fn(tid, state) for every registered thread in tid order; a thread's
-  /// tid is its registration index. Holds the mutex throughout, so a
-  /// thread's first local() call waits for it.
-  template <class Fn>
-  void forEach(Fn&& fn) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t tid = 0; tid < states_.size(); ++tid)
-      fn(std::uint32_t(tid), static_cast<const State&>(*states_[tid]));
-  }
-
-  /// Sum of fn(state) over every registered thread.
-  template <class Fn>
-  std::uint64_t sum(Fn&& fn) const {
-    std::uint64_t total = 0;
-    forEach([&](std::uint32_t, const State& st) { total += fn(st); });
-    return total;
-  }
-
- private:
-  struct Tls {
-    std::uint64_t owner = 0;
-    State* state = nullptr;
-  };
-  /// Ids only need to be unique per State type: so is the slot.
-  static inline std::atomic<std::uint64_t> nextId_{1};
-  static inline thread_local Tls tls_{};
-
-  State& registerThisThread() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    State*& slot = registered_[std::this_thread::get_id()];
-    if (slot == nullptr) {
-      states_.push_back(make_());
-      slot = states_.back().get();
-    }
-    tls_ = {id_, slot};
-    return *slot;
-  }
-
-  const std::function<std::unique_ptr<State>()> make_;
-  const std::uint64_t id_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<State>> states_;
-  std::unordered_map<std::thread::id, State*> registered_;
-};
 
 template <class T>
 class ThreadRing {
@@ -196,5 +142,143 @@ class ThreadRing {
   par::CachePadded<std::atomic<std::uint64_t>> head_{};
   std::vector<Slot> slots_;
 };
+
+/// Per-thread Extra of a recorder that needs only the ring.
+struct NoExtra {};
+
+template <class T, class Extra = NoExtra>
+class RecorderCore {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// One recording thread's state.
+  struct State {
+    ThreadRing<T> ring;
+    Extra extra;
+  };
+
+  /// A snapshot record plus the dense id of the thread that wrote it.
+  struct Tagged {
+    T record;
+    std::uint32_t tid = 0;
+  };
+
+  /// `capacity` records per thread (0 is clamped to 1); `makeExtra`
+  /// builds a thread's Extra on its first local() call.
+  explicit RecorderCore(
+      std::size_t capacity,
+      std::function<Extra()> makeExtra = [] { return Extra{}; })
+      : capacity_(capacity),
+        makeExtra_(std::move(makeExtra)),
+        epoch_(Clock::now()),
+        id_(nextId_.fetch_add(1, std::memory_order_relaxed)) {}
+  RecorderCore(const RecorderCore&) = delete;
+  RecorderCore& operator=(const RecorderCore&) = delete;
+
+  /// ns from the core's construction to `t`, clamped at 0: a record whose
+  /// time predates the recorder (e.g. a request submitted before tracing
+  /// was attached) lands at 0 instead of at a negative stamp.
+  std::int64_t sinceEpochNs(Clock::time_point t) const {
+    return std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
+               .count());
+  }
+  std::int64_t nowNs() const { return sinceEpochNs(Clock::now()); }
+
+  /// The calling thread's state. Its first call builds the state under
+  /// the mutex; after that this is lock-free and allocation-free.
+  State& local() {
+    if (tls_.owner == id_) return *tls_.state;
+    return registerThisThread();
+  }
+
+  /// Append `v` to the calling thread's ring (drop-oldest).
+  void push(const T& v) { local().ring.push(v); }
+
+  /// fn(tid, state) for every registered thread in tid order; a thread's
+  /// tid is its registration index. Holds the mutex throughout, so a
+  /// thread's first local() call waits for it.
+  template <class Fn>
+  void forEach(Fn&& fn) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t tid = 0; tid < states_.size(); ++tid)
+      fn(std::uint32_t(tid), static_cast<const State&>(*states_[tid]));
+  }
+
+  /// Every whole resident record as Out{record, tid}, in (tid, record
+  /// order), oldest first per thread, from one pass over the rings.
+  /// `dropped`, when given, receives the records appended before this
+  /// cut that it does not return (ring wrap, including mid-copy
+  /// overwrites). Safe to run while threads record.
+  template <class Out = Tagged>
+  std::vector<Out> snapshot(std::uint64_t* dropped = nullptr) const {
+    std::vector<Out> out;
+    std::uint64_t lost = 0;
+    forEach([&](std::uint32_t tid, const State& st) {
+      lost += st.ring.read([&](const T& v) { out.push_back(Out{v, tid}); });
+    });
+    if (dropped != nullptr) *dropped = lost;
+    return out;
+  }
+
+  /// Records overwritten because a ring was full, over every thread.
+  std::uint64_t dropped() const {
+    std::uint64_t n = 0;
+    forEach([&](std::uint32_t, const State& st) { n += st.ring.dropped(); });
+    return n;
+  }
+
+  /// Records resident now, over every thread (drops excluded).
+  std::size_t size() const {
+    std::size_t n = 0;
+    forEach([&](std::uint32_t, const State& st) { n += st.ring.size(); });
+    return n;
+  }
+
+ private:
+  struct Tls {
+    std::uint64_t owner = 0;
+    State* state = nullptr;
+  };
+  /// Ids only need to be unique per core type: so is the slot.
+  static inline std::atomic<std::uint64_t> nextId_{1};
+  static inline thread_local Tls tls_{};
+
+  State& registerThisThread() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    State*& slot = registered_[std::this_thread::get_id()];
+    if (slot == nullptr) {
+      states_.push_back(std::unique_ptr<State>(
+          new State{ThreadRing<T>(capacity_), makeExtra_()}));
+      slot = states_.back().get();
+    }
+    tls_ = {id_, slot};
+    return *slot;
+  }
+
+  const std::size_t capacity_;
+  const std::function<Extra()> makeExtra_;
+  const Clock::time_point epoch_;
+  const std::uint64_t id_;
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<State>> states_;
+  std::unordered_map<std::thread::id, State*> registered_;
+};
+
+/// The one cut every snapshot surface renders through: drops the records
+/// `keep` rejects, then keeps the `limit` newest by key(record) — a time
+/// stamp — ordered oldest first. Ties keep snapshot order.
+template <class R, class Keep, class Key>
+void keepNewest(std::vector<R>& records, std::size_t limit, Keep keep,
+                Key key) {
+  records.erase(std::remove_if(records.begin(), records.end(),
+                               [&](const R& r) { return !keep(r); }),
+                records.end());
+  std::stable_sort(records.begin(), records.end(),
+                   [&](const R& a, const R& b) { return key(a) < key(b); });
+  if (records.size() > limit)
+    records.erase(records.begin(),
+                  records.end() - static_cast<std::ptrdiff_t>(limit));
+}
 
 }  // namespace hsd::obs

@@ -9,9 +9,7 @@
 namespace hsd::obs {
 
 TraceRecorder::TraceRecorder(std::size_t perThreadCapacity)
-    : capacity_(perThreadCapacity == 0 ? 1 : perThreadCapacity),
-      epoch_(std::chrono::steady_clock::now()),
-      threads_([this] { return std::make_unique<ThreadState>(capacity_); }) {}
+    : core_(perThreadCapacity) {}
 
 void TraceRecorder::recordSpan(std::string_view name, const char* cat,
                                std::chrono::steady_clock::time_point t0,
@@ -22,13 +20,7 @@ void TraceRecorder::recordSpan(std::string_view name, const char* cat,
   Event e{};  // zeroed: the NUL terminator and every byte the ring copies
   std::memcpy(e.name, name.data(), std::min(name.size(), kNameCapacity - 1));
   e.cat = cat;
-  // Clamp to the recorder's lifetime: a span whose begin predates the
-  // recorder (e.g. a request submitted before tracing was attached) lands
-  // at ts 0 instead of emitting a negative timestamp the writer can't
-  // format.
-  e.tsNs = std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(t0 - epoch_)
-             .count());
+  e.tsNs = core_.sinceEpochNs(t0);
   e.durNs = std::max<std::int64_t>(
       0, std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
              .count());
@@ -36,39 +28,20 @@ void TraceRecorder::recordSpan(std::string_view name, const char* cat,
   e.a1 = a1;
   e.s0 = s0;
   e.trace = trace;
-  threads_.local().ring.push(e);
+  core_.push(e);
 }
 
 void TraceRecorder::nameThread(const std::string& name) {
-  ThreadState& st = threads_.local();
+  std::string& slot = core_.local().extra;
   const std::lock_guard<std::mutex> lock(namesMu_);
-  st.name = name;
-}
-
-std::uint64_t TraceRecorder::droppedEvents() const {
-  return threads_.sum([](const ThreadState& st) { return st.ring.dropped(); });
-}
-
-std::size_t TraceRecorder::spanCount() const {
-  return threads_.sum([](const ThreadState& st) { return st.ring.size(); });
-}
-
-std::vector<TraceRecorder::SnapshotEvent> TraceRecorder::snapshot(
-    std::uint64_t* dropped) const {
-  std::vector<SnapshotEvent> out;
-  std::uint64_t lost = 0;
-  threads_.forEach([&](std::uint32_t tid, const ThreadState& st) {
-    lost += st.ring.read([&](const Event& e) { out.push_back({e, tid}); });
-  });
-  if (dropped != nullptr) *dropped = lost;
-  return out;
+  slot = name;
 }
 
 std::vector<std::string> TraceRecorder::threadNames() const {
   std::vector<std::string> names;
   const std::lock_guard<std::mutex> lock(namesMu_);
-  threads_.forEach([&](std::uint32_t, const ThreadState& st) {
-    names.push_back(st.name);
+  core_.forEach([&](std::uint32_t, const auto& st) {
+    names.push_back(st.extra);
   });
   return names;
 }

@@ -98,17 +98,17 @@ class TraceRecorder {
   void nameThread(const std::string& name);
 
   /// Total events overwritten because a ring was full (drop-oldest).
-  std::uint64_t droppedEvents() const;
+  std::uint64_t droppedEvents() const { return core_.dropped(); }
 
   /// Events currently resident across all rings (drops excluded).
-  std::size_t spanCount() const;
-
-  std::size_t perThreadCapacity() const { return capacity_; }
+  std::size_t spanCount() const { return core_.size(); }
 
   /// Resident events in (tid, record order), oldest first per thread.
   /// `dropped`, when given, receives the events recorded before this cut
   /// that it does not return (ring wrap, including mid-copy overwrites).
-  std::vector<SnapshotEvent> snapshot(std::uint64_t* dropped = nullptr) const;
+  std::vector<SnapshotEvent> snapshot(std::uint64_t* dropped = nullptr) const {
+    return core_.snapshot<SnapshotEvent>(dropped);
+  }
 
   /// Names of registered threads, indexed by tid ("" when never named).
   std::vector<std::string> threadNames() const;
@@ -119,16 +119,9 @@ class TraceRecorder {
   std::string toJson() const;
 
  private:
-  struct ThreadState {
-    explicit ThreadState(std::size_t cap) : ring(cap) {}
-    ThreadRing<Event> ring;
-    std::string name;  ///< guarded by namesMu_
-  };
-
-  const std::size_t capacity_;
-  const std::chrono::steady_clock::time_point epoch_;
-  ThreadRegistry<ThreadState> threads_;
-  mutable std::mutex namesMu_;  ///< guards every ThreadState::name
+  /// Per-thread rings; each thread's Extra is its name (namesMu_).
+  RecorderCore<Event, std::string> core_;
+  mutable std::mutex namesMu_;  ///< guards every thread's name
 };
 
 /// RAII span guard. With a null recorder this is a stored nullptr and

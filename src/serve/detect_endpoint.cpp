@@ -25,18 +25,33 @@ namespace hsd::serve {
 
 namespace {
 
-/// Query/header numeric parameter. Returns false (with `err` set) on a
-/// malformed value; a missing parameter leaves `out` untouched.
+/// Numeric query parameter. A missing one leaves `out` untouched; a
+/// present one must be one number (an empty or bare value is not), else
+/// this returns false with `err` set.
 bool numericParam(const net::HttpRequest& req, const char* name, double& out,
                   std::string& err) {
-  const std::string v = req.queryParam(name);
-  if (v.empty()) return true;
-  const std::optional<double> d = text::parseNumber<double>(v);
+  const std::optional<std::string> v = req.queryParam(name);
+  if (!v) return true;
+  const std::optional<double> d = text::parseNumber<double>(*v);
   if (!d) {
-    err = std::string("bad numeric value for '") + name + "': " + v;
+    err = std::string("bad numeric value for '") + name + "': " + *v;
     return false;
   }
   out = *d;
+  return true;
+}
+
+/// 0|1 flag query parameter, like numericParam: missing leaves `out`
+/// untouched, anything but "0" or "1" fails.
+bool flagParam(const net::HttpRequest& req, const char* name, bool& out,
+               std::string& err) {
+  const std::optional<std::string> v = req.queryParam(name);
+  if (!v) return true;
+  if (*v != "0" && *v != "1") {
+    err = std::string("bad flag for '") + name + "' (want 0 or 1): " + *v;
+    return false;
+  }
+  out = *v == "1";
   return true;
 }
 
@@ -163,12 +178,13 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
                                              std::uint64_t wireId,
                                              obs::TraceId trace) {
   // --- Parameters (cheap; before admission so garbage fails fast) ----
-  double bias = 0.0, removal = 1.0, feedback = 1.0, deadlineMs = -1.0;
+  double bias = 0.0, deadlineMs = 0.0;
+  bool removal = true, feedback = true;
   double tileSize = 0.0, halo = 0.0, tileThreads = 0.0;
   std::string err;
   if (!numericParam(req, "bias", bias, err) ||
-      !numericParam(req, "removal", removal, err) ||
-      !numericParam(req, "feedback", feedback, err) ||
+      !flagParam(req, "removal", removal, err) ||
+      !flagParam(req, "feedback", feedback, err) ||
       !numericParam(req, "deadline-ms", deadlineMs, err) ||
       !numericParam(req, "tile-size", tileSize, err) ||
       !numericParam(req, "halo", halo, err) ||
@@ -183,18 +199,17 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   } catch (const std::invalid_argument& e) {
     return errorResponse(400, e.what());
   }
-  if (deadlineMs < 0.0) {
-    // The header form loses to the query param; both are optional.
-    if (const std::string* h = req.header("x-deadline-ms")) {
-      const std::optional<double> d = text::parseNumber<double>(*h);
-      if (!d) return errorResponse(400, "bad X-Deadline-Ms header: " + *h);
-      deadlineMs = *d;
-    }
+  // The header form loses to the query param; both are optional, and
+  // neither may be negative (0 means no deadline).
+  const std::string* h = req.header("x-deadline-ms");
+  if (h != nullptr && !req.queryParam("deadline-ms")) {
+    const std::optional<double> d = text::parseNumber<double>(*h);
+    if (!d) return errorResponse(400, "bad X-Deadline-Ms header: " + *h);
+    deadlineMs = *d;
   }
-  if (deadlineMs < 0.0) deadlineMs = cfg_.defaultDeadlineMs;
-  if (cfg_.maxDeadlineMs > 0.0 &&
-      (deadlineMs <= 0.0 || deadlineMs > cfg_.maxDeadlineMs))
-    deadlineMs = cfg_.maxDeadlineMs;
+  if (deadlineMs < 0.0)
+    return errorResponse(
+        400, "negative deadline: " + std::to_string(deadlineMs) + " ms");
 
   // --- Admission -----------------------------------------------------
   if (!server_.accepting())
@@ -207,8 +222,7 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
     const double workers = double(std::max<std::size_t>(
         1, server_.config().workers));
     const double eta = double(depth + 1) * p50 / workers;
-    const long long retry = std::llround(std::ceil(
-        std::max(cfg_.retryAfterMinSeconds, eta)));
+    const long long retry = std::llround(std::ceil(eta));
     net::HttpResponse res = errorResponse(
         429, "queue full (" + std::to_string(depth) + " waiting)");
     res.withHeader("Retry-After", std::to_string(std::max(1LL, retry)));
@@ -243,8 +257,8 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
   ep.extract.clip = detector_.params.clip;
   ep.removal.clip = detector_.params.clip;
   ep.decisionBias = bias;
-  ep.useRemoval = removal != 0.0;
-  ep.useFeedback = feedback != 0.0;
+  ep.useRemoval = removal;
+  ep.useFeedback = feedback;
   ep.tiling = tiling;
 
   std::optional<std::chrono::steady_clock::duration> timeout;

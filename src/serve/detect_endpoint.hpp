@@ -12,7 +12,9 @@
 //    are capped by the HttpServer's maxBodyBytes (413 beyond it).
 //  - query params: detector config (bias, removal=0|1, feedback=0|1),
 //    tiling (tile-size, halo, tile-threads), and deadline-ms (also
-//    accepted as an X-Deadline-Ms header; query wins). Bad numerics are
+//    accepted as an X-Deadline-Ms header; query wins; 0 or absent = no
+//    deadline). A present value the contract does not name — an empty
+//    or bare numeric, a negative deadline, a flag other than 0 or 1 — is
 //    a 400 before any work happens.
 //  - response 200: the report in windows format (gds::writeWindowList
 //    bytes — exactly what hsd_detect writes), with the run identified in
@@ -33,9 +35,9 @@
 //
 // Admission control: before parsing the body, the endpoint consults the
 // server's live queue depth; at or beyond maxQueueDepth it answers 429
-// with a Retry-After estimated from the p50 run latency — overload is
-// typed, never a hung or reset connection. A draining server answers
-// 503.
+// with a Retry-After estimated from the p50 run latency (at least 1 s) —
+// overload is typed, never a hung or reset connection. A draining
+// server answers 503.
 //
 // Typed failures: 400 (malformed layout/GDSII/params, undersized halo),
 // 413/431 (transport caps), 415 (unknown Content-Type), 429 (queue
@@ -66,13 +68,6 @@ struct DetectEndpointConfig {
   /// 429 + Retry-After instead of queueing. 0 rejects everything (useful
   /// in tests); pick >= expected burst for production.
   std::size_t maxQueueDepth = 64;
-  /// Deadline applied when the request carries none (0 = unbounded).
-  double defaultDeadlineMs = 0.0;
-  /// Hard ceiling on the per-request deadline; client asks beyond it are
-  /// clamped (0 = no ceiling).
-  double maxDeadlineMs = 0.0;
-  /// Floor for the Retry-After estimate, seconds.
-  double retryAfterMinSeconds = 1.0;
 };
 
 /// Bridges POST /detect to a DetectionServer. Thread-safe: the handler

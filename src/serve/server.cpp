@@ -66,7 +66,6 @@ void CancelSource::unbind() {
 }
 
 ContextPool::ContextPool(std::size_t contexts, std::size_t threadsPerContext,
-                         std::size_t batchSize,
                          std::shared_ptr<engine::StageCache> cache,
                          std::shared_ptr<obs::TraceRecorder> tracer,
                          std::shared_ptr<obs::LogRecorder> log,
@@ -75,8 +74,7 @@ ContextPool::ContextPool(std::size_t contexts, std::size_t threadsPerContext,
   all_.reserve(contexts);
   free_.reserve(contexts);
   for (std::size_t i = 0; i < contexts; ++i) {
-    auto ctx = std::make_unique<engine::RunContext>(threadsPerContext,
-                                                    batchSize);
+    auto ctx = std::make_unique<engine::RunContext>(threadsPerContext);
     if (cache) ctx->attachCache(cache);
     if (tracer) ctx->attachTracer(tracer);
     if (log) ctx->attachLog(log);
@@ -145,11 +143,11 @@ DetectionServer::DetectionServer(ServerConfig cfg) : cfg_(cfg) {
       });
   slo_->setLatencySource(runHist_);
   if (cfg_.enableCache)
-    cache_ = std::make_shared<engine::StageCache>(cfg_.cacheCapacity,
-                                                  cfg_.tracer);
+    cache_ = std::make_shared<engine::StageCache>(
+        engine::StageCache::kDefaultCapacity, cfg_.tracer);
   pool_ = std::make_unique<ContextPool>(cfg_.contexts, cfg_.threadsPerContext,
-                                        cfg_.batchSize, cache_, cfg_.tracer,
-                                        cfg_.log, cfg_.modelStats);
+                                        cache_, cfg_.tracer, cfg_.log,
+                                        cfg_.modelStats);
   workers_.reserve(cfg_.workers);
   for (std::size_t i = 0; i < cfg_.workers; ++i)
     workers_.emplace_back([this, i] { workerLoop(i); });

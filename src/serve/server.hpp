@@ -64,9 +64,7 @@ struct ServerConfig {
   std::size_t workers = 2;       ///< request-draining threads
   std::size_t contexts = 0;      ///< RunContext pool size (0 = workers)
   std::size_t threadsPerContext = 1;  ///< intra-request parallelism
-  std::size_t batchSize = engine::RunContext::kDefaultBatchSize;
   bool enableCache = true;       ///< share one StageCache across requests
-  std::size_t cacheCapacity = engine::StageCache::kDefaultCapacity;
   /// Opt-in span tracing of the whole serving path: worker threads are
   /// named in the trace, every request contributes queued/run spans
   /// (request-id and status annotated), pooled contexts emit per-batch
@@ -141,7 +139,6 @@ struct ServeResult {
 class ContextPool {
  public:
   ContextPool(std::size_t contexts, std::size_t threadsPerContext,
-              std::size_t batchSize,
               std::shared_ptr<engine::StageCache> cache,
               std::shared_ptr<obs::TraceRecorder> tracer = nullptr,
               std::shared_ptr<obs::LogRecorder> log = nullptr,

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace hsd::tests {
 
@@ -142,6 +143,20 @@ class JsonParser {
 
 inline bool parsesAsJson(const std::string& text) {
   return JsonParser(text).parse();
+}
+
+/// The raw value after every `"key": ` in `text`, in order, up to the next
+/// ',', '}' or newline (string values keep their quotes).
+inline std::vector<std::string> fieldValues(const std::string& text,
+                                            const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  std::vector<std::string> out;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    const std::size_t b = at + needle.size();
+    out.push_back(text.substr(b, text.find_first_of(",}\n", b) - b));
+  }
+  return out;
 }
 
 }  // namespace hsd::tests

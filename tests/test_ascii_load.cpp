@@ -102,6 +102,33 @@ TEST(ClipSet, GeometryOutsideAClipThrows) {
     EXPECT_NE(errorOf(readClips, text, text), "") << text;
 }
 
+TEST(ClipSet, HeaderComesFirstAndOnce) {
+  for (const char* text :
+       {"clip 0 0 0\nendclip\nclipset c 1200 4800\n",
+        "clipset c 1200 4800\nclipset c 1200 4800\n", "clip 0 0 0\nendclip\n",
+        ""})
+    EXPECT_NE(errorOf(readClips, text, text), "") << text;
+}
+
+TEST(ClipSet, HeaderSidesAreCheckedAsAPair) {
+  // 0 < coreSide <= clipSide, and an even difference: the ambit is half
+  // of it, so an odd one would make every window 1 dbu narrower than the
+  // header's clip side.
+  for (const char* sides : {"1200 -4800", "0 0", "0 4800", "-1200 4800",
+                            "4800 1200", "1200 4801"}) {
+    const std::string clips = std::string("clipset c ") + sides + "\n";
+    const std::string windows = std::string("windows ") + sides + "\n";
+    EXPECT_NE(errorOf(readClips, clips, clips), "") << clips;
+    EXPECT_NE(errorOf(readWindows, windows, windows), "") << windows;
+  }
+  for (const char* sides : {"1200 1200", "1 3", "1200 4800"}) {
+    const std::string clips = std::string("clipset c ") + sides + "\n";
+    const std::string windows = std::string("windows ") + sides + "\n";
+    EXPECT_EQ(errorOf(readClips, clips, clips), "") << clips;
+    EXPECT_EQ(errorOf(readWindows, windows, windows), "") << windows;
+  }
+}
+
 TEST(WindowList, HeaderComesFirstAndOnce) {
   for (const char* text : {"at 0 0\nwindows 1200 4800\n",
                            "windows 1200 4800\nwindows 1200 4800\n",

@@ -305,12 +305,22 @@ TEST(DetectHttp, MalformedInputsGet400) {
   }
   // Bad numeric query parameters and headers, rejected before any parsing
   // work: one decimal number per value, no hex floats.
-  for (const char* target : {"/detect?bias=wat", "/detect?bias=0x1p3"})
+  // A present value must be one the contract names: an empty or bare
+  // numeric is no number, a deadline is never negative, and the removal
+  // and feedback flags are 0 or 1.
+  for (const char* target :
+       {"/detect?bias=wat", "/detect?bias=0x1p3", "/detect?bias=",
+        "/detect?bias", "/detect?tile-size=", "/detect?deadline-ms",
+        "/detect?deadline-ms=-1", "/detect?removal=2", "/detect?removal=",
+        "/detect?feedback=0.5", "/detect?feedback"})
     EXPECT_EQ(postLayout(w, target, asciiLayoutBody()).status, 400) << target;
-  EXPECT_EQ(net::httpPost("127.0.0.1", w.port(), "/detect", asciiLayoutBody(),
-                          "text/plain", {{"X-Deadline-Ms", "0x10"}}, 60000)
-                .status,
-            400);
+  for (const char* deadline : {"0x10", "-1"})
+    EXPECT_EQ(net::httpPost("127.0.0.1", w.port(), "/detect",
+                            asciiLayoutBody(), "text/plain",
+                            {{"X-Deadline-Ms", deadline}}, 60000)
+                  .status,
+              400)
+        << deadline;
   // Tiling parameters must be whole numbers in [0, 2^53]: huge values
   // would overflow the integer conversion, fractions and negatives would
   // silently run untiled.

@@ -1101,6 +1101,30 @@ TEST(ModelPlane, AdminModelzServesSketchesDriftAndStrictParams) {
   EXPECT_NE(ready.body.find("\"degraded\": false"), std::string::npos);
 }
 
+TEST(ModelPlane, AdminModelzKeepsTheNewestCapturesOldestFirst) {
+  // Two threads capture out of time order, so the snapshot's (thread,
+  // record) order is not time order: ?limit= keeps the newest captures by
+  // stamp and lists them oldest first. x numbers them in time order.
+  auto rec = std::make_shared<ModelStatsRecorder>(
+      std::vector<std::string>{"alpha"});
+  rec->capture(0, 0.01, 0, 0, 0);
+  std::thread([&] {
+    rec->capture(0, 0.01, 1, 0, 1);
+    rec->capture(0, 0.01, 2, 0, 2);
+  }).join();
+  rec->capture(0, 0.01, 3, 0, 3);
+  rec->capture(0, 0.01, 4, 0, 4);
+  AdminServer admin;
+  admin.setModelStats(rec);
+  admin.start();
+  const net::HttpResult res =
+      net::httpGet("127.0.0.1", admin.port(), "/modelz?limit=3");
+  ASSERT_EQ(res.status, 200);
+  EXPECT_EQ(hsd::tests::fieldValues(res.body, "x"),
+            (std::vector<std::string>{"2", "3", "4"}))
+      << res.body;
+}
+
 TEST(ModelPlane, AdminWithoutRecorderReportsDisabledAndDriftFlipsDegraded) {
   {
     AdminServer bare;

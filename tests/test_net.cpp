@@ -106,8 +106,7 @@ int countOccurrences(const std::string& text, const std::string& needle) {
 TEST(HttpServer, RoutesRequestsAndParsesQueryParams) {
   HttpServer server;
   server.handle("/hello", [](const HttpRequest& req) {
-    std::string who = req.queryParam("name");
-    if (who.empty()) who = "anonymous";
+    const std::string who = req.queryParam("name").value_or("anonymous");
     EXPECT_NE(req.header("host"), nullptr);
     return HttpResponse::text(200, "hello " + who + "\n");
   });
@@ -599,6 +598,65 @@ TEST(AdminServer, TracezHonorsLimitAndReportsDisabledWithoutTracer) {
   EXPECT_NE(off.body.find("\"enabled\": false"), std::string::npos);
 }
 
+TEST(AdminServer, SnapshotEndpointsKeepTheNewestRecordsOldestFirst) {
+  using hsd::tests::fieldValues;
+  // Two threads record out of time order, so the snapshot's (thread,
+  // record) order is not time order. ?limit= keeps the newest records by
+  // time — a span's end for /tracez, the stamp for /logz — and lists
+  // them oldest first.
+  auto tracer = std::make_shared<obs::TraceRecorder>();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto span = [&](const char* name, int beginMs, int endMs) {
+    tracer->recordSpan(name, "test", t0 + std::chrono::milliseconds(beginMs),
+                       t0 + std::chrono::milliseconds(endMs));
+  };
+  // Named by end time; by begin time the newest four would be e3, e5,
+  // e6 and e7.
+  span("e8", 0, 8);
+  span("e2", 1, 2);
+  span("e6", 5, 6);
+  std::thread([&] {
+    span("e7", 6, 7);
+    span("e1", 0, 1);
+    span("e5", 3, 5);
+    span("e3", 2, 3);
+  }).join();
+
+  auto log = std::make_shared<obs::LogRecorder>();
+  log->log(obs::LogLevel::kInfo, "test", "m0");
+  std::thread([&] {
+    log->log(obs::LogLevel::kInfo, "test", "t0");
+    log->log(obs::LogLevel::kInfo, "test", "t1");
+  }).join();
+  log->log(obs::LogLevel::kInfo, "test", "m1");
+  log->log(obs::LogLevel::kInfo, "test", "m2");
+
+  obs::AdminServer admin;
+  admin.setTracer(tracer);
+  admin.setLog(log);
+  admin.start();
+  const HttpResult spans =
+      httpGet("127.0.0.1", admin.port(), "/tracez?limit=4");
+  ASSERT_EQ(spans.status, 200);
+  const std::string spanPart = spans.body.substr(spans.body.find("\"spans\""));
+  EXPECT_EQ(fieldValues(spanPart, "name"),
+            (std::vector<std::string>{"\"e5\"", "\"e6\"", "\"e7\"", "\"e8\""}))
+      << spans.body;
+
+  const HttpResult logs = httpGet("127.0.0.1", admin.port(), "/logz?limit=3");
+  ASSERT_EQ(logs.status, 200);
+  EXPECT_EQ(fieldValues(logs.body, "message"),
+            (std::vector<std::string>{"\"t1\"", "\"m1\"", "\"m2\""}))
+      << logs.body;
+  // The --log-out dump is the same order over every record.
+  std::ostringstream dump;
+  log->writeJsonLines(dump);
+  EXPECT_EQ(fieldValues(dump.str(), "message"),
+            (std::vector<std::string>{"\"m0\"", "\"t0\"", "\"t1\"", "\"m1\"",
+                                      "\"m2\""}))
+      << dump.str();
+}
+
 TEST(AdminServer, SnapshotEndpointsRejectJunkQueryParams) {
   obs::AdminServer admin;
   admin.setTracer(std::make_shared<obs::TraceRecorder>());
@@ -606,9 +664,12 @@ TEST(AdminServer, SnapshotEndpointsRejectJunkQueryParams) {
   admin.start();
   // Junk ?limit= is a 400 on both snapshot endpoints, never a silent
   // default.
+  // A present but empty value (`?limit=` or a bare `?limit`) is junk too.
   for (const char* target :
        {"/tracez?limit=abc", "/tracez?limit=-1", "/tracez?limit=0",
-        "/tracez?limit=3x", "/logz?limit=abc", "/logz?limit=0"}) {
+        "/tracez?limit=3x", "/logz?limit=abc", "/logz?limit=0",
+        "/tracez?limit=", "/tracez?limit", "/logz?limit=",
+        "/modelz?limit="}) {
     const HttpResult res = httpGet("127.0.0.1", admin.port(), target);
     EXPECT_EQ(res.status, 400) << target;
     EXPECT_NE(res.body.find("limit"), std::string::npos) << target;
@@ -616,12 +677,14 @@ TEST(AdminServer, SnapshotEndpointsRejectJunkQueryParams) {
   // Junk ?trace= likewise (wrong length, non-hex, the all-zero id).
   for (const char* target :
        {"/tracez?trace=abc", "/logz?trace=xyz",
-        "/tracez?trace=00000000000000000000000000000000"}) {
+        "/tracez?trace=00000000000000000000000000000000", "/tracez?trace=",
+        "/logz?trace"}) {
     EXPECT_EQ(httpGet("127.0.0.1", admin.port(), target).status, 400)
         << target;
   }
-  EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/logz?level=loud").status,
-            400);
+  for (const char* target : {"/logz?level=loud", "/logz?level="})
+    EXPECT_EQ(httpGet("127.0.0.1", admin.port(), target).status, 400)
+        << target;
   // Well-formed values still work.
   EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/tracez?limit=5").status,
             200);

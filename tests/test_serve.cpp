@@ -315,7 +315,7 @@ TEST(DetectionServer, StatusNamesAreStable) {
 // share.
 
 TEST(ContextPool, TryCheckoutReturnsNullWhenEveryContextIsOut) {
-  ContextPool pool(2, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  ContextPool pool(2, 1, nullptr);
   engine::RunContext* const a = pool.tryCheckout();
   engine::RunContext* const b = pool.tryCheckout();
   ASSERT_NE(a, nullptr);
@@ -329,7 +329,7 @@ TEST(ContextPool, TryCheckoutReturnsNullWhenEveryContextIsOut) {
 }
 
 TEST(ContextPool, CheckoutBlocksUntilCheckin) {
-  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  ContextPool pool(1, 1, nullptr);
   engine::RunContext* const held = pool.checkout();
   std::future<engine::RunContext*> waiter =
       std::async(std::launch::async, [&pool] { return pool.checkout(); });
@@ -342,7 +342,7 @@ TEST(ContextPool, CheckoutBlocksUntilCheckin) {
 }
 
 TEST(ContextPool, CheckinClearsCancelDeadlineStatsAndTrace) {
-  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  ContextPool pool(1, 1, nullptr);
   engine::RunContext* const ctx = pool.checkout();
   ctx->requestCancel();
   ctx->setDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
@@ -360,7 +360,7 @@ TEST(ContextPool, CheckinClearsCancelDeadlineStatsAndTrace) {
 }
 
 TEST(ContextPool, ForeignContextIsRefused) {
-  ContextPool pool(1, 1, engine::RunContext::kDefaultBatchSize, nullptr);
+  ContextPool pool(1, 1, nullptr);
   engine::RunContext* const own = pool.checkout();
   engine::RunContext foreign(1);
   foreign.requestCancel();

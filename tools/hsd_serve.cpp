@@ -198,6 +198,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const core::Detector det = core::Detector::load(ms);
+    const std::uint64_t modelFingerprint = det.fingerprint();
     // The tile plan's halo floor depends on the model's clip size: check
     // it now, before reading the layout.
     try {
@@ -240,7 +241,7 @@ int main(int argc, char** argv) {
     std::shared_ptr<obs::DriftScorer> drift;
     if (modelStatsOut != nullptr || adminEnabled) {
       obs::ModelStatsRecorder::Options opts;
-      opts.modelFingerprint = det.fingerprint();
+      opts.modelFingerprint = modelFingerprint;
       cfg.modelStats =
           std::make_shared<obs::ModelStatsRecorder>(det.clusterNames(), opts);
       if (det.hasBaseline) {
@@ -277,9 +278,8 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<obs::AdminServer> admin;
     if (adminEnabled) {
-      obs::AdminOptions ao;
-      ao.port = *adminPort;
-      admin = std::make_unique<obs::AdminServer>(ao);
+      admin = std::make_unique<obs::AdminServer>(
+          obs::AdminOptions{.port = *adminPort});
       admin->addMetrics(server.metrics());
       if (endpoint) admin->addMetrics(endpoint->metrics());
       admin->setTracer(cfg.tracer);
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
     stats.field("reportsIdentical", identical);
     stats.field("interrupted", interrupted);
     stats.key("server").raw(server.statsJson());
-    stats.field("model", obs::hex64(det.fingerprint())).endObject();
+    stats.field("model", obs::hex64(modelFingerprint)).endObject();
     std::printf("SERVE_STATS %s\n", stats.str().c_str());
     std::fflush(stdout);
     if (cfg.tracer && traceOut != nullptr) {
