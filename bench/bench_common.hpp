@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -69,6 +70,46 @@ inline double quantile(std::vector<double> xs, double q) {
   if (i + 1 >= xs.size()) return xs.back();
   const double frac = pos - double(i);
   return xs[i] * (1.0 - frac) + xs[i + 1] * frac;
+}
+
+/// Repeated timings of one operation: every sample in seconds, in run
+/// order, and their spread. MAD is the median absolute deviation from the
+/// median, CV the standard deviation over the mean.
+struct Measurement {
+  std::vector<double> seconds;
+  double median = 0.0;
+  double mad = 0.0;
+  double cv = 0.0;
+};
+
+/// Calls `fn` `warmup` times untimed, then times one call per sample
+/// until at least `minIters` samples are taken and they add up to at
+/// least `budgetSeconds`.
+template <typename Fn>
+Measurement measure(Fn&& fn, std::size_t warmup, std::size_t minIters,
+                    double budgetSeconds) {
+  for (std::size_t i = 0; i < warmup; ++i) fn();
+  Measurement m;
+  double total = 0.0;
+  while (m.seconds.size() < minIters || total < budgetSeconds) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    m.seconds.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    total += m.seconds.back();
+  }
+  const double n = double(m.seconds.size());
+  m.median = quantile(m.seconds, 0.5);
+  std::vector<double> deviations;
+  double squares = 0.0;
+  for (const double s : m.seconds) {
+    deviations.push_back(std::abs(s - m.median));
+    squares += (s - total / n) * (s - total / n);
+  }
+  m.mad = quantile(deviations, 0.5);
+  m.cv = total > 0.0 ? std::sqrt(squares / n) / (total / n) : 0.0;
+  return m;
 }
 
 inline std::size_t hwThreads() {

@@ -280,7 +280,6 @@ int main(int argc, char** argv) {
     serve::DetectionServer server(tiledCfg);
     core::EvalParams tiledEp = ep;
     tiledEp.tiling.tileSize = spec.width / 4;
-    tiledEp.tiling.tileThreads = 4;
     const std::vector<const Layout*> layouts(kRequests, &b.test.layout);
     scenarios.push_back(runScenario("tiled", server, det, layouts, tiledEp));
   }

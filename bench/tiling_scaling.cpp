@@ -5,21 +5,22 @@
 // Three measurements, all stamped into BENCH_tiling.json via
 // `--json-out` (wired into bench/run_benches.sh):
 //
-//   baselines — monolithic evaluation at threads=1 and threads=8
-//               (p50/p95/p99 over iterations);
-//   grid      — tileSize x threads matrix: per-config latency
-//               percentiles, tile counts, speedup vs both baselines, and
+//   baselines — monolithic evaluation at threads=1 and threads=8;
+//   grid      — tileSize x threads matrix: per-config run time, tile
+//               counts, speedup (median over median) vs both baselines, and
 //               the non-negotiable `identical` bit (tiled report ==
 //               monolithic report, window for window);
 //   cache     — a cold+warm tiled pair over one shared StageCache: the
 //               warm run's hit rate (tiled runs share the monolithic
 //               cache keys, so warm should be ~1.0).
 //
-// Speedups are honest wall-clock ratios on THIS machine; `hwThreads`
-// is recorded so single-core CI numbers are not mistaken for the
-// multi-core scaling the tiling layer exists to provide.
+// Every run time is a bench::measure: one warm-up run, then at least
+// kMinIters runs and kBudgetSeconds, reported as median, MAD and CV with
+// the sample count. Speedups are honest wall-clock ratios on THIS
+// machine; `hwThreads` is recorded so single-core CI numbers are not
+// mistaken for the multi-core scaling the tiling layer exists to
+// provide. The numbers are diagnostics, not claim evidence.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -35,33 +36,21 @@ namespace {
 
 using namespace hsd;
 
-struct Timing {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
+constexpr std::size_t kMinIters = 10;
+constexpr double kBudgetSeconds = 1.0;
 
 struct Measured {
-  Timing timing;
-  core::EvalResult result;  ///< last iteration's result (identity checks)
+  bench::Measurement timing;
+  core::EvalResult result;  ///< last run's result (identity checks)
 };
 
-Measured measure(const core::Detector& det, const Layout& layout,
-                 const core::EvalParams& ep, std::size_t threads,
-                 std::size_t iters) {
+Measured measureEval(const core::Detector& det, const Layout& layout,
+                     const core::EvalParams& ep, std::size_t threads) {
   Measured out;
-  std::vector<double> secs;
-  secs.reserve(iters);
-  for (std::size_t i = 0; i < iters; ++i) {
-    engine::RunContext ctx(threads);
-    const auto t0 = std::chrono::steady_clock::now();
-    out.result = core::evaluateLayout(det, layout, ep, ctx);
-    secs.push_back(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
-  }
-  out.timing = {bench::quantile(secs, 0.50), bench::quantile(secs, 0.95),
-                bench::quantile(secs, 0.99)};
+  engine::RunContext ctx(threads);
+  out.timing = bench::measure(
+      [&] { out.result = core::evaluateLayout(det, layout, ep, ctx); }, 1,
+      kMinIters, kBudgetSeconds);
   return out;
 }
 
@@ -75,15 +64,15 @@ struct GridPoint {
   std::size_t tiles = 0;       ///< plan tile count
   std::size_t activeTiles = 0; ///< tiles owning at least one anchor
   std::size_t threads = 0;
-  Timing timing;
+  bench::Measurement timing;
   bool identical = false;
   double speedupVsMono1 = 0.0;
   double speedupVsMono8 = 0.0;
 };
 
-void jsonTiming(hsd::obs::JsonWriter& w, const Timing& t) {
-  w.beginObject().field("p50", t.p50).field("p95", t.p95);
-  w.field("p99", t.p99).endObject();
+void jsonTiming(hsd::obs::JsonWriter& w, const bench::Measurement& t) {
+  w.beginObject().field("median", t.median).field("mad", t.mad);
+  w.field("cv", t.cv).field("n", t.seconds.size()).endObject();
 }
 
 }  // namespace
@@ -91,7 +80,6 @@ void jsonTiming(hsd::obs::JsonWriter& w, const Timing& t) {
 int main(int argc, char** argv) {
   bench::printHeader("Tiled evaluation scaling (tiles x threads)");
   const char* jsonOut = bench::argString(argc, argv, "--json-out", nullptr);
-  constexpr std::size_t kIters = 3;
 
   const auto spec = bench::smallSuite()[0];
   const data::Benchmark b = data::generateBenchmark(spec);
@@ -100,14 +88,17 @@ int main(int argc, char** argv) {
       core::trainDetector(b.training.clips, bench::makeOurs().train, trainCtx);
   const core::EvalParams baseEp = bench::makeOurs(0.0, 1).eval;
 
-  std::printf("  layout %lldx%lld dbu, hwThreads=%zu, iters=%zu\n",
+  std::printf("  layout %lldx%lld dbu, hwThreads=%zu, min iters=%zu\n",
               static_cast<long long>(spec.width),
-              static_cast<long long>(spec.height), bench::hwThreads(), kIters);
+              static_cast<long long>(spec.height), bench::hwThreads(),
+              kMinIters);
 
-  const Measured mono1 = measure(det, b.test.layout, baseEp, 1, kIters);
-  const Measured mono8 = measure(det, b.test.layout, baseEp, 8, kIters);
-  std::printf("  mono  threads=1 p50 %.3fs   threads=8 p50 %.3fs\n",
-              mono1.timing.p50, mono8.timing.p50);
+  const Measured mono1 = measureEval(det, b.test.layout, baseEp, 1);
+  const Measured mono8 = measureEval(det, b.test.layout, baseEp, 8);
+  std::printf("  mono  threads=1 median %.3fs (cv %.2f)   threads=8 median "
+              "%.3fs (cv %.2f)\n",
+              mono1.timing.median, mono1.timing.cv, mono8.timing.median,
+              mono8.timing.cv);
 
   std::vector<GridPoint> grid;
   for (const Coord tileSize : {spec.width / 4, spec.width / 2}) {
@@ -122,17 +113,19 @@ int main(int argc, char** argv) {
       gp.tiles = plan.plan.tileCount();
       gp.activeTiles = plan.work.size();
       gp.threads = threads;
-      const Measured m = measure(det, b.test.layout, ep, threads, kIters);
+      const Measured m = measureEval(det, b.test.layout, ep, threads);
       gp.timing = m.timing;
       gp.identical = sameReport(m.result, mono1.result);
       gp.speedupVsMono1 =
-          m.timing.p50 > 0.0 ? mono1.timing.p50 / m.timing.p50 : 0.0;
+          m.timing.median > 0.0 ? mono1.timing.median / m.timing.median : 0.0;
       gp.speedupVsMono8 =
-          m.timing.p50 > 0.0 ? mono8.timing.p50 / m.timing.p50 : 0.0;
+          m.timing.median > 0.0 ? mono8.timing.median / m.timing.median : 0.0;
       std::printf("  tile %6lld (%2zu tiles, %2zu active) threads=%zu  "
-                  "p50 %.3fs  x%.2f vs mono1  identical=%s\n",
+                  "median %.3fs (mad %.3fs, cv %.2f, n %zu)  x%.2f vs mono1  "
+                  "identical=%s\n",
                   static_cast<long long>(tileSize), gp.tiles, gp.activeTiles,
-                  threads, gp.timing.p50, gp.speedupVsMono1,
+                  threads, gp.timing.median, gp.timing.mad, gp.timing.cv,
+                  gp.timing.seconds.size(), gp.speedupVsMono1,
                   gp.identical ? "true" : "false");
       grid.push_back(gp);
     }
@@ -174,7 +167,8 @@ int main(int argc, char** argv) {
 
   if (jsonOut != nullptr) {
     obs::JsonWriter w = bench::benchJson("tiling_scaling");
-    w.field("hwThreads", bench::hwThreads()).field("iters", kIters);
+    w.field("hwThreads", bench::hwThreads()).field("minIters", kMinIters);
+    w.field("budgetSeconds", kBudgetSeconds);
     w.key("layout").beginObject().field("width", spec.width);
     w.field("height", spec.height).endObject();
     w.key("baselines").beginObject().key("mono1");

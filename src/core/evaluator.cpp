@@ -346,7 +346,7 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
           {"tile", w.tileId}, {"anchors", w.anchors.size()});
 
   // Local geometry slice: every *unclipped* rect overlapping the
-  // halo-expanded tile, in global relative order. halo >= minTileHalo
+  // halo-expanded tile, in global relative order. The minTileHalo halo
   // guarantees any clip window of an owned anchor lies inside the
   // expanded region, so each window's rect set — and hence its screen
   // verdict, content hash, features and kernel scores, all of which are
@@ -427,9 +427,8 @@ std::vector<TileEvalResult> evaluateTiles(
     }
   };
 
-  // Claim loops per context, contexts[0] first, until the cap is spent.
-  std::size_t left =
-      p.tiling.tileThreads == 0 ? n : std::min(n, p.tiling.tileThreads);
+  // Claim loops per context, contexts[0] first, until every tile has one.
+  std::size_t left = n;
   const std::size_t own = std::min(contexts[0]->threadCount(), left);
   left -= own;
   std::vector<std::thread> helpers;

@@ -90,8 +90,7 @@ struct TiledLayout {
 };
 
 /// Enumerate the monolithic candidate-anchor stream once and partition it
-/// to tiles. Throws std::invalid_argument when p.tiling is disabled or
-/// the halo is below the exactness minimum (engine::minTileHalo). A
+/// to tiles. Throws std::invalid_argument when p.tiling is disabled. A
 /// missing/empty layer yields an empty plan (no work).
 TiledLayout prepareTiledLayout(const Layout& layout, LayerId layer,
                                const EvalParams& p);
@@ -118,11 +117,10 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
 /// contexts claim tiles from one shared index: a context with T threads
 /// runs up to T claim loops through its own parallelFor (the stages of
 /// each tile then run inline), a one-thread context claims on the thread
-/// driving it. p.tiling.tileThreads caps the claim loops across all
-/// contexts. The first error stops all claiming, cancels every helper
-/// (never contexts[0], which the caller may reuse) and is rethrown once
-/// every context is idle. Helper stats are folded into contexts[0]
-/// before returning or throwing.
+/// driving it; no more loops start than there are tiles. The first error
+/// stops all claiming, cancels every helper (never contexts[0], which the
+/// caller may reuse) and is rethrown once every context is idle. Helper
+/// stats are folded into contexts[0] before returning or throwing.
 std::vector<TileEvalResult> evaluateTiles(
     const Detector& det, const TiledLayout& tiled, const EvalParams& p,
     std::span<engine::RunContext* const> contexts);

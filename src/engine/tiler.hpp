@@ -4,11 +4,10 @@
 // geom's GridTiling — row-major, deterministic) and expands each tile by a
 // halo so that every stage run inside the tile (clip extraction, screen,
 // feature extraction, fuzzy matching) sees the *full* geometry any owned
-// anchor's clip window can reach. The halo must cover the clip's reach
-// from an anchor — ambit plus half the core side (minTileHalo) — or the
-// plan refuses to build: an undersized halo would silently change
-// verdicts at seams, which is the one failure mode this layer exists to
-// prevent.
+// anchor's clip window can reach. The halo is the clip's reach from an
+// anchor — ambit plus half the core side (minTileHalo) — a function of
+// the model's clip geometry, never a choice: a smaller one would
+// silently change verdicts at seams, a larger one only costs work.
 //
 // Ownership rule: every candidate anchor belongs to exactly one tile, the
 // one owning its canonical corner (GridTiling::ownerOf — half-open seams,
@@ -30,19 +29,14 @@
 
 namespace hsd::engine {
 
-/// Tiled-evaluation knobs. Tiling is off by default (tileSize == 0): the
-/// monolithic path runs unchanged. Deliberately *not* part of any config
-/// fingerprint — tiling must never change results, only their schedule.
+/// Tiled evaluation's one setting. Tiling is off by default (tileSize ==
+/// 0): the monolithic path runs unchanged. Deliberately *not* part of any
+/// config fingerprint — tiling must never change results, only their
+/// schedule. The halo follows from the clip (minTileHalo), and the tiles
+/// in flight from the threads of the contexts that run them.
 struct TilingParams {
   /// Grid tile side in dbu; 0 disables tiling.
   Coord tileSize = 0;
-  /// Halo width in dbu; 0 means "auto" (minTileHalo of the clip params).
-  /// Anything below the minimum is a hard error at plan time.
-  Coord halo = 0;
-  /// The most tiles in flight at once, across every context evaluating
-  /// them (0 = no cap). It only bounds work: the threads that run the
-  /// tiles are the contexts' own.
-  std::size_t tileThreads = 0;
 
   bool enabled() const { return tileSize > 0; }
 };
@@ -58,16 +52,9 @@ std::uint64_t wholeNumber(const char* field, double v, double max);
 /// wholeNumber() callers use for values with no tighter bound.
 inline constexpr double kMaxExactWhole = 9007199254740992.0;
 
-/// TilingParams from untrusted doubles: each must be a whole number in
-/// [0, 2^53] (the range a double holds exactly), else
-/// std::invalid_argument naming the field ("tile-size", "halo" or
-/// "tile-threads").
-TilingParams makeTilingParams(double tileSize, double halo,
-                              double tileThreads);
-
-/// Smallest halo that keeps tiled evaluation exact: the farthest a clip
-/// window reaches from its anchor — the ambit ring plus (rounded-up) half
-/// the core. Always larger than the ambit alone.
+/// The tile halo: the farthest a clip window reaches from its anchor —
+/// the ambit ring plus (rounded-up) half the core, the least that keeps
+/// tiled evaluation exact. Always larger than the ambit alone.
 constexpr Coord minTileHalo(const ClipParams& clip) {
   return clip.ambit() + (clip.coreSide - clip.coreSide / 2);
 }
@@ -85,8 +72,8 @@ struct TileSpec {
 /// ownership on every run, thread count and machine.
 class TilePlan {
  public:
-  /// Build a plan over `bounds`. Throws std::invalid_argument when tiling
-  /// is disabled (tileSize <= 0) or the halo is below minTileHalo(clip).
+  /// Build a plan over `bounds` with halo minTileHalo(clip). Throws
+  /// std::invalid_argument when tiling is disabled (tileSize <= 0).
   static TilePlan make(const Rect& bounds, const TilingParams& params,
                        const ClipParams& clip);
 
@@ -107,12 +94,6 @@ class TilePlan {
   GridTiling grid_;
   Coord halo_ = 0;
 };
-
-/// TilePlan::make's halo check without a layout: throws its
-/// std::invalid_argument when `params` enable tiling with a halo below
-/// minTileHalo(clip), else does nothing. Callers run it as soon as the
-/// model's clip parameters are known, before reading any layout.
-void checkTilePlan(const TilingParams& params, const ClipParams& clip);
 
 /// One per-tile hit: the global anchor sequence number (position in the
 /// monolithic candidateAnchors stream) and the flagged window.

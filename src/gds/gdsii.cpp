@@ -306,7 +306,21 @@ CellLibrary readGdsiiHierarchyFile(const std::string& path) {
   return readGdsiiHierarchy(is);
 }
 
-Layout readGdsii(std::istream& is) { return readGdsiiHierarchy(is).flatten(); }
+Layout readGdsii(std::istream& is) {
+  const CellLibrary lib = readGdsiiHierarchy(is);
+  std::size_t polygons = 0;
+  try {
+    // The count walks the hierarchy without expanding it, so a small
+    // stream of nested arrays fails here instead of in the allocator.
+    polygons = lib.flatPolygonCount();
+    if (polygons <= kMaxFlatPolygons) return lib.flatten();
+  } catch (const std::runtime_error& e) {  // missing cell, depth > 64
+    throw GdsError(std::string("GDSII: ") + e.what());
+  }
+  throw GdsTooLarge("GDSII: hierarchy flattens to " +
+                    std::to_string(polygons) + " polygons (limit " +
+                    std::to_string(kMaxFlatPolygons) + ")");
+}
 
 Layout readGdsiiFile(const std::string& path) {
   std::ifstream is(path, std::ios::binary);

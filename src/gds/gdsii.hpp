@@ -4,6 +4,7 @@
 // transforms (90-degree angles, optional reflection).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -20,6 +21,20 @@ class GdsError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// A GDSII stream whose hierarchy would flatten to more than
+/// kMaxFlatPolygons polygons (readGdsii refuses it before flattening).
+class GdsTooLarge : public GdsError {
+ public:
+  using GdsError::GdsError;
+};
+
+/// The most polygons readGdsii flattens a hierarchy into (2^22): a few
+/// hundred MB of flat geometry, ~690x the largest generated benchmark
+/// layout (about 6,100 polygons), and more than a 64 MB body can hold
+/// flat. A stream of a few hundred bytes can place one cell 30000 x
+/// 30000 times.
+inline constexpr std::size_t kMaxFlatPolygons = std::size_t(1) << 22;
 
 /// Options controlling GDSII export.
 struct WriteOptions {
@@ -39,6 +54,8 @@ void writeGdsiiFile(const std::string& path, const Layout& layout,
 /// Read a GDSII stream, flattening the hierarchy under the top structure
 /// (the structure that is never referenced; ties broken by first defined).
 /// PATH elements are converted to rectangles (Manhattan segments only).
+/// Every failure is a GdsError: a missing cell or a too-deep hierarchy
+/// too, and GdsTooLarge past kMaxFlatPolygons flat polygons.
 Layout readGdsii(std::istream& is);
 Layout readGdsiiFile(const std::string& path);
 

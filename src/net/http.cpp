@@ -21,6 +21,10 @@ namespace hsd::net {
 
 namespace {
 
+/// Accepted connections waiting for a handler thread; past it the
+/// acceptor sheds (closes) new ones instead of queueing unboundedly.
+constexpr std::size_t kMaxQueuedConnections = 64;
+
 std::string toLower(std::string s) {
   for (char& c : s) c = char(std::tolower(static_cast<unsigned char>(c)));
   return s;
@@ -129,20 +133,25 @@ const std::string* HttpRequest::header(std::string_view lowerName) const {
   return nullptr;
 }
 
+std::vector<std::pair<std::string_view, std::string_view>>
+HttpRequest::queryPairs() const {
+  std::vector<std::pair<std::string_view, std::string_view>> out;
+  for (std::string_view rest = query; !rest.empty();) {
+    const std::string_view pair = rest.substr(0, rest.find('&'));
+    rest.remove_prefix(std::min(rest.size(), pair.size() + 1));
+    const std::size_t eq = pair.find('=');
+    if (!pair.empty())
+      out.emplace_back(pair.substr(0, eq),
+                       eq == std::string_view::npos ? std::string_view()
+                                                    : pair.substr(eq + 1));
+  }
+  return out;
+}
+
 std::optional<std::string> HttpRequest::queryParam(
     std::string_view key) const {
-  std::size_t pos = 0;
-  while (pos <= query.size()) {
-    std::size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const std::string_view pair =
-        std::string_view(query).substr(pos, end - pos);
-    const std::size_t eq = pair.find('=');
-    if (pair.substr(0, eq) == key)
-      return std::string(eq == std::string_view::npos ? std::string_view()
-                                                      : pair.substr(eq + 1));
-    pos = end + 1;
-  }
+  for (const auto& [k, v] : queryPairs())
+    if (k == key) return std::string(v);
   return std::nullopt;
 }
 
@@ -194,8 +203,6 @@ const char* statusReason(int status) {
 HttpServer::HttpServer(HttpServerOptions opts) : opts_(std::move(opts)) {
   opts_.handlerThreads = std::max<std::size_t>(1, opts_.handlerThreads);
   opts_.maxHeaderBytes = std::max<std::size_t>(128, opts_.maxHeaderBytes);
-  opts_.maxQueuedConnections =
-      std::max<std::size_t>(1, opts_.maxQueuedConnections);
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -304,7 +311,7 @@ void HttpServer::acceptLoop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (pending_.size() >= opts_.maxQueuedConnections) {
+      if (pending_.size() >= kMaxQueuedConnections) {
         lock.unlock();
         ::close(fd);  // overloaded: shed instead of queueing unboundedly
         continue;
@@ -487,12 +494,12 @@ bool HttpServer::readRequest(int fd, std::string& buf, HttpRequest& req,
 }
 
 void HttpServer::writeResponse(int fd, const HttpResponse& res,
-                               bool keepAlive, bool headOnly) {
+                               bool keepOpen, bool headOnly) {
   std::string head = "HTTP/1.1 " + std::to_string(res.status) + ' ' +
                      statusReason(res.status) + "\r\nContent-Type: " +
                      res.contentType + "\r\nContent-Length: " +
                      std::to_string(res.body.size()) + "\r\nConnection: " +
-                     (keepAlive ? "keep-alive" : "close") + "\r\n";
+                     (keepOpen ? "keep-alive" : "close") + "\r\n";
   for (const auto& [name, value] : res.headers)
     head += name + ": " + value + "\r\n";
   head += "\r\n";
@@ -553,7 +560,7 @@ void HttpServer::serveConnection(int fd) {
       if (errStatus != 0) {
         HttpResponse err = HttpResponse::text(
             errStatus, std::string(statusReason(errStatus)) + "\n");
-        writeResponse(fd, err, /*keepAlive=*/false, /*headOnly=*/false);
+        writeResponse(fd, err, /*keepOpen=*/false, /*headOnly=*/false);
       }
       return;
     }
@@ -563,7 +570,7 @@ void HttpServer::serveConnection(int fd) {
     // Application responses honor keep-alive whatever their status: the
     // request was fully consumed, so the connection stays in sync even
     // after a 404/405/429/5xx.
-    keep = opts_.keepAlive && wantsKeepAlive(req) && !res.closeConnection &&
+    keep = wantsKeepAlive(req) && !res.closeConnection &&
            !stopping_.load(std::memory_order_acquire);
     writeResponse(fd, res, keep, headOnly);
   }

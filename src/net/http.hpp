@@ -2,18 +2,19 @@
 // I/O) — the listener behind obs::AdminServer and the detection wire
 // plane (serve::DetectionEndpoint). Deliberately small: exact-path
 // GET/HEAD/POST routing, bounded request parsing (including chunked
-// uploads), optional keep-alive, and a graceful stop. Not a general web
+// uploads), keep-alive, and a graceful stop. Not a general web
 // server; it serves trusted operator traffic on a loopback/infra port.
 //
 // Threading model: one acceptor thread poll()s the listening socket and
 // feeds accepted connections to a small fixed pool of handler threads
-// (bounded queue). Each handler thread owns one connection at a time and
-// runs its request/response loop to completion. stop() is graceful in
-// the drain sense: the acceptor stops accepting, queued-but-unserved
-// connections are closed, in-flight requests finish and write their
-// responses (their read side is shutdown(2) so keep-alive loops exit),
-// then the threads are joined. Handlers may be called concurrently from
-// several threads — route handlers must be thread-safe.
+// (a queue of at most 64; more are shed). Each handler thread owns one
+// connection at a time and runs its request/response loop to
+// completion. stop() is graceful in the drain sense: the acceptor stops
+// accepting, queued-but-unserved connections are closed, in-flight
+// requests finish and write their responses (their read side is
+// shutdown(2) so keep-alive loops exit), then the threads are joined.
+// Handlers may be called concurrently from several threads — route
+// handlers must be thread-safe.
 //
 // Parsing limits (all configurable): request line + headers are capped
 // at maxHeaderBytes (431 when exceeded), bodies — Content-Length or
@@ -69,9 +70,14 @@ struct HttpRequest {
 
   /// First header with this (lower-case) name, or nullptr.
   const std::string* header(std::string_view lowerName) const;
-  /// Value of the first `key` in the query string: nullopt when absent,
-  /// "" when present bare (`?key`) or empty (`?key=`). No %-decoding —
-  /// endpoints use plain numeric/identifier params.
+  /// The query string's `&`-separated pairs in order, each split at its
+  /// first '=' into key and value ("" when bare, `?key`); empty segments
+  /// are skipped. Views into `query`. No %-decoding — endpoints use plain
+  /// numeric/identifier params.
+  std::vector<std::pair<std::string_view, std::string_view>> queryPairs()
+      const;
+  /// Value of the first `key` in queryPairs(): nullopt when absent, ""
+  /// when present bare (`?key`) or empty (`?key=`).
   std::optional<std::string> queryParam(std::string_view key) const;
 };
 
@@ -99,8 +105,6 @@ struct HttpServerOptions {
   std::size_t handlerThreads = 2;
   std::size_t maxHeaderBytes = 16 * 1024;
   std::size_t maxBodyBytes = 1 << 20;
-  std::size_t maxQueuedConnections = 64;  ///< accepted-but-unserved cap
-  bool keepAlive = true;
   /// Per-recv/send timeout; also bounds how long stop() can block on an
   /// idle keep-alive connection that never saw the shutdown(2).
   int ioTimeoutMs = 2000;
@@ -175,7 +179,7 @@ class HttpServer {
   /// errStatus set (400 bad framing / 413 over cap) on failure.
   bool readChunkedBody(int fd, std::string& buf, std::size_t bodyStart,
                        HttpRequest& req, int& errStatus);
-  void writeResponse(int fd, const HttpResponse& res, bool keepAlive,
+  void writeResponse(int fd, const HttpResponse& res, bool keepOpen,
                      bool headOnly);
   HttpResponse dispatch(const HttpRequest& req);
 

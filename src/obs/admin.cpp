@@ -60,13 +60,8 @@ net::HttpResponse badRequest(const std::string& detail) {
 }  // namespace
 
 AdminServer::AdminServer(AdminOptions opts)
-    : http_([&opts] {
-        net::HttpServerOptions h;
-        h.port = opts.port;
-        h.bindAddress = opts.bindAddress;
-        h.handlerThreads = opts.handlerThreads;
-        return h;
-      }()),
+    : http_(net::HttpServerOptions{.port = opts.port,
+                                   .bindAddress = opts.bindAddress}),
       self_(std::make_shared<MetricsRegistry>()),
       routes_{{{"/healthz", &AdminServer::handleHealthz},
                {"/readyz", &AdminServer::handleReadyz},

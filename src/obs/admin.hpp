@@ -75,10 +75,11 @@
 
 namespace hsd::obs {
 
+/// Where the admin server listens. It serves on the transport's default
+/// two handler threads: scrapes are short and few.
 struct AdminOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   std::string bindAddress = "127.0.0.1";
-  std::size_t handlerThreads = 2;
 };
 
 class AdminServer {

@@ -25,6 +25,11 @@ namespace hsd::serve {
 
 namespace {
 
+/// The query keys POST /detect reads. Any other key is a 400, so a typo
+/// (`tile-szie`) never runs silently with the default.
+constexpr std::array<std::string_view, 5> kQueryKeys{
+    "bias", "removal", "feedback", "deadline-ms", "tile-size"};
+
 /// Numeric query parameter. A missing one leaves `out` untouched; a
 /// present one must be one number (an empty or bare value is not), else
 /// this returns false with `err` set.
@@ -178,24 +183,24 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
                                              std::uint64_t wireId,
                                              obs::TraceId trace) {
   // --- Parameters (cheap; before admission so garbage fails fast) ----
-  double bias = 0.0, deadlineMs = 0.0;
+  for (const auto& [key, value] : req.queryPairs())
+    if (std::find(kQueryKeys.begin(), kQueryKeys.end(), key) ==
+        kQueryKeys.end())
+      return errorResponse(
+          400, "unknown query parameter '" + std::string(key) + "'");
+  double bias = 0.0, deadlineMs = 0.0, tileSize = 0.0;
   bool removal = true, feedback = true;
-  double tileSize = 0.0, halo = 0.0, tileThreads = 0.0;
   std::string err;
   if (!numericParam(req, "bias", bias, err) ||
       !flagParam(req, "removal", removal, err) ||
       !flagParam(req, "feedback", feedback, err) ||
       !numericParam(req, "deadline-ms", deadlineMs, err) ||
-      !numericParam(req, "tile-size", tileSize, err) ||
-      !numericParam(req, "halo", halo, err) ||
-      !numericParam(req, "tile-threads", tileThreads, err))
+      !numericParam(req, "tile-size", tileSize, err))
     return errorResponse(400, err);
   engine::TilingParams tiling;
   try {
-    tiling = engine::makeTilingParams(tileSize, halo, tileThreads);
-    // The plan's own halo floor check: an undersized halo is a client
-    // error here, where the engine would turn it into a 500.
-    engine::checkTilePlan(tiling, detector_.params.clip);
+    tiling.tileSize = Coord(
+        engine::wholeNumber("tile-size", tileSize, engine::kMaxExactWhole));
   } catch (const std::invalid_argument& e) {
     return errorResponse(400, e.what());
   }
@@ -248,6 +253,8 @@ net::HttpResponse DetectionEndpoint::process(const net::HttpRequest& req,
                    "' (use text/plain for the ASCII format or "
                    "application/octet-stream for GDSII)");
     }
+  } catch (const gds::GdsTooLarge& e) {
+    return errorResponse(413, e.what());
   } catch (const std::exception& e) {
     return errorResponse(400, std::string("malformed layout: ") + e.what());
   }

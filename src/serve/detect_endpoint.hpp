@@ -10,12 +10,18 @@
 //    "application/octet-stream" / "application/gdsii" = raw GDSII
 //    binary. Chunked upload works (the transport de-frames it); bodies
 //    are capped by the HttpServer's maxBodyBytes (413 beyond it).
-//  - query params: detector config (bias, removal=0|1, feedback=0|1),
-//    tiling (tile-size, halo, tile-threads), and deadline-ms (also
-//    accepted as an X-Deadline-Ms header; query wins; 0 or absent = no
-//    deadline). A present value the contract does not name — an empty
-//    or bare numeric, a negative deadline, a flag other than 0 or 1 — is
-//    a 400 before any work happens.
+//  - query params, exactly these five:
+//      bias         decision bias, a finite number (default 0);
+//      removal      0|1, redundant-clip removal (default 1);
+//      feedback     0|1, the feedback kernel (default 1);
+//      tile-size    tile side in dbu, a whole number in [0, 2^53]
+//                   (0 or absent = untiled; the halo follows from the
+//                   model's clip geometry);
+//      deadline-ms  also accepted as an X-Deadline-Ms header; query
+//                   wins; 0 or absent = no deadline.
+//    Any other key, or a present value the contract does not name — an
+//    empty or bare numeric, a negative deadline, a flag other than 0 or
+//    1 — is a 400 before any work happens.
 //  - response 200: the report in windows format (gds::writeWindowList
 //    bytes — exactly what hsd_detect writes), with the run identified in
 //    headers: X-Request-Id (wire-level id, present on every response
@@ -39,11 +45,13 @@
 // overload is typed, never a hung or reset connection. A draining
 // server answers 503.
 //
-// Typed failures: 400 (malformed layout/GDSII/params, undersized halo),
-// 413/431 (transport caps), 415 (unknown Content-Type), 429 (queue
-// full), 499 (client disconnected; the run is cancelled server-side —
-// the handler probes the connection while waiting and fires the
-// request's CancelSource), 503 (draining), 504 (deadline exceeded).
+// Typed failures: 400 (malformed layout/GDSII/params, unknown query
+// key), 413 (transport body cap, or a GDSII hierarchy that would flatten
+// past gds::kMaxFlatPolygons), 431 (transport header cap), 415 (unknown
+// Content-Type), 429 (queue full), 499 (client disconnected; the run is
+// cancelled server-side — the handler probes the connection while
+// waiting and fires the request's CancelSource), 503 (draining), 504
+// (deadline exceeded).
 #pragma once
 
 #include <array>
@@ -131,8 +139,9 @@ class DetectionEndpoint {
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   /// Status labels of the response counters, in exposition order: one
   /// per HTTP code counted on its own, then "other" for every other code.
-  static constexpr std::array<const char*, 9> kStatusLabels{
-      "200", "400", "415", "429", "499", "500", "503", "504", "other"};
+  static constexpr std::array<const char*, 10> kStatusLabels{
+      "200", "400", "413", "415", "429", "499",
+      "500", "503", "504", "other"};
   std::array<obs::Counter*, kStatusLabels.size()> statusTotal_{};
   obs::Gauge* inflight_ = nullptr;
   obs::Counter* requestBytes_ = nullptr;

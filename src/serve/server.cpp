@@ -351,13 +351,11 @@ core::EvalResult DetectionServer::runTiled(Request& req,
   // borrowed and the result is empty.
   const core::TiledLayout tiled = core::prepareTiledLayout(
       *req.layout, req.det->params.layer, req.params);
-  // Borrow idle contexts until every tile that may run at once has a
-  // thread; never block, so fan-out cannot deadlock the fleet.
-  std::size_t want = tiled.work.size();
-  if (req.params.tiling.tileThreads > 0)
-    want = std::min(want, req.params.tiling.tileThreads);
+  // Borrow idle contexts until every tile has a thread; never block, so
+  // fan-out cannot deadlock the fleet.
   std::vector<engine::RunContext*> contexts{&primary};
-  for (std::size_t covered = primary.threadCount(); covered < want;) {
+  for (std::size_t covered = primary.threadCount();
+       covered < tiled.work.size();) {
     engine::RunContext* const c = pool_->tryCheckout();
     if (c == nullptr) break;  // pool busy: the contexts so far suffice
     c->setTraceId(req.trace);  // borrowed helpers join the correlation

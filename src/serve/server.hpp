@@ -22,14 +22,13 @@
 // Tiled requests (params.tiling enabled) additionally fan their tiles
 // across the pool: the worker borrows idle contexts *non-blockingly*
 // (tryCheckout — the request always progresses on its own context, so
-// tile fan-out can never deadlock the fleet) until every tile that may
-// run at once (tiling.tileThreads) has a thread, hands its own context
-// and the helpers to core::evaluateTiles — the one tile scheduler — and
-// checks the helpers back in whatever happened. The sequence-ordered
-// merge makes the reports byte-identical to an untiled run. The shared
-// StageCache is keyed on translation-invariant content hashes, so warm
-// tiles skip recompute whichever context — or request — computed them
-// first.
+// tile fan-out can never deadlock the fleet) until every tile has a
+// thread, hands its own context and the helpers to core::evaluateTiles
+// — the one tile scheduler — and checks the helpers back in whatever
+// happened. The sequence-ordered merge makes the reports byte-identical
+// to an untiled run. The shared StageCache is keyed on
+// translation-invariant content hashes, so warm tiles skip recompute
+// whichever context — or request — computed them first.
 #pragma once
 
 #include <atomic>

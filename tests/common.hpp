@@ -30,12 +30,27 @@
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "gds/ascii.hpp"
+#include "gds/gdsii.hpp"
 #include "layout/clip.hpp"
+#include "layout/hierarchy.hpp"
 #include "layout/spatial_index.hpp"
 
 namespace hsd::tests {
 
 inline const ClipParams kClip{};
+
+/// A GDSII stream of a few hundred bytes whose top cell places a one-rect
+/// cell in a 30000 x 30000 AREF: 9e8 polygons once flattened.
+inline std::string hugeArrayGdsii() {
+  CellLibrary lib;
+  lib.addCell("TOP").addInstance(
+      {"UNIT", {}, 30000, 30000, {200, 0}, {0, 200}});
+  lib.addCell("UNIT").addRect(1, {0, 0, 100, 100});
+  lib.setTop("TOP");
+  std::ostringstream os(std::ios::binary);
+  gds::writeGdsiiHierarchy(os, lib);
+  return os.str();
+}
 
 /// Window whose core's lower-left corner sits at (x, y), contest geometry.
 inline ClipWindow at(Coord x, Coord y) {

@@ -228,7 +228,7 @@ TEST(DetectHttp, TiledPostMatchesMonolithicBytes) {
   const net::HttpResult mono = postLayout(w, "/detect", asciiLayoutBody());
   ASSERT_EQ(mono.status, 200);
   for (const char* target :
-       {"/detect?tile-size=8000", "/detect?tile-size=5000&tile-threads=2"}) {
+       {"/detect?tile-size=8000", "/detect?tile-size=5000"}) {
     const net::HttpResult tiled = postLayout(w, target, asciiLayoutBody());
     ASSERT_EQ(tiled.status, 200) << tiled.body;
     EXPECT_EQ(tiled.body, mono.body) << "tiled wire report diverged for "
@@ -279,6 +279,14 @@ TEST(DetectHttp, OversizeBodyGets413) {
   const net::HttpResult res =
       postLayout(w, "/detect", std::string(4096, 'x'));
   EXPECT_EQ(res.status, 413);
+  // A body under the cap whose hierarchy would flatten past
+  // gds::kMaxFlatPolygons is refused the same way, before flattening.
+  const net::HttpResult huge = postLayout(w, "/detect", tests::hugeArrayGdsii(),
+                                          "application/octet-stream");
+  EXPECT_EQ(huge.status, 413) << huge.body;
+  EXPECT_NE(huge.body.find("polygons"), std::string::npos) << huge.body;
+  EXPECT_NE(w.endpoint->statsJson().find("\"413\": 1"), std::string::npos)
+      << w.endpoint->statsJson();
 }
 
 TEST(DetectHttp, MalformedInputsGet400) {
@@ -321,23 +329,31 @@ TEST(DetectHttp, MalformedInputsGet400) {
                   .status,
               400)
         << deadline;
-  // Tiling parameters must be whole numbers in [0, 2^53]: huge values
-  // would overflow the integer conversion, fractions and negatives would
+  // The tile size must be a whole number in [0, 2^53]: huge values would
+  // overflow the integer conversion, fractions and negatives would
   // silently run untiled.
   for (const char* target :
-       {"/detect?tile-size=1e300", "/detect?tile-threads=1e300",
-        "/detect?halo=1e300", "/detect?tile-size=0.5",
-        "/detect?tile-size=-1", "/detect?tile-threads=-1",
-        "/detect?tile-size=9007199254740994"}) {
+       {"/detect?tile-size=1e300", "/detect?tile-size=0.5",
+        "/detect?tile-size=-1", "/detect?tile-size=9007199254740994"}) {
     const net::HttpResult r = postLayout(w, target, asciiLayoutBody());
     EXPECT_EQ(r.status, 400) << target;
     EXPECT_NE(r.body.find("whole number"), std::string::npos) << r.body;
   }
-  // Undersized halo: the tiling-exactness violation is a client error.
-  const net::HttpResult halo =
-      postLayout(w, "/detect?tile-size=8000&halo=100", asciiLayoutBody());
-  EXPECT_EQ(halo.status, 400);
-  EXPECT_NE(halo.body.find("halo"), std::string::npos) << halo.body;
+  // A key the contract does not name — a typo, or a parameter the wire
+  // no longer takes (the halo follows from the model) — is a 400 naming
+  // it, never a run with the default.
+  for (const auto& [target, key] :
+       {std::pair{"/detect?halo=100", "'halo'"},
+        std::pair{"/detect?tile-size=8000&halo=100", "'halo'"},
+        std::pair{"/detect?tile-threads=2", "'tile-threads'"},
+        std::pair{"/detect?tile-szie=8000", "'tile-szie'"},
+        std::pair{"/detect?bias=0&=1", "''"}}) {
+    const net::HttpResult r = postLayout(w, target, asciiLayoutBody());
+    EXPECT_EQ(r.status, 400) << target;
+    EXPECT_NE(r.body.find("unknown query parameter " + std::string(key)),
+              std::string::npos)
+        << r.body;
+  }
 }
 
 TEST(DetectHttp, UnknownContentTypeGets415) {
@@ -415,7 +431,9 @@ TEST(DetectHttp, ClientDisconnectCancelsQueuedRun) {
   // No stage cache: every blocker runs a full evaluation. With the cache
   // on, blockers 2 and 3 were cache hits, so the worker was busy for one
   // cold run only — shorter than the handler's first 25 ms disconnect
-  // probe once scoring got fast enough.
+  // probe once scoring got fast enough. Three uncached blockers (~8 ms
+  // each) still sometimes drained before that probe; twelve keep the
+  // worker busy for several probe periods.
   scfg.enableCache = false;
   WirePlane w({}, {}, scfg);
   const tests::DetectorFixture& f = tests::detectorFixture(wireSpec());
@@ -423,7 +441,7 @@ TEST(DetectHttp, ClientDisconnectCancelsQueuedRun) {
   ep.extract.clip = f.detector.params.clip;
   ep.removal.clip = f.detector.params.clip;
   std::vector<std::future<ServeResult>> blockers;
-  for (int i = 0; i < 3; ++i)
+  for (int i = 0; i < 12; ++i)
     blockers.push_back(w.server->submit(f.detector, f.test.layout, ep));
 
   // Full request, then immediate close: the handler sees EOF on its
@@ -598,7 +616,7 @@ TEST(DetectHttp, TiledFanoutCorrelatesAcrossBorrowedContexts) {
               observedServerConfig(tracer, log, /*workers=*/3));
   const obs::TraceId sent = obs::makeTraceId();
   const net::HttpResult res = net::httpPost(
-      "127.0.0.1", w.port(), "/detect?tile-size=5000&tile-threads=3",
+      "127.0.0.1", w.port(), "/detect?tile-size=5000",
       asciiLayoutBody(), "text/plain",
       {{"traceparent", obs::formatTraceparent(sent)}}, 60000);
   ASSERT_EQ(res.status, 200) << res.body;

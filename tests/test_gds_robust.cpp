@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "common.hpp"
 #include "gds/gdsii.hpp"
 #include "gds/real8.hpp"
 
@@ -83,7 +84,25 @@ TEST(GdsRobust, UndefinedReferenceThrows) {
   putRec(ss, 0x1100);
   putRec(ss, 0x0700);
   putRec(ss, 0x0400);
-  EXPECT_THROW(readGdsii(ss), std::runtime_error);
+  EXPECT_THROW(readGdsii(ss), GdsError);
+}
+
+TEST(GdsRobust, ReferenceCycleThrowsGdsError) {
+  CellLibrary lib;
+  lib.addCell("A").addInstance({"B", {}, 1, 1, {}, {}});
+  lib.addCell("B").addInstance({"A", {}, 1, 1, {}, {}});
+  auto ss = binaryStream();
+  writeGdsiiHierarchy(ss, lib);
+  EXPECT_THROW(readGdsii(ss), GdsError);
+}
+
+TEST(GdsRobust, HugeArrayIsRefusedBeforeFlattening) {
+  // Flattening it once ended in bad_alloc; the flat polygon count is
+  // checked first, against kMaxFlatPolygons.
+  auto ss = binaryStream();
+  ss << tests::hugeArrayGdsii();
+  EXPECT_LE(ss.str().size(), 300u);
+  EXPECT_THROW(readGdsii(ss), GdsError);
 }
 
 TEST(GdsRobust, NonManhattanAngleThrows) {

@@ -1,9 +1,9 @@
 // Tiling-layer tests (ctest label: tile). Three layers of coverage:
 //
 //  1. GridTiling / TilePlan unit behavior: row-major ids, half-open seam
-//     ownership (total and unique), halo floor hard errors (anything
-//     below ambit + half core refuses to plan — a halo of just the ambit
-//     is NOT enough), and the whole-number check on tiling numbers.
+//     ownership (total and unique), the halo derived from the clip (ambit
+//     + half core rounded up — a halo of just the ambit is NOT enough),
+//     and the whole-number check on tiling numbers.
 //  2. Tiled evaluateLayout() vs the monolithic path: byte-identical
 //     reports (canonicalReport) and identical counters at threads=1 and
 //     8, across tile sizes from "clip spans four tiles" to "one tile
@@ -110,32 +110,26 @@ TEST(GridTilingUnit, OwnershipMatchesContainingTileBox) {
 }
 
 // ---------------------------------------------------------------------------
-// TilePlan: halo floor enforcement and tile geometry.
+// TilePlan: the halo derived from the clip, and tile geometry.
 
 TEST(TilePlanUnit, AutoHaloIsTheExactnessMinimum) {
   TilingParams tp;
   tp.tileSize = 6000;
-  const TilePlan plan = TilePlan::make(Rect{0, 0, 20000, 20000}, tp, kClip);
-  EXPECT_EQ(plan.halo(), minTileHalo(kClip));
-  EXPECT_GT(minTileHalo(kClip), kClip.ambit());  // strictly beyond ambit
+  const Rect b{0, 0, 20000, 20000};
+  // The reach of a clip from its anchor: the ambit plus half the core,
+  // rounded up when the core side is odd.
+  const ClipParams odd{1201, 4801};
+  for (const auto& [clip, halo] : {std::pair{kClip, Coord(1800 + 600)},
+                                   std::pair{odd, Coord(1800 + 601)}}) {
+    EXPECT_EQ(minTileHalo(clip), halo) << clip.coreSide;
+    EXPECT_EQ(TilePlan::make(b, tp, clip).halo(), halo) << clip.coreSide;
+    EXPECT_GT(halo, clip.ambit());  // strictly beyond ambit
+  }
 }
 
-TEST(TilePlanUnit, UndersizedHaloIsAHardError) {
-  TilingParams tp;
-  tp.tileSize = 6000;
-  const Rect b{0, 0, 20000, 20000};
-  // A halo of the ambit alone silently changes seam verdicts — it must
-  // refuse to plan, not degrade.
-  tp.halo = kClip.ambit();
-  EXPECT_THROW(TilePlan::make(b, tp, kClip), std::invalid_argument);
-  tp.halo = minTileHalo(kClip) - 1;
-  EXPECT_THROW(TilePlan::make(b, tp, kClip), std::invalid_argument);
-  tp.halo = minTileHalo(kClip);
-  EXPECT_NO_THROW(TilePlan::make(b, tp, kClip));
-  // Disabled tiling cannot be planned either.
-  tp.tileSize = 0;
-  tp.halo = 0;
-  EXPECT_THROW(TilePlan::make(b, tp, kClip), std::invalid_argument);
+TEST(TilePlanUnit, DisabledTilingCannotBePlanned) {
+  EXPECT_THROW(TilePlan::make(Rect{0, 0, 20000, 20000}, {}, kClip),
+               std::invalid_argument);
 }
 
 TEST(TilePlanUnit, ExpandedRegionIsOwnedInflatedByHalo) {
@@ -153,12 +147,9 @@ TEST(TilePlanUnit, ExpandedRegionIsOwnedInflatedByHalo) {
 // Tiling numbers from untrusted doubles (CLI flags, query parameters).
 
 TEST(TilingNumbers, WholeNumbersInRangeBuildParams) {
-  const TilingParams t = makeTilingParams(8000, 2600, 3);
-  EXPECT_EQ(t.tileSize, 8000);
-  EXPECT_EQ(t.halo, 2600);
-  EXPECT_EQ(t.tileThreads, 3u);
-  EXPECT_EQ(makeTilingParams(9007199254740992.0, 0, 0).tileSize,
-            Coord(9007199254740992LL));
+  EXPECT_EQ(wholeNumber("tile-size", 8000, kMaxExactWhole), 8000u);
+  EXPECT_EQ(wholeNumber("tile-size", 9007199254740992.0, kMaxExactWhole),
+            std::uint64_t(9007199254740992LL));
   EXPECT_EQ(wholeNumber("threads", 1024, 1024), 1024u);
   // Real-valued flags and query parameters parse through
   // text::parseNumber before they reach wholeNumber().
@@ -167,19 +158,16 @@ TEST(TilingNumbers, WholeNumbersInRangeBuildParams) {
 }
 
 TEST(TilingNumbers, RejectsFractionsNegativesAndOverflowNamingTheField) {
-  const auto message = [](double size, double halo, double threads) {
+  const auto message = [](double size) {
     try {
-      makeTilingParams(size, halo, threads);
+      wholeNumber("tile-size", size, kMaxExactWhole);
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }
     return std::string("accepted");
   };
   for (const double bad : {0.5, -1.0, 1e300, 9007199254740994.0})
-    EXPECT_NE(message(bad, 0, 0).find("'tile-size'"), std::string::npos)
-        << bad;
-  EXPECT_NE(message(0, -2, 0).find("'halo'"), std::string::npos);
-  EXPECT_NE(message(0, 0, 2.5).find("'tile-threads'"), std::string::npos);
+    EXPECT_NE(message(bad).find("'tile-size'"), std::string::npos) << bad;
   EXPECT_THROW(wholeNumber("threads", 1025, 1024), std::invalid_argument);
   EXPECT_THROW(wholeNumber("threads", -1, 1024), std::invalid_argument);
   // One number per token, decimal only: no blanks, no '+', no hex (the
@@ -288,10 +276,9 @@ core::EvalResult runEval(const Layout& layout, const core::EvalParams& p,
   return core::evaluateLayout(fx().detector, layout, p, ctx);
 }
 
-core::EvalParams tiledParams(Coord tileSize, std::size_t tileThreads = 0) {
+core::EvalParams tiledParams(Coord tileSize) {
   core::EvalParams p;
   p.tiling.tileSize = tileSize;
-  p.tiling.tileThreads = tileThreads;
   return p;
 }
 
@@ -367,23 +354,6 @@ TEST(TiledEval, EmptyLayoutYieldsNothing) {
   const core::EvalResult res = runEval(empty, tiledParams(4000), 2);
   EXPECT_TRUE(res.reported.empty());
   EXPECT_EQ(res.candidateClips, 0u);
-}
-
-TEST(TiledEval, TileThreadsCapPreservesIdentity) {
-  const core::EvalResult mono = runEval(fx().test.layout, {}, 1);
-  for (const std::size_t cap : {std::size_t(1), std::size_t(3)}) {
-    const core::EvalResult tiled =
-        runEval(fx().test.layout, tiledParams(6000, cap), 8);
-    EXPECT_EQ(tiled.reported, mono.reported) << "tileThreads=" << cap;
-  }
-}
-
-TEST(TiledEval, UndersizedHaloOverrideThrowsFromEvaluate) {
-  core::EvalParams p = tiledParams(6000);
-  p.tiling.halo = kClip.ambit();  // below the exactness minimum
-  RunContext ctx(1);
-  EXPECT_THROW(core::evaluateLayout(fx().detector, fx().test.layout, p, ctx),
-               std::invalid_argument);
 }
 
 TEST(TiledEval, SharedCacheServesTiledRunsFromMonolithicEntries) {
@@ -523,7 +493,7 @@ TEST(ServeTiled, ConcurrentTiledRequestsStayIdentical) {
   std::vector<std::future<serve::ServeResult>> futs;
   for (int i = 0; i < 6; ++i)
     futs.push_back(server.submit(fx().detector, fx().test.layout,
-                                 tiledParams(6000, /*tileThreads=*/2)));
+                                 tiledParams(6000)));
   const serve::ServeResult first = futs[0].get();
   ASSERT_TRUE(first.ok()) << first.error;
   for (std::size_t i = 1; i < futs.size(); ++i) {

@@ -56,17 +56,20 @@ assert dict(stats["eval/svm"])["items"] == sum(tiles), "eval/svm roll-up"
 '
 grep -q '"tile0/extract/screen"' "$OUT/detect_tiled.out"
 grep -q '"eval/svm"' "$OUT/detect_tiled.out"
-# An undersized halo must hard-error, not silently degrade.
-if "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/bad.txt" \
-  --tile-size 8000 --halo 100 2>"$OUT/halo_err.txt"; then
-  echo "undersized halo unexpectedly succeeded" >&2
+# The halo follows from the model: --halo is no flag, and naming it exits
+# 2 naming it, with no report written.
+rc=0
+"$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" "$OUT/bad.txt" \
+  --tile-size 8000 --halo 100 2>"$OUT/halo_err.txt" || rc=$?
+if [ "$rc" -ne 2 ] || [ -e "$OUT/bad.txt" ]; then
+  echo "hsd_detect --halo 100 exited $rc, not 2, or wrote a report" >&2
   exit 1
 fi
-grep -q 'halo' "$OUT/halo_err.txt"
-# Tiling numbers must be whole numbers in range: an overflowing, a
+grep -q "unknown flag '--halo'" "$OUT/halo_err.txt"
+# The tile size must be a whole number in range: an overflowing, a
 # fractional or a negative value exits non-zero naming its flag, and no
 # report is written (before the check, 1e300 and 0.5 ran untiled).
-for bad in tile-size:1e300 tile-size:0.5 tile-size:-1 tile-threads:2.5; do
+for bad in tile-size:1e300 tile-size:0.5 tile-size:-1; do
   flag=${bad%%:*}
   value=${bad#*:}
   if "$BIN/tools/hsd_detect" "$OUT/model.txt" "$OUT/layout.gds" \
@@ -157,18 +160,25 @@ if [ "$rc" -ne 2 ]; then
   echo "hsd_scrape with port 80abc exited $rc, not 2" >&2
   exit 1
 fi
-# An undersized halo exits 2 with the tile plan's message right after the
-# model load: the layout path is never opened (it does not exist here).
-for tool in hsd_detect hsd_serve; do
+# A flag the tool does not declare — a removed one or a typo — exits 2
+# naming it before any file is read (neither input exists here). Before
+# the check, --tile-szie 8000 ran untiled.
+for bad in hsd_detect:halo:100 hsd_serve:halo:100 hsd_detect:tile-threads:2.5 \
+  hsd_serve:tile-threads:2 hsd_detect:tile-szie:8000 hsd_serve:tile-szie:8000 \
+  hsd_train:halo:100; do
+  tool=${bad%%:*}
+  rest=${bad#*:}
+  flag=${rest%%:*}
+  value=${rest#*:}
   rc=0
-  "$BIN/tools/$tool" "$OUT/model.txt" "$OUT/no_such_layout.gds" \
-    "$OUT/bad.txt" --tile-size 8000 --halo 100 >/dev/null \
-    2>"$OUT/halo_err.txt" || rc=$?
+  "$BIN/tools/$tool" "$OUT/no_such_input.txt" "$OUT/no_such_layout.gds" \
+    "$OUT/bad_out.txt" "--$flag" "$value" >/dev/null \
+    2>"$OUT/flag_err.txt" || rc=$?
   if [ "$rc" -ne 2 ]; then
-    echo "$tool with an undersized halo exited $rc, not 2" >&2
+    echo "$tool --$flag $value exited $rc, not 2" >&2
     exit 1
   fi
-  grep -q 'TilePlan: halo 100 dbu is below' "$OUT/halo_err.txt"
+  grep -q "unknown flag '--$flag'" "$OUT/flag_err.txt"
 done
 # A hostile model file (line 5, the kernel count, claims far more kernels
 # than its bytes hold) must fail typed under an address-space limit, not

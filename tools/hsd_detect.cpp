@@ -3,20 +3,19 @@
 //
 //   hsd_detect <model> <layout.gds> <out_report.txt> [--bias B]
 //              [--threads N] [--no-removal] [--no-feedback]
-//              [--tile-size S] [--halo H] [--tile-threads K]
-//              [--trace-out trace.json] [--log-out log.jsonl]
+//              [--tile-size S] [--trace-out trace.json]
+//              [--log-out log.jsonl]
 //              [--log-level trace|debug|info|warn|error]
 //              [--model-stats-out model.json]
 //
 // --tile-size S partitions the layout into S-dbu grid tiles evaluated
-// concurrently with halo overlap (engine/tiler.hpp) and deterministically
-// merged — the report is byte-identical to an untiled run. --halo
-// overrides the halo width (default: the exactness minimum, ambit + half
-// core; a smaller value exits 2 right after the model load, before the
-// layout is read). --tile-threads caps concurrent tiles.
-// --bias must be a finite number, the tiling flags whole numbers in
-// [0, 2^53] and --threads one in [0, 1024]; anything else exits 2 naming
-// the flag before any file is read.
+// concurrently with halo overlap (engine/tiler.hpp; the halo follows
+// from the model's clip geometry) and deterministically merged — the
+// report is byte-identical to an untiled run. At most --threads tiles
+// run at once. --bias must be a finite number, --tile-size a whole
+// number in [0, 2^53] and --threads one in [0, 1024]; anything else, and
+// any flag not listed above, exits 2 naming the flag before any file is
+// read.
 //
 // --trace-out records the whole run as Chrome trace-event JSON (per-batch
 // stage spans, parallelFor chunk spans) — open it in Perfetto or
@@ -56,16 +55,12 @@ using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: %s <model> <layout.gds> <out_report.txt> "
-                 "[--bias B] [--threads N] [--no-removal] "
-                 "[--no-feedback] [--tile-size S] [--halo H] "
-                 "[--tile-threads K] [--trace-out F] [--log-out F] "
-                 "[--log-level L] [--model-stats-out F]\n",
-                 argv[0]);
+  if (!checkArgs(argc, argv, 3, "<model> <layout.gds> <out_report.txt>",
+                 {{"--bias", "B"}, {"--threads", "N"}, {"--no-removal"},
+                  {"--no-feedback"}, {"--tile-size", "S"},
+                  {"--trace-out", "F"}, {"--log-out", "F"},
+                  {"--log-level", "L"}, {"--model-stats-out", "F"}}))
     return 2;
-  }
   // Numbers are checked before any work: text that is not a number is a
   // usage error naming its flag, and so is a fraction, a negative or an
   // overflowing value where a count or a coordinate is due — never a
@@ -74,10 +69,9 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;
   try {
     ep.decisionBias = argDouble(argc, argv, "--bias", 0.0);
-    ep.tiling = engine::makeTilingParams(
-        argDouble(argc, argv, "--tile-size", 0.0),
-        argDouble(argc, argv, "--halo", 0.0),
-        argDouble(argc, argv, "--tile-threads", 0.0));
+    ep.tiling.tileSize = Coord(engine::wholeNumber(
+        "tile-size", argDouble(argc, argv, "--tile-size", 0.0),
+        engine::kMaxExactWhole));
     threads = engine::wholeNumber("threads",
                                   argDouble(argc, argv, "--threads", 0.0),
                                   engine::RunContext::kMaxThreads);
@@ -92,14 +86,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     const core::Detector det = core::Detector::load(ms);
-    // The tile plan's halo floor depends on the model's clip size: check
-    // it now, before reading the layout.
-    try {
-      engine::checkTilePlan(ep.tiling, det.params.clip);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
     ep.extract.clip = det.params.clip;

@@ -23,13 +23,10 @@ using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: %s <model> <layout.gds> <out_layout.gds> "
-                 "[--min-width NM] [--min-space NM] [--bias B]\n",
-                 argv[0]);
+  if (!checkArgs(argc, argv, 3, "<model> <layout.gds> <out_layout.gds>",
+                 {{"--min-width", "NM"}, {"--min-space", "NM"},
+                  {"--bias", "B"}}))
     return 2;
-  }
   core::EvalParams ep;
   litho::OpcRules rules;
   try {

@@ -30,13 +30,11 @@ std::uint64_t argWhole(int argc, char** argv, const char* flag,
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <out_dir> [--bench 1..5] [--seed S] [--hs N] "
-                 "[--nhs N] [--width NM] [--height NM] [--sites N]\n",
-                 argv[0]);
+  if (!tools::checkArgs(argc, argv, 1, "<out_dir>",
+                        {{"--bench", "1..5"}, {"--seed", "S"}, {"--hs", "N"},
+                         {"--nhs", "N"}, {"--width", "NM"},
+                         {"--height", "NM"}, {"--sites", "N"}}))
     return 2;
-  }
   const std::string dir = argv[1];
   const auto specs = data::iccad2012LikeSuite();
   data::BenchmarkSpec spec;

@@ -12,12 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <report.txt> <golden.txt> [--layout x.gds]\n",
-                 argv[0]);
+  if (!tools::checkArgs(argc, argv, 2, "<report.txt> <golden.txt>",
+                        {{"--layout", "x.gds"}}))
     return 2;
-  }
   try {
     const auto [reports, rp] = gds::readWindowListFile(argv[1]);
     const auto [golden, gp] = gds::readWindowListFile(argv[2]);

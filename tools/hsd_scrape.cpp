@@ -57,14 +57,11 @@ bool collectHeaders(int argc, char** argv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: %s <host> <port> <path> [--post <file>] "
-                 "[--content-type <ct>] [--timeout-ms <n>] "
-                 "[-H \"Name: value\"]... [-v]\n",
-                 argv[0]);
+  if (!checkArgs(argc, argv, 3, "<host> <port> <path>",
+                 {{"--post", "<file>"}, {"--content-type", "<ct>"},
+                  {"--timeout-ms", "<n>"}, {"-H", "\"Name: value\""},
+                  {"-v"}}))
     return 2;
-  }
   const std::optional<std::uint16_t> port =
       hsd::text::parseNumber<std::uint16_t>(argv[2]);
   if (!port || *port == 0) {

@@ -6,10 +6,10 @@
 //
 //   hsd_serve <model> <layout.gds> [--requests N] [--workers W]
 //             [--contexts C] [--threads T] [--deadline-ms D] [--no-cache]
-//             [--tile-size S] [--halo H] [--tile-threads K]
-//             [--trace-out trace.json] [--metrics-out metrics.prom]
-//             [--admin-port P] [--linger-ms L] [--port P]
-//             [--max-body-mb M] [--max-queue-depth Q]
+//             [--tile-size S] [--trace-out trace.json]
+//             [--metrics-out metrics.prom] [--admin-port P]
+//             [--linger-ms L] [--port P] [--max-body-mb M]
+//             [--max-queue-depth Q]
 //             [--log-out log.jsonl] [--log-level trace|debug|info|warn|error]
 //             [--model-stats-out model.json]
 //
@@ -25,15 +25,14 @@
 // fans the request's tiles across idle pooled contexts (non-blocking
 // borrow, so fan-out can never deadlock the pool) and merges the
 // per-tile hits deterministically — reportsIdentical must stay true, and
-// repeated requests hit the shared cache tile by tile. --halo/
-// --tile-threads as in hsd_detect. --workers, --contexts and --threads
+// repeated requests hit the shared cache tile by tile; the halo follows
+// from the model's clip geometry. --workers, --contexts and --threads
 // must be whole numbers in [0, 1024], --requests one in [0, 2^20],
-// --max-queue-depth and the tiling flags whole numbers in [0, 2^53],
+// --max-queue-depth and --tile-size whole numbers in [0, 2^53],
 // --max-body-mb one below 2^44 (so the byte count fits 64 bits) and
 // --port/--admin-port, when given, whole numbers in [0, 65535], and
-// --deadline-ms/--linger-ms finite numbers; anything else exits 2 naming
-// the flag. An undersized --halo exits 2 right after the model load,
-// before the layout is read.
+// --deadline-ms/--linger-ms finite numbers; anything else, and any flag
+// not listed above, exits 2 naming the flag before any file is read.
 //
 // With --deadline-ms, requests whose deadline expires resolve to a typed
 // timeout result (counted under "timeout") — the process never crashes on
@@ -136,19 +135,17 @@ void interruptibleSleepMs(double ms) {
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <model> <layout.gds> [--requests N] "
-                 "[--workers W] [--contexts C] [--threads T] "
-                 "[--deadline-ms D] [--no-cache] [--tile-size S] "
-                 "[--halo H] [--tile-threads K] [--trace-out f.json] "
-                 "[--metrics-out f.prom] [--admin-port P] [--linger-ms L] "
-                 "[--port P] [--max-body-mb M] [--max-queue-depth Q] "
-                 "[--log-out f.jsonl] [--log-level L] "
-                 "[--model-stats-out F]\n",
-                 argv[0]);
+  if (!checkArgs(argc, argv, 2, "<model> <layout.gds>",
+                 {{"--requests", "N"}, {"--workers", "W"},
+                  {"--contexts", "C"}, {"--threads", "T"},
+                  {"--deadline-ms", "D"}, {"--no-cache"},
+                  {"--tile-size", "S"}, {"--trace-out", "f.json"},
+                  {"--metrics-out", "f.prom"}, {"--admin-port", "P"},
+                  {"--linger-ms", "L"}, {"--port", "P"},
+                  {"--max-body-mb", "M"}, {"--max-queue-depth", "Q"},
+                  {"--log-out", "f.jsonl"}, {"--log-level", "L"},
+                  {"--model-stats-out", "F"}}))
     return 2;
-  }
   // Numbers are checked before any work: text that is not a number is a
   // usage error naming its flag, and so is a fraction, a negative or an
   // overflowing value where a count or a coordinate is due — never a
@@ -183,10 +180,9 @@ int main(int argc, char** argv) {
         "contexts", argDouble(argc, argv, "--contexts", 0), kMax);
     cfg.threadsPerContext = engine::wholeNumber(
         "threads", argDouble(argc, argv, "--threads", 2), kMax);
-    ep.tiling = engine::makeTilingParams(
-        argDouble(argc, argv, "--tile-size", 0.0),
-        argDouble(argc, argv, "--halo", 0.0),
-        argDouble(argc, argv, "--tile-threads", 0.0));
+    ep.tiling.tileSize = Coord(engine::wholeNumber(
+        "tile-size", argDouble(argc, argv, "--tile-size", 0.0),
+        engine::kMaxExactWhole));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -199,14 +195,6 @@ int main(int argc, char** argv) {
     }
     const core::Detector det = core::Detector::load(ms);
     const std::uint64_t modelFingerprint = det.fingerprint();
-    // The tile plan's halo floor depends on the model's clip size: check
-    // it now, before reading the layout.
-    try {
-      engine::checkTilePlan(ep.tiling, det.params.clip);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
     const Layout layout = gds::readGdsiiFile(argv[2]);
 
     cfg.enableCache = !hasFlag(argc, argv, "--no-cache");

@@ -20,14 +20,10 @@ using namespace hsd::tools;
 
 int main(int argc, char** argv) {
   using namespace hsd;
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <training_clips.txt> <out_model> [--threads N] "
-                 "[--no-shift] [--no-balance] [--no-feedback] "
-                 "[--single-kernel]\n",
-                 argv[0]);
+  if (!checkArgs(argc, argv, 2, "<training_clips.txt> <out_model>",
+                 {{"--threads", "N"}, {"--no-shift"}, {"--no-balance"},
+                  {"--no-feedback"}, {"--single-kernel"}}))
     return 2;
-  }
   std::size_t threads = 0;
   try {
     threads = engine::wholeNumber("threads",
